@@ -1,17 +1,26 @@
 # Developer smoke gate. `make check` is what a PR must keep green:
-# the viplint invariant passes (determinism, durability, attribution —
-# see DESIGN.md §11), static vetting, a full build, the race-enabled
-# short test suite, a bounded chaos sweep (seeded fault schedules
-# against the persistence layer, conservation invariants checked end to
-# end), and one iteration of the engine microbenchmarks (which
-# self-verify that the batched, fused-trace, and per-op paths agree,
-# and that the flattened epoch index matches the backward scan).
+# gofmt-clean sources, the viplint invariant passes (determinism,
+# durability, attribution — see DESIGN.md §11), static vetting, a full
+# build, the race-enabled short test suite, a bounded chaos sweep
+# (seeded fault schedules against the persistence layer, conservation
+# invariants checked end to end), one iteration of the engine
+# microbenchmarks (which self-verify that the batched, fused-trace, and
+# per-op paths agree, and that the flattened epoch index matches the
+# backward scan), and the benchmark module's own vet and tests.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: check lint vet build test race-smoke chaos-smoke fleet-smoke chaos-nightly bench-smoke bench
+.PHONY: check fmt lint vet build test race-smoke chaos-smoke fleet-smoke chaos-nightly bench-smoke bench-module bench
 
-check: lint vet build test race-smoke chaos-smoke fleet-smoke bench-smoke
+check: fmt lint vet build test race-smoke chaos-smoke fleet-smoke bench-smoke bench-module
+
+# Fails on any file gofmt would rewrite. The viplint fixtures under
+# internal/lint/testdata are exempt: their layout is pinned by their
+# want-comments, and gofmt would re-indent suppress_edge.go.
+fmt:
+	@out=$$($(GOFMT) -l . | grep -v '^internal/lint/testdata/'); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 # viplint: the repo's own go/analysis-style pass suite (cmd/viplint).
 # Exits nonzero on any unsuppressed finding; suppressions require
@@ -77,6 +86,13 @@ chaos-nightly:
 
 bench-smoke:
 	$(GO) test -race -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkExecMemBatch|BenchmarkTraceBatch|BenchmarkEpochResolveIndexed|BenchmarkFleetIngest|BenchmarkSMPScaling' -benchtime 1x .
+
+# bench/ is a module of its own, so neither `go test ./...` nor the
+# targets above reach it. This leg vets it and runs its short tests,
+# among them the check that the metric names it emits match
+# BENCHMARK.json.
+bench-module:
+	cd bench && $(GO) vet . && $(GO) test -short -count=1 .
 
 # Full reduced-scale benchmark sweep (minutes).
 bench:

@@ -22,10 +22,41 @@ import (
 )
 
 // FleetView is a loaded fleet archive, ready for rendering or diffing.
+// It is a read-only snapshot: the first render caches every host's
+// code-map chain and seq-sorted records, so the Aggregate must not
+// change after that, and a view is not safe for concurrent use.
 type FleetView struct {
 	Aggregate *fleet.Aggregate
 	Replay    fleet.JournalReplay
 	Integrity *fleet.FleetIntegrity
+
+	// hosts is the per-host render state, filled on first render
+	// (callers build views as literals).
+	hosts []fleetHost
+}
+
+// fleetHost is one host's render state: its applied records in seq
+// order and the chain over its replicated code maps (nil if it
+// replicated none).
+type fleetHost struct {
+	id    int
+	recs  []*fleet.DeltaRec
+	chain *core.MapChain
+}
+
+// hostState returns the per-host render state, building it on first
+// use.
+func (v *FleetView) hostState() []fleetHost {
+	if v.hosts == nil {
+		for _, h := range v.Aggregate.Hosts() {
+			fh := fleetHost{id: h, recs: v.Aggregate.Records(h)}
+			if maps := v.Aggregate.Maps(h); maps != nil {
+				fh.chain = core.NewMapChain(maps)
+			}
+			v.hosts = append(v.hosts, fh)
+		}
+	}
+	return v.hosts
 }
 
 // LoadFleetArchive replays the durable fleet store (the compacted
@@ -59,14 +90,10 @@ type fleetRow struct {
 // maps over the wire: a fleet report names the compiled method, not an
 // anonymous JIT bucket. Keys no chain resolves fold under the JIT
 // image name and are counted in unresolved.
-func fleetRows(agg *fleet.Aggregate, from, to uint64) (rows []fleetRow, unresolved uint64) {
+func (v *FleetView) fleetRows(from, to uint64) (rows []fleetRow, unresolved uint64) {
 	cells := make(map[[2]string]uint64)
-	for _, host := range agg.Hosts() {
-		var chain *core.MapChain
-		if maps := agg.Maps(host); maps != nil {
-			chain = core.NewMapChain(maps)
-		}
-		for _, rec := range agg.Records(host) {
+	for _, host := range v.hostState() {
+		for _, rec := range host.recs {
 			if rec.Kind != fleet.KindDelta || rec.At < from || rec.At >= to {
 				continue
 			}
@@ -74,8 +101,8 @@ func fleetRows(agg *fleet.Aggregate, from, to uint64) (rows []fleetRow, unresolv
 				label := k.Image
 				if k.JIT {
 					label = oprofile.JITImageName
-					if chain != nil {
-						if entry, _, ok := chain.Resolve(k.Epoch, k.Off); ok {
+					if host.chain != nil {
+						if entry, _, ok := host.chain.Resolve(k.Epoch, k.Off); ok {
 							label = entry.Sig
 						} else {
 							unresolved += c
@@ -116,13 +143,13 @@ func (v *FleetView) Render(maxRows int) string {
 func (v *FleetView) RenderWindow(maxRows int, from, to uint64) string {
 	var sb strings.Builder
 	windowed := from != 0 || to != ^uint64(0)
-	rows, unresolved := fleetRows(v.Aggregate, from, to)
+	rows, unresolved := v.fleetRows(from, to)
 	var total uint64
 	for _, r := range rows {
 		total += r.samples
 	}
 	fmt.Fprintf(&sb, "fleet aggregate: %d samples from %d host(s), %d store frame(s)",
-		total, len(v.Aggregate.Hosts()), v.Replay.Deltas+v.Replay.Maps+v.Replay.Duplicates)
+		total, len(v.hostState()), v.Replay.Deltas+v.Replay.Maps+v.Replay.Duplicates)
 	if v.Replay.ManifestGen > 0 {
 		fmt.Fprintf(&sb, ", generation %d", v.Replay.ManifestGen)
 	}
@@ -149,9 +176,9 @@ func (v *FleetView) RenderWindow(maxRows int, from, to uint64) string {
 		fmt.Fprintf(&sb, "  (%d JIT samples unresolved by the replicated maps)\n", unresolved)
 	}
 	sb.WriteString("\nper-host:\n")
-	for _, h := range v.Aggregate.Hosts() {
+	for _, h := range v.hostState() {
 		fmt.Fprintf(&sb, "  host%02d  %8d samples  (max seq %d, %d map epoch(s))\n",
-			h, v.Aggregate.HostTotal(h), v.Aggregate.MaxSeq(h), v.Aggregate.MapEpochs(h))
+			h.id, v.Aggregate.HostTotal(h.id), v.Aggregate.MaxSeq(h.id), v.Aggregate.MapEpochs(h.id))
 	}
 	sb.WriteString("\n")
 	sb.WriteString(fleet.FormatFleetIntegrity(v.Integrity))
@@ -176,7 +203,7 @@ func DiffFleetArchives(beforeDir, afterDir string, maxRows int) (string, error) 
 		if total == 0 {
 			return out
 		}
-		rows, _ := fleetRows(v.Aggregate, 0, ^uint64(0))
+		rows, _ := v.fleetRows(0, ^uint64(0))
 		for _, r := range rows {
 			out[[2]string{r.event, r.image}] = 100 * float64(r.samples) / float64(total)
 		}

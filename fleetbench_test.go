@@ -86,6 +86,20 @@ func TestFleetArchiveRoundTrip(t *testing.T) {
 	if !strings.Contains(win, "window: [") {
 		t.Fatalf("windowed render missing banner:\n%s", win)
 	}
+	// The view caches per-host render state on first render; no window
+	// may leak through it. Re-rendering the whole aggregate on the same
+	// view must repeat the first render, and a fresh view must render
+	// the window exactly as the cached one did.
+	if again := v.Render(10); again != out {
+		t.Fatalf("second render on the cached view differs:\n%s\nfirst:\n%s", again, out)
+	}
+	fresh, err := LoadFleetArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fw := fresh.RenderWindow(10, min, mid); fw != win {
+		t.Fatalf("fresh view window render differs from the cached view's:\n%s\ncached:\n%s", fw, win)
+	}
 	sum := func(counts map[oprofile.Key]uint64) (n uint64) {
 		for _, c := range counts {
 			n += c

@@ -210,7 +210,7 @@ type CompactResult struct {
 
 // storeContents is everything one compaction pass read.
 type storeContents struct {
-	man     *Manifest  // nil if never compacted
+	man     *Manifest // nil if never compacted
 	recs    []*DeltaRec
 	markers []*WireMsg // deduped restart markers
 	// journals are the journal paths that existed (the prune set);

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"viprof/internal/addr"
@@ -74,6 +75,46 @@ func TestWireRoundTrip(t *testing.T) {
 	again, err := DeltaFrame(3, 41, 7500, counts)
 	if err != nil || !bytes.Equal(frame, again) {
 		t.Fatalf("DeltaFrame not deterministic")
+	}
+}
+
+// TestDecodePayloadAllocs bounds what decoding one 20-key delta
+// allocates. Every journal frame is decoded at ingest, at each
+// compaction pass, at replay and at offline compaction, so the payload
+// parser's per-call cost multiplies; the Scanner-based parser zeroed a
+// 1 MiB line buffer per call (about 1.06 MB). The bound is 32 KiB.
+func TestDecodePayloadAllocs(t *testing.T) {
+	counts := make(map[oprofile.Key]uint64)
+	for i := 0; i < 20; i++ {
+		k := oprofile.Key{Event: hpc.Event(i % 2), Image: "libfleet.so",
+			Proc: SenderConfig{Host: 3}.ProcName(), CPU: i % 4, Off: addr.Address(0x1000 + 8*i)}
+		if i%4 == 0 {
+			k.Image, k.JIT, k.Epoch = oprofile.JITImageName, true, 1+i%3
+		}
+		counts[k] = uint64(1 + i)
+	}
+	frame, err := DeltaFrame(3, 41, 7500, counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := record.Scan(frame)
+	if len(recs) != 1 {
+		t.Fatalf("frame holds %d records", len(recs))
+	}
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		msg, err := DecodePayload(recs[0])
+		if err != nil || len(msg.Counts) != len(counts) {
+			t.Fatalf("decode: %d keys, %v", len(msg.Counts), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("DecodePayload: %d bytes allocated per 20-key delta", perCall)
+	if perCall >= 32<<10 {
+		t.Errorf("DecodePayload allocates %d bytes per 20-key delta, want < %d", perCall, 32<<10)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 type RetentionStats struct {
 	// Scanned is every quarantined file seen this pass; Kept/KeptBytes
 	// what remains after pruning; Pruned/PrunedBytes what was removed.
-	Scanned, Kept, Pruned int
+	Scanned, Kept, Pruned  int
 	KeptBytes, PrunedBytes uint64
 	// Per-reason prune counts: age (survived more passes than the
 	// policy allows), count (excess beyond the file budget), size

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"viprof/internal/addr"
 	"viprof/internal/hpc"
@@ -103,24 +102,40 @@ const SampleFile = "var/lib/oprofile/samples.log"
 //
 // Image goes last because it may contain spaces and commas. The cpu
 // field was appended for SMP machines; readers accept the older
-// 7-field layout and treat those lines as CPU 0.
+// 7-field layout and treat those lines as CPU 0. The lines are built
+// in one slice (sized for typical 64-byte lines) and handed to w in at
+// most one Write.
 func WriteCounts(w io.Writer, counts map[Key]uint64, order []Key) error {
-	bw := bufio.NewWriter(w)
+	b := make([]byte, 0, 64*len(order))
 	for _, k := range order {
 		c := counts[k]
 		if c == 0 {
 			continue
 		}
-		jit := 0
+		jit := byte('0')
 		if k.JIT {
-			jit = 1
+			jit = '1'
 		}
-		if _, err := fmt.Fprintf(bw, "%d\t%d\t%d\t%d\t%d\t%d\t%s\t%s\n",
-			k.Event, jit, k.Epoch, uint64(k.Off), c, k.CPU, k.Proc, k.Image); err != nil {
-			return err
-		}
+		b = strconv.AppendUint(b, uint64(k.Event), 10)
+		b = append(b, '\t', jit, '\t')
+		b = strconv.AppendInt(b, int64(k.Epoch), 10)
+		b = append(b, '\t')
+		b = strconv.AppendUint(b, uint64(k.Off), 10)
+		b = append(b, '\t')
+		b = strconv.AppendUint(b, c, 10)
+		b = append(b, '\t')
+		b = strconv.AppendInt(b, int64(k.CPU), 10)
+		b = append(b, '\t')
+		b = append(b, k.Proc...)
+		b = append(b, '\t')
+		b = append(b, k.Image...)
+		b = append(b, '\n')
 	}
-	return bw.Flush()
+	if len(b) == 0 {
+		return nil
+	}
+	_, err := w.Write(b)
+	return err
 }
 
 // ReadCounts parses a sample file, summing duplicate keys (the daemon
@@ -185,50 +200,86 @@ func ParseCountsText(data []byte, counts map[Key]uint64) error {
 	return readCountsText(data, counts)
 }
 
-// readCountsText parses plain sample-file lines into counts.
+// maxLineBytes bounds a sample line (newline excluded): a line this
+// long or longer fails with bufio.ErrTooLong.
+const maxLineBytes = 1 << 20
+
+// readCountsText parses plain sample-file lines into counts. It walks
+// data in place: no line buffer, no string per line. Each distinct
+// proc and image is copied out once per call, so the keys it stores
+// never alias data. A trailing '\r' is dropped from every line, blank
+// lines are skipped, and extra tabs stay in the last field.
 func readCountsText(data []byte, counts map[Key]uint64) error {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if text == "" {
+	names := make(map[string]string)
+	intern := func(b []byte) string {
+		if s, ok := names[string(b)]; ok {
+			return s
+		}
+		s := string(b)
+		names[s] = s
+		return s
+	}
+	var f [8][]byte
+	for line := 1; len(data) > 0; line++ {
+		text := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			text, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
+		if len(text) >= maxLineBytes {
+			return bufio.ErrTooLong
+		}
+		if n := len(text); n > 0 && text[n-1] == '\r' {
+			text = text[:n-1]
+		}
+		if len(text) == 0 {
 			continue
 		}
-		parts := strings.SplitN(text, "\t", 8)
+		nf := 0
+		for ; nf < len(f)-1; nf++ {
+			i := bytes.IndexByte(text, '\t')
+			if i < 0 {
+				break
+			}
+			f[nf], text = text[:i], text[i+1:]
+		}
+		f[nf] = text
+		nf++
+		if nf < 7 {
+			return fmt.Errorf("oprofile: sample line %d: %d fields", line, nf)
+		}
 		// 7-field lines predate the per-CPU pipeline: no cpu column,
 		// proc/image shifted left. Parse them as CPU 0.
 		cpu := 0
-		procIdx := 6
-		switch len(parts) {
-		case 8:
-			procIdx = 6
-		case 7:
-			procIdx = 5
-		default:
-			return fmt.Errorf("oprofile: sample line %d: %d fields", line, len(parts))
+		procIdx := nf - 2
+		// string(field) of a short numeric field stays on the stack:
+		// strconv copies whatever text it keeps in an error.
+		ev, err := strconv.Atoi(string(f[0]))
+		var jit, epoch int
+		var off, cnt uint64
+		if err == nil {
+			jit, err = strconv.Atoi(string(f[1]))
 		}
-		ev, err1 := strconv.Atoi(parts[0])
-		jit, err2 := strconv.Atoi(parts[1])
-		epoch, err3 := strconv.Atoi(parts[2])
-		off, err4 := strconv.ParseUint(parts[3], 10, 64)
-		cnt, err5 := strconv.ParseUint(parts[4], 10, 64)
-		errs := []error{err1, err2, err3, err4, err5}
-		if len(parts) == 8 {
-			var err6 error
-			cpu, err6 = strconv.Atoi(parts[5])
-			errs = append(errs, err6)
+		if err == nil {
+			epoch, err = strconv.Atoi(string(f[2]))
 		}
-		for _, err := range errs {
-			if err != nil {
-				return fmt.Errorf("oprofile: sample line %d: %v", line, err)
-			}
+		if err == nil {
+			off, err = strconv.ParseUint(string(f[3]), 10, 64)
+		}
+		if err == nil {
+			cnt, err = strconv.ParseUint(string(f[4]), 10, 64)
+		}
+		if err == nil && nf == 8 {
+			cpu, err = strconv.Atoi(string(f[5]))
+		}
+		if err != nil {
+			return fmt.Errorf("oprofile: sample line %d: %v", line, err)
 		}
 		k := Key{
 			Event: hpc.Event(ev),
-			Image: parts[procIdx+1],
-			Proc:  parts[procIdx],
+			Image: intern(f[procIdx+1]),
+			Proc:  intern(f[procIdx]),
 			JIT:   jit != 0,
 			Epoch: epoch,
 			CPU:   cpu,
@@ -236,5 +287,5 @@ func readCountsText(data []byte, counts map[Key]uint64) error {
 		}
 		counts[k] += cnt
 	}
-	return sc.Err()
+	return nil
 }
