@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"viprof/internal/addr"
 	"viprof/internal/image"
 	"viprof/internal/jvm/jit"
 	"viprof/internal/kernel"
+	"viprof/internal/oprofile"
 	"viprof/internal/record"
 )
 
@@ -370,68 +369,40 @@ func ReadAgentJournal(disk *kernel.Disk, pid int) AgentJournal {
 // clean VM exit. Best-effort: a missing or torn stats file reads as
 // "the VM did not shut down cleanly", which is exactly right.
 func (a *VMAgent) writeStats() {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "compiles=%d\nmoves=%d\nmaps_written=%d\nentries=%d\nmap_bytes=%d\n",
-		a.stats.Compiles, a.stats.Moves, a.stats.MapsWritten, a.stats.Entries, a.stats.MapBytes)
-	fmt.Fprintf(&buf, "map_write_errors=%d\ndeferred=%d\njournal_errors=%d\nclean=1\n",
-		a.stats.MapWriteErrors, a.stats.DeferredEntries, a.stats.JournalErrors)
+	ap := AgentPersisted{AgentStats: a.stats, Clean: true}
 	// Deliberately discarded: agent.stats is the crash-signal-by-absence
 	// protocol — a failed (or torn) stats write reads back as "the VM did
 	// not shut down cleanly", which is the correct degraded verdict, and
 	// there is no later point in the VM's life to retry or report it.
 	//viplint:allow syswrite-err stats absence IS the crash signal; no retry point exists
-	_ = a.m.Kern.SysWrite(a.proc, AgentStatsPath(a.proc.PID), record.Frame(buf.Bytes()))
+	_ = a.m.Kern.SysWrite(a.proc, AgentStatsPath(a.proc.PID), record.Frame(oprofile.AppendStats(nil, ap.table())))
 }
 
 // AgentPersisted is the agent's self-reported view parsed back from
 // agent.stats; nil means the file is missing or damaged (the VM died).
 type AgentPersisted struct {
-	Compiles, Moves, MapsWritten, Entries int
-	MapBytes                              uint64
-	MapWriteErrors, Deferred              int
-	JournalErrors                         int
-	Clean                                 bool
+	AgentStats
+	Clean bool
 }
 
-// ReadAgentStats parses the framed agent.stats record; nil if torn.
+// table is the agent stats record's schema.
+func (ap *AgentPersisted) table() []oprofile.Stat {
+	return []oprofile.Stat{
+		{Key: "compiles", Ptr: &ap.Compiles}, {Key: "moves", Ptr: &ap.Moves},
+		{Key: "maps_written", Ptr: &ap.MapsWritten}, {Key: "entries", Ptr: &ap.Entries},
+		{Key: "map_bytes", Ptr: &ap.MapBytes}, {Key: "map_write_errors", Ptr: &ap.MapWriteErrors},
+		{Key: "deferred", Ptr: &ap.DeferredEntries}, {Key: "journal_errors", Ptr: &ap.JournalErrors},
+		{Key: "clean", Ptr: &ap.Clean},
+	}
+}
+
+// ReadAgentStats parses the framed agent.stats record; nil if the file
+// is torn, lossy, holds more than one record, or fails to decode.
 func ReadAgentStats(data []byte) *AgentPersisted {
 	recs, sal := record.Scan(data)
-	if sal.Lossy() || len(recs) != 1 {
-		return nil
-	}
 	ap := &AgentPersisted{}
-	for _, line := range strings.Split(string(recs[0]), "\n") {
-		if line == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(line, "=")
-		if !ok {
-			return nil
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return nil
-		}
-		switch k {
-		case "compiles":
-			ap.Compiles = n
-		case "moves":
-			ap.Moves = n
-		case "maps_written":
-			ap.MapsWritten = n
-		case "entries":
-			ap.Entries = n
-		case "map_bytes":
-			ap.MapBytes = uint64(n)
-		case "map_write_errors":
-			ap.MapWriteErrors = n
-		case "deferred":
-			ap.Deferred = n
-		case "journal_errors":
-			ap.JournalErrors = n
-		case "clean":
-			ap.Clean = n != 0
-		}
+	if sal.Lossy() || len(recs) != 1 || !oprofile.DecodeStats(recs[0], ap.table()) {
+		return nil
 	}
 	return ap
 }

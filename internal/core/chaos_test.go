@@ -277,6 +277,15 @@ func checkChaosInvariants(t *testing.T, r *harness.ChaosResult) {
 		t.Errorf("no destructive or listing faults but Integrity reads degraded:\n%s", buf.String())
 	}
 
+	// (5a) Per-event spill rows account exactly: the lost column sums to
+	// the daemon's persisted hard-cap loss, the recovered column to the
+	// recovery pass's merged total, and every row names an event the
+	// report profiles. The sweep barely reaches the hard cap: at scale
+	// 0.25 none of seeds 0-499 (the nightly range) does, and at scale
+	// 0.3 two of 300 seeds do (3 and 177), only 177 on more than one
+	// core. TestChaosHardCapSMPSpillRows therefore pins that run.
+	checkSpillRows(t, r.Report)
+
 	// (5b) Every recovery decision is visible: the pass's in-memory
 	// outcome must round-trip through the persisted stats record into
 	// the report's Integrity section.
@@ -294,6 +303,53 @@ func checkChaosInvariants(t *testing.T, r *harness.ChaosResult) {
 			t.Errorf("recovery ran (%+v) but Integrity carries no recovery record", r.Recovery)
 		}
 	}
+}
+
+// checkSpillRows checks the Integrity section's per-event spill rows
+// against the persisted stats records they are assembled from.
+func checkSpillRows(t *testing.T, rep *oprofile.Report) {
+	t.Helper()
+	integ := rep.Integrity
+	events := make(map[string]bool)
+	for _, ev := range rep.Events {
+		events[ev.String()] = true
+	}
+	var lost, recovered uint64
+	for _, si := range integ.Spill {
+		if !events[si.Event] {
+			t.Errorf("spill row %+v names no report event (events %v)", si, rep.Events)
+		}
+		lost += si.Lost
+		recovered += si.Recovered
+	}
+	if integ.Stats != nil && lost != integ.Stats.SpilledLost {
+		t.Errorf("spill rows lose %d samples, daemon stats record %d lost past the hard cap", lost, integ.Stats.SpilledLost)
+	}
+	if integ.Recovery != nil && recovered != integ.Recovery.SpillRecoveredTotal {
+		t.Errorf("spill rows recover %d samples, recovery record merged %d", recovered, integ.Recovery.SpillRecoveredTotal)
+	}
+}
+
+// TestChaosHardCapSMPSpillRows runs the one seed of the sweep range
+// that loses samples past the spill hard cap on a multi-core machine:
+// torn samples on 2 cores, 3 samples lost on cpu1. The daemon's stats
+// record carries that loss twice, per event and as a write-only
+// spilled_lost.cpu1 line; the report must count it once, under the
+// event.
+func TestChaosHardCapSMPSpillRows(t *testing.T) {
+	r, err := harness.RunChaos(177, 0.3)
+	if err != nil {
+		t.Fatalf("chaos run: %v", err)
+	}
+	checkChaosInvariants(t, r)
+	st := r.Report.Integrity.Stats
+	if r.Cores < 2 || st == nil || st.SpilledLost == 0 {
+		t.Fatalf("seed 177 no longer loses samples past the hard cap on SMP (cores %d, stats %+v): pick another seed", r.Cores, st)
+	}
+	if len(r.Report.Integrity.Spill) == 0 {
+		t.Fatal("hard-cap loss reported no per-event spill row")
+	}
+	checkSpillRows(t, r.Report)
 }
 
 // isFinalMapPath reports whether p is a committed epoch map file

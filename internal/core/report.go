@@ -261,7 +261,7 @@ func Vipreport(disk *kernel.Disk, images map[string]*image.Image, vmPIDs map[str
 				mi.AgentStatsPresent = true
 				mi.AgentClean = ap.Clean
 				mi.MapWriteErrors = ap.MapWriteErrors
-				mi.DeferredEntries = ap.Deferred
+				mi.DeferredEntries = ap.DeferredEntries
 				mi.JournalErrors = ap.JournalErrors
 			}
 		}

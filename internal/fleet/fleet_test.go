@@ -418,39 +418,3 @@ func TestFleetCollectorCrashRecovery(t *testing.T) {
 		t.Fatal("journal carries no restart marker evidence")
 	}
 }
-
-// TestStatsRoundTrip pins the framed stats records: payload and parser
-// must agree field for field.
-func TestStatsRoundTrip(t *testing.T) {
-	cs := &CollectorStats{
-		Shards:   4,
-		Ingested: 9, Duplicates: 2, OutOfOrder: 1, MapsApplied: 5, WireDamaged: 3,
-		JournalErrors: 1, AcksSent: 11, Restarts: 2, ReplayErrors: 1,
-		ReplayedFrames: 7, MarkerErrors: 1, DeadLetters: 4,
-		Failovers: 2, Handoffs: 6, HandoffErrors: 1, Misrouted: 3,
-		Compactions: 2, CompactErrors: 1, SnapshotErrors: 1,
-		Clean: true,
-	}
-	got := ReadCollectorStats(record.Frame(collectorStatsPayload(cs)))
-	if got == nil || *got != *cs {
-		t.Fatalf("collector stats round trip: %+v != %+v", got, cs)
-	}
-	ss := &SenderStats{
-		Generated: 12, Sent: 20, Retries: 8, Timeouts: 8, Acked: 10,
-		MapsGenerated: 3, MapsAcked: 3,
-		Spilled: 1, Deferred: 8, Lost: 1, SpillErrors: 1, StatsErrors: 0,
-		SpilledSamples: 6, LostSamples: 4,
-		SpilledByEvent: map[string]uint64{"CYCLES": 6},
-		LostByEvent:    map[string]uint64{"INSTR": 4},
-		Clean:          true,
-	}
-	got2 := ReadSenderStats(record.Frame(senderStatsPayload(ss)))
-	if got2 == nil || got2.Generated != 12 || got2.Spilled != 1 ||
-		got2.MapsGenerated != 3 || got2.MapsAcked != 3 ||
-		got2.SpilledByEvent["CYCLES"] != 6 || got2.LostByEvent["INSTR"] != 4 || !got2.Clean {
-		t.Fatalf("sender stats round trip: %+v", got2)
-	}
-	if ReadCollectorStats([]byte("garbage")) != nil {
-		t.Fatal("garbage parsed as collector stats")
-	}
-}

@@ -1,10 +1,8 @@
 package fleet
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"viprof/internal/kernel"
@@ -17,195 +15,60 @@ import (
 // protocol, DESIGN §12): the record's absence or damage IS the crash
 // signal, so the readers return nil instead of guessing.
 
-// collectorStatsPayload serializes CollectorStats as key=value lines.
-func collectorStatsPayload(s *CollectorStats) []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "shards=%d\ningested=%d\nduplicates=%d\nout_of_order=%d\nmaps_applied=%d\nwire_damaged=%d\n",
-		s.Shards, s.Ingested, s.Duplicates, s.OutOfOrder, s.MapsApplied, s.WireDamaged)
-	fmt.Fprintf(&buf, "journal_errors=%d\nacks_sent=%d\nrestarts=%d\nreplay_errors=%d\n",
-		s.JournalErrors, s.AcksSent, s.Restarts, s.ReplayErrors)
-	fmt.Fprintf(&buf, "replayed_frames=%d\nmarker_errors=%d\ndead_letters=%d\nsnapshot_errors=%d\n",
-		s.ReplayedFrames, s.MarkerErrors, s.DeadLetters, s.SnapshotErrors)
-	fmt.Fprintf(&buf, "failovers=%d\nhandoffs=%d\nhandoff_errors=%d\nmisrouted=%d\n",
-		s.Failovers, s.Handoffs, s.HandoffErrors, s.Misrouted)
-	fmt.Fprintf(&buf, "compactions=%d\ncompact_errors=%d\n", s.Compactions, s.CompactErrors)
-	fmt.Fprintf(&buf, "clean=%d\n", b2i(s.Clean))
-	return buf.Bytes()
+// table is the collector stats record's schema.
+func (s *CollectorStats) table() []oprofile.Stat {
+	return []oprofile.Stat{
+		{Key: "shards", Ptr: &s.Shards}, {Key: "ingested", Ptr: &s.Ingested},
+		{Key: "duplicates", Ptr: &s.Duplicates}, {Key: "out_of_order", Ptr: &s.OutOfOrder},
+		{Key: "maps_applied", Ptr: &s.MapsApplied}, {Key: "wire_damaged", Ptr: &s.WireDamaged},
+		{Key: "journal_errors", Ptr: &s.JournalErrors}, {Key: "acks_sent", Ptr: &s.AcksSent},
+		{Key: "restarts", Ptr: &s.Restarts}, {Key: "replay_errors", Ptr: &s.ReplayErrors},
+		{Key: "replayed_frames", Ptr: &s.ReplayedFrames}, {Key: "marker_errors", Ptr: &s.MarkerErrors},
+		{Key: "dead_letters", Ptr: &s.DeadLetters}, {Key: "snapshot_errors", Ptr: &s.SnapshotErrors},
+		{Key: "failovers", Ptr: &s.Failovers}, {Key: "handoffs", Ptr: &s.Handoffs},
+		{Key: "handoff_errors", Ptr: &s.HandoffErrors}, {Key: "misrouted", Ptr: &s.Misrouted},
+		{Key: "compactions", Ptr: &s.Compactions}, {Key: "compact_errors", Ptr: &s.CompactErrors},
+		{Key: "clean", Ptr: &s.Clean},
+	}
 }
 
 // ReadCollectorStats parses the collector's persisted stats record (the
 // last intact record wins). Nil means the collector never shut down
 // cleanly.
 func ReadCollectorStats(data []byte) *CollectorStats {
-	kv := readStatsKV(data)
-	if kv == nil {
-		return nil
-	}
+	recs, _ := record.Scan(data)
 	s := &CollectorStats{}
-	for k, n := range kv {
-		switch k {
-		case "shards":
-			s.Shards = n
-		case "ingested":
-			s.Ingested = n
-		case "duplicates":
-			s.Duplicates = n
-		case "out_of_order":
-			s.OutOfOrder = n
-		case "maps_applied":
-			s.MapsApplied = n
-		case "wire_damaged":
-			s.WireDamaged = n
-		case "failovers":
-			s.Failovers = n
-		case "handoffs":
-			s.Handoffs = n
-		case "handoff_errors":
-			s.HandoffErrors = n
-		case "misrouted":
-			s.Misrouted = n
-		case "compactions":
-			s.Compactions = n
-		case "compact_errors":
-			s.CompactErrors = n
-		case "journal_errors":
-			s.JournalErrors = n
-		case "acks_sent":
-			s.AcksSent = n
-		case "restarts":
-			s.Restarts = n
-		case "replay_errors":
-			s.ReplayErrors = n
-		case "replayed_frames":
-			s.ReplayedFrames = n
-		case "marker_errors":
-			s.MarkerErrors = n
-		case "dead_letters":
-			s.DeadLetters = n
-		case "snapshot_errors":
-			s.SnapshotErrors = n
-		case "clean":
-			s.Clean = n != 0
-		}
+	if len(recs) == 0 || !oprofile.DecodeStats(recs[len(recs)-1], s.table()) {
+		return nil
 	}
 	return s
 }
 
-// senderStatsPayload serializes SenderStats as key=value lines.
-func senderStatsPayload(s *SenderStats) []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "generated=%d\nsent=%d\nretries=%d\ntimeouts=%d\nacked=%d\n",
-		s.Generated, s.Sent, s.Retries, s.Timeouts, s.Acked)
-	fmt.Fprintf(&buf, "spilled=%d\ndeferred=%d\nlost=%d\nspill_errors=%d\nstats_errors=%d\n",
-		s.Spilled, s.Deferred, s.Lost, s.SpillErrors, s.StatsErrors)
-	fmt.Fprintf(&buf, "spilled_samples=%d\nlost_samples=%d\n", s.SpilledSamples, s.LostSamples)
-	fmt.Fprintf(&buf, "maps_generated=%d\nmaps_acked=%d\n", s.MapsGenerated, s.MapsAcked)
-	for _, pair := range []struct {
-		prefix string
-		m      map[string]uint64
-	}{{"spilled_by_event.", s.SpilledByEvent}, {"lost_by_event.", s.LostByEvent}} {
-		events := make([]string, 0, len(pair.m))
-		for ev := range pair.m {
-			events = append(events, ev)
-		}
-		sort.Strings(events)
-		for _, ev := range events {
-			if pair.m[ev] == 0 {
-				continue
-			}
-			fmt.Fprintf(&buf, "%s%s=%d\n", pair.prefix, ev, pair.m[ev])
-		}
+// table is the sender stats record's schema.
+func (s *SenderStats) table() []oprofile.Stat {
+	return []oprofile.Stat{
+		{Key: "generated", Ptr: &s.Generated}, {Key: "sent", Ptr: &s.Sent},
+		{Key: "retries", Ptr: &s.Retries}, {Key: "timeouts", Ptr: &s.Timeouts},
+		{Key: "acked", Ptr: &s.Acked}, {Key: "spilled", Ptr: &s.Spilled},
+		{Key: "deferred", Ptr: &s.Deferred}, {Key: "lost", Ptr: &s.Lost},
+		{Key: "spill_errors", Ptr: &s.SpillErrors}, {Key: "stats_errors", Ptr: &s.StatsErrors},
+		{Key: "spilled_samples", Ptr: &s.SpilledSamples}, {Key: "lost_samples", Ptr: &s.LostSamples},
+		{Key: "maps_generated", Ptr: &s.MapsGenerated}, {Key: "maps_acked", Ptr: &s.MapsAcked},
+		{Key: "spilled_by_event.", Ptr: &s.SpilledByEvent},
+		{Key: "lost_by_event.", Ptr: &s.LostByEvent},
+		{Key: "clean", Ptr: &s.Clean},
 	}
-	fmt.Fprintf(&buf, "clean=%d\n", b2i(s.Clean))
-	return buf.Bytes()
 }
 
 // ReadSenderStats parses a host's persisted stats record (last intact
 // record wins). Nil means the sender crashed before finishing.
 func ReadSenderStats(data []byte) *SenderStats {
-	kv := readStatsKV(data)
-	if kv == nil {
+	recs, _ := record.Scan(data)
+	s := &SenderStats{}
+	if len(recs) == 0 || !oprofile.DecodeStats(recs[len(recs)-1], s.table()) {
 		return nil
-	}
-	s := &SenderStats{
-		SpilledByEvent: make(map[string]uint64),
-		LostByEvent:    make(map[string]uint64),
-	}
-	for k, n := range kv {
-		if ev, found := strings.CutPrefix(k, "spilled_by_event."); found {
-			s.SpilledByEvent[ev] = n
-			continue
-		}
-		if ev, found := strings.CutPrefix(k, "lost_by_event."); found {
-			s.LostByEvent[ev] = n
-			continue
-		}
-		switch k {
-		case "generated":
-			s.Generated = n
-		case "sent":
-			s.Sent = n
-		case "retries":
-			s.Retries = n
-		case "timeouts":
-			s.Timeouts = n
-		case "acked":
-			s.Acked = n
-		case "spilled":
-			s.Spilled = n
-		case "deferred":
-			s.Deferred = n
-		case "lost":
-			s.Lost = n
-		case "spill_errors":
-			s.SpillErrors = n
-		case "stats_errors":
-			s.StatsErrors = n
-		case "spilled_samples":
-			s.SpilledSamples = n
-		case "lost_samples":
-			s.LostSamples = n
-		case "maps_generated":
-			s.MapsGenerated = n
-		case "maps_acked":
-			s.MapsAcked = n
-		case "clean":
-			s.Clean = n != 0
-		}
 	}
 	return s
-}
-
-// readStatsKV scans a framed stats file and parses the last intact
-// record as key=value lines; nil on no intact record or parse damage.
-func readStatsKV(data []byte) map[string]uint64 {
-	recs, _ := record.Scan(data)
-	if len(recs) == 0 {
-		return nil
-	}
-	kv := make(map[string]uint64)
-	for _, line := range strings.Split(string(recs[len(recs)-1]), "\n") {
-		if line == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(line, "=")
-		if !ok {
-			return nil
-		}
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return nil
-		}
-		kv[k] = n
-	}
-	return kv
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // HostReport is the per-host slice of the fleet integrity assembly.

@@ -298,17 +298,26 @@ func (s *Sender) unhold(d *Delta) {
 	case HoldSpilled:
 		s.stats.Spilled--
 		s.stats.SpilledSamples -= d.Total
-		for k, c := range d.Counts {
-			s.stats.SpilledByEvent[k.Event.String()] -= c
-		}
+		unholdEvents(s.stats.SpilledByEvent, d)
 	case HoldLost:
 		s.stats.Lost--
 		s.stats.LostSamples -= d.Total
-		for k, c := range d.Counts {
-			s.stats.LostByEvent[k.Event.String()] -= c
-		}
+		unholdEvents(s.stats.LostByEvent, d)
 	}
 	d.Hold = ""
+}
+
+// unholdEvents takes d's counts back out of a per-event map, deleting
+// an event once it reaches zero. Every delta count is at least 1, so a
+// zero entry can arise only here, and the maps hold none.
+func unholdEvents(byEvent map[string]uint64, d *Delta) {
+	for k, c := range d.Counts {
+		ev := k.Event.String()
+		byEvent[ev] -= c
+		if byEvent[ev] == 0 {
+			delete(byEvent, ev)
+		}
+	}
 }
 
 // spill parks a delta durably after the retry budget runs out.
@@ -462,7 +471,7 @@ func (s *Sender) Step(m *kernel.Machine, p *kernel.Process) kernel.StepResult {
 func (s *Sender) finish(m *kernel.Machine, p *kernel.Process) {
 	s.finished = true
 	s.stats.Clean = true
-	if err := m.Kern.SysWriteSync(p, SenderStatsPath(s.cfg.Host), record.Frame(senderStatsPayload(&s.stats))); err != nil {
+	if err := m.Kern.SysWriteSync(p, SenderStatsPath(s.cfg.Host), record.Frame(oprofile.AppendStats(nil, s.stats.table()))); err != nil {
 		s.stats.StatsErrors++
 		s.stats.Clean = false
 	}

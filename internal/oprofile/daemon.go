@@ -3,7 +3,6 @@ package oprofile
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 
@@ -426,44 +425,33 @@ func (d *Daemon) writeStats(m *kernel.Machine) {
 		unflushed += c
 	}
 	ds := d.drv.Stats()
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "nmis=%d\nlogged=%d\ndropped=%d\n", ds.NMIs, ds.Logged, ds.Dropped)
-	fmt.Fprintf(&buf, "samples_logged=%d\nflushes=%d\nflush_errors=%d\nspilled=%d\nunflushed=%d\n",
-		d.samplesLogged, d.flushes, d.flushErrors, d.spilledOnDisk+d.spilledLost, unflushed)
-	fmt.Fprintf(&buf, "spilled_on_disk=%d\nspilled_lost=%d\nspill_batches=%d\nspill_errors=%d\njournal_errors=%d\n",
-		d.spilledOnDisk, d.spilledLost, d.spillBatches, d.spillErrors, d.journalErrors)
-	events := make([]string, 0, len(d.spilledLostByEvent))
-	for ev := range d.spilledLostByEvent {
-		events = append(events, ev)
+	ps := PersistedStats{
+		NMIs: ds.NMIs, Logged: ds.Logged, Dropped: ds.Dropped,
+		SamplesLogged: d.samplesLogged, Flushes: d.flushes, FlushErrors: d.flushErrors,
+		Spilled: d.spilledOnDisk + d.spilledLost, Unflushed: unflushed,
+		SpilledOnDisk: d.spilledOnDisk, SpilledLost: d.spilledLost, SpilledLostByEvent: d.spilledLostByEvent,
+		SpillBatches: d.spillBatches, SpillErrors: d.spillErrors, JournalErrors: d.journalErrors,
+		Clean: true,
 	}
-	sort.Strings(events)
-	for _, ev := range events {
-		fmt.Fprintf(&buf, "spilled_lost.%s=%d\n", ev, d.spilledLostByEvent[ev])
-	}
-	// Per-CPU breakdown on SMP machines, following the prefix.<key>
-	// pattern; single-core stats files stay byte-identical to pre-SMP.
+	// Per-CPU lines on SMP machines only: single-core stats files stay
+	// byte-identical to pre-SMP.
+	var cpus []PersistedStats
 	if d.drv.NumCPU() > 1 {
-		for ci := 0; ci < d.drv.NumCPU(); ci++ {
+		cpus = make([]PersistedStats, d.drv.NumCPU())
+		for ci := range cpus {
 			cs := d.drv.StatsCPU(ci)
-			fmt.Fprintf(&buf, "nmis.cpu%d=%d\nlogged.cpu%d=%d\ndropped.cpu%d=%d\n",
-				ci, cs.NMIs, ci, cs.Logged, ci, cs.Dropped)
-			var sl uint64
+			cpus[ci] = PersistedStats{NMIs: cs.NMIs, Logged: cs.Logged, Dropped: cs.Dropped, SpilledLost: d.spilledLostCPU[ci]}
 			if ci < len(d.samplesLoggedCPU) {
-				sl = d.samplesLoggedCPU[ci]
-			}
-			fmt.Fprintf(&buf, "samples_logged.cpu%d=%d\n", ci, sl)
-			if lost := d.spilledLostCPU[ci]; lost > 0 {
-				fmt.Fprintf(&buf, "spilled_lost.cpu%d=%d\n", ci, lost)
+				cpus[ci].SamplesLogged = d.samplesLoggedCPU[ci]
 			}
 		}
 	}
-	fmt.Fprintf(&buf, "clean=1\n")
 	// Deliberately discarded: oprofiled.stats is the crash-signal-by-
 	// absence protocol — the reader treats a missing or torn stats file
 	// as an unclean shutdown, which is exactly the verdict a failed
 	// stats write deserves, and there is no meta-meta-file to escalate to.
 	//viplint:allow syswrite-err stats absence IS the degradation signal; nowhere to escalate
-	_ = m.Kern.SysWrite(d.proc, DaemonStatsFile, record.Frame(buf.Bytes()))
+	_ = m.Kern.SysWrite(d.proc, DaemonStatsFile, record.Frame(ps.payload(cpus)))
 }
 
 // Counts returns the daemon's lifetime aggregate (tests and in-memory

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"viprof/internal/record"
 )
@@ -32,80 +31,61 @@ type PersistedStats struct {
 	// SpillBatches / SpillErrors / JournalErrors are the spill
 	// protocol's own self-counters.
 	SpillBatches, SpillErrors, JournalErrors uint64
-	// PerCPU maps a base counter name ("nmis", "logged", "dropped",
-	// "samples_logged") to its per-CPU values, parsed from
-	// `<name>.cpu<N>` lines. Nil for single-core runs, whose stats
-	// files carry no per-CPU section.
-	PerCPU map[string]map[int]uint64
-	Clean  bool
+	// Clean is written as 1 by every shutdown that reaches the write.
+	Clean bool
+}
+
+// table is the daemon stats record's schema.
+func (ps *PersistedStats) table() []Stat {
+	return []Stat{
+		{Key: "nmis", Ptr: &ps.NMIs}, {Key: "logged", Ptr: &ps.Logged},
+		{Key: "dropped", Ptr: &ps.Dropped}, {Key: "samples_logged", Ptr: &ps.SamplesLogged},
+		{Key: "flushes", Ptr: &ps.Flushes}, {Key: "flush_errors", Ptr: &ps.FlushErrors},
+		{Key: "spilled", Ptr: &ps.Spilled}, {Key: "unflushed", Ptr: &ps.Unflushed},
+		{Key: "spilled_on_disk", Ptr: &ps.SpilledOnDisk}, {Key: "spilled_lost", Ptr: &ps.SpilledLost},
+		{Key: "spill_batches", Ptr: &ps.SpillBatches}, {Key: "spill_errors", Ptr: &ps.SpillErrors},
+		{Key: "journal_errors", Ptr: &ps.JournalErrors},
+		{Key: "spilled_lost.", Ptr: &ps.SpilledLostByEvent},
+		{Key: "clean", Ptr: &ps.Clean},
+	}
+}
+
+// payload is the daemon's stats record. On an SMP machine cpus holds
+// each CPU's share of the buffer counters and hard-cap loss, written as
+// <key>.cpu<N> lines just before clean: NMIs, Logged, Dropped and
+// SamplesLogged always, SpilledLost only when nonzero. Readers ignore
+// those lines.
+func (ps *PersistedStats) payload(cpus []PersistedStats) []byte {
+	tab := ps.table()
+	last := len(tab) - 1
+	buf := AppendStats(nil, tab[:last])
+	for ci := range cpus {
+		c := &cpus[ci]
+		for _, s := range c.table() {
+			switch s.Ptr {
+			case &c.NMIs, &c.Logged, &c.Dropped, &c.SamplesLogged:
+			case &c.SpilledLost:
+				if c.SpilledLost == 0 {
+					continue
+				}
+			default:
+				continue
+			}
+			s.Key += ".cpu" + strconv.Itoa(ci)
+			buf = AppendStats(buf, []Stat{s})
+		}
+	}
+	return AppendStats(buf, tab[last:])
 }
 
 // ReadDaemonStats parses the framed stats record; nil if the file is
-// torn, lossy, or structurally wrong (all equivalent: not trustworthy).
+// torn, lossy, holds more than one record, or fails to decode (all
+// equivalent: not trustworthy).
 func ReadDaemonStats(data []byte) *PersistedStats {
 	recs, sal := record.Scan(data)
-	if sal.Lossy() || len(recs) != 1 {
+	ps := &PersistedStats{}
+	if sal.Lossy() || len(recs) != 1 || !DecodeStats(recs[0], ps.table()) {
 		return nil
-	}
-	ps := &PersistedStats{SpilledLostByEvent: make(map[string]uint64)}
-	for _, line := range strings.Split(string(recs[0]), "\n") {
-		if line == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(line, "=")
-		if !ok {
-			return nil
-		}
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return nil
-		}
-		if ev, found := strings.CutPrefix(k, "spilled_lost."); found {
-			ps.SpilledLostByEvent[ev] = n
-			continue
-		}
-		if base, rest, found := strings.Cut(k, ".cpu"); found && base != "" {
-			if ci, cerr := strconv.Atoi(rest); cerr == nil {
-				if ps.PerCPU == nil {
-					ps.PerCPU = make(map[string]map[int]uint64)
-				}
-				if ps.PerCPU[base] == nil {
-					ps.PerCPU[base] = make(map[int]uint64)
-				}
-				ps.PerCPU[base][ci] = n
-				continue
-			}
-		}
-		switch k {
-		case "nmis":
-			ps.NMIs = n
-		case "logged":
-			ps.Logged = n
-		case "dropped":
-			ps.Dropped = n
-		case "samples_logged":
-			ps.SamplesLogged = n
-		case "flushes":
-			ps.Flushes = n
-		case "flush_errors":
-			ps.FlushErrors = n
-		case "spilled":
-			ps.Spilled = n
-		case "spilled_on_disk":
-			ps.SpilledOnDisk = n
-		case "spilled_lost":
-			ps.SpilledLost = n
-		case "spill_batches":
-			ps.SpillBatches = n
-		case "spill_errors":
-			ps.SpillErrors = n
-		case "journal_errors":
-			ps.JournalErrors = n
-		case "unflushed":
-			ps.Unflushed = n
-		case "clean":
-			ps.Clean = n != 0
-		}
 	}
 	return ps
 }

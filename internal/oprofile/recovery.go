@@ -1,14 +1,6 @@
 package oprofile
 
-import (
-	"bytes"
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-
-	"viprof/internal/record"
-)
+import "viprof/internal/record"
 
 // RecoveryStats is the persisted outcome of the startup recovery pass
 // (core.RunRecovery): every adopt/discard/quarantine decision over
@@ -61,80 +53,34 @@ func (rs *RecoveryStats) AnyAction() bool {
 		rs.JournalsDamaged+rs.MarkerErrors+rs.Restarts > 0
 }
 
+// table is the recovery stats record's schema.
+func (rs *RecoveryStats) table() []Stat {
+	return []Stat{
+		{Key: "adopted", Ptr: &rs.Adopted}, {Key: "discarded", Ptr: &rs.Discarded},
+		{Key: "quarantined", Ptr: &rs.Quarantined}, {Key: "failed", Ptr: &rs.Failed},
+		{Key: "spill_frames_merged", Ptr: &rs.SpillFramesMerged},
+		{Key: "spill_frames_discarded", Ptr: &rs.SpillFramesDiscarded},
+		{Key: "spill_recovered_total", Ptr: &rs.SpillRecoveredTotal},
+		{Key: "spill_merge_errors", Ptr: &rs.SpillMergeErrors},
+		{Key: "journals_damaged", Ptr: &rs.JournalsDamaged},
+		{Key: "marker_errors", Ptr: &rs.MarkerErrors}, {Key: "restarts", Ptr: &rs.Restarts},
+		{Key: "spill_recovered.", Ptr: &rs.SpillRecovered},
+		{Key: "clean", Ptr: &rs.Clean},
+	}
+}
+
 // Payload serializes the stats as key=value lines (the caller frames
 // the result with record.Frame).
-func (rs *RecoveryStats) Payload() []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "adopted=%d\ndiscarded=%d\nquarantined=%d\nfailed=%d\n",
-		rs.Adopted, rs.Discarded, rs.Quarantined, rs.Failed)
-	fmt.Fprintf(&buf, "spill_frames_merged=%d\nspill_frames_discarded=%d\nspill_recovered_total=%d\nspill_merge_errors=%d\n",
-		rs.SpillFramesMerged, rs.SpillFramesDiscarded, rs.SpillRecoveredTotal, rs.SpillMergeErrors)
-	fmt.Fprintf(&buf, "journals_damaged=%d\nmarker_errors=%d\nrestarts=%d\n",
-		rs.JournalsDamaged, rs.MarkerErrors, rs.Restarts)
-	events := make([]string, 0, len(rs.SpillRecovered))
-	for ev := range rs.SpillRecovered {
-		events = append(events, ev)
-	}
-	sort.Strings(events)
-	for _, ev := range events {
-		fmt.Fprintf(&buf, "spill_recovered.%s=%d\n", ev, rs.SpillRecovered[ev])
-	}
-	fmt.Fprintf(&buf, "clean=1\n")
-	return buf.Bytes()
-}
+func (rs *RecoveryStats) Payload() []byte { return AppendStats(nil, rs.table()) }
 
 // ReadRecoveryStats parses the persisted recovery record. The last
 // intact record wins; nil if no intact record survives (recovery never
-// completed, or its stats write was destroyed).
+// completed, or its stats write was destroyed) or it fails to decode.
 func ReadRecoveryStats(data []byte) *RecoveryStats {
 	recs, _ := record.Scan(data)
-	if len(recs) == 0 {
+	rs := &RecoveryStats{}
+	if len(recs) == 0 || !DecodeStats(recs[len(recs)-1], rs.table()) {
 		return nil
-	}
-	payload := recs[len(recs)-1]
-	rs := &RecoveryStats{SpillRecovered: make(map[string]uint64)}
-	for _, line := range strings.Split(string(payload), "\n") {
-		if line == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(line, "=")
-		if !ok {
-			return nil
-		}
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return nil
-		}
-		if ev, found := strings.CutPrefix(k, "spill_recovered."); found {
-			rs.SpillRecovered[ev] = n
-			continue
-		}
-		switch k {
-		case "adopted":
-			rs.Adopted = int(n)
-		case "discarded":
-			rs.Discarded = int(n)
-		case "quarantined":
-			rs.Quarantined = int(n)
-		case "failed":
-			rs.Failed = int(n)
-		case "spill_frames_merged":
-			rs.SpillFramesMerged = int(n)
-		case "spill_frames_discarded":
-			rs.SpillFramesDiscarded = int(n)
-		case "spill_recovered_total":
-			rs.SpillRecoveredTotal = n
-		case "spill_merge_errors":
-			rs.SpillMergeErrors = int(n)
-		case "journals_damaged":
-			rs.JournalsDamaged = int(n)
-		case "marker_errors":
-			rs.MarkerErrors = int(n)
-		case "restarts":
-			rs.Restarts = int(n)
-		case "clean":
-			rs.Clean = n != 0
-		}
 	}
 	return rs
 }

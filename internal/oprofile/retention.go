@@ -1,14 +1,6 @@
 package oprofile
 
-import (
-	"bytes"
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-
-	"viprof/internal/record"
-)
+import "viprof/internal/record"
 
 // RetentionStats is the persisted outcome of the retention pass
 // (core.RunRetention): every quarantined-evidence file it scanned, kept,
@@ -53,82 +45,30 @@ func (rs *RetentionStats) AnyAction() bool {
 	return rs.Pruned > 0 || rs.StatsErrors > 0 || rs.PriorDamaged || !rs.Clean
 }
 
+// table is the retention stats record's schema.
+func (rs *RetentionStats) table() []Stat {
+	return []Stat{
+		{Key: "scanned", Ptr: &rs.Scanned}, {Key: "kept", Ptr: &rs.Kept},
+		{Key: "pruned", Ptr: &rs.Pruned}, {Key: "kept_bytes", Ptr: &rs.KeptBytes},
+		{Key: "pruned_bytes", Ptr: &rs.PrunedBytes}, {Key: "age_pruned", Ptr: &rs.AgePruned},
+		{Key: "count_pruned", Ptr: &rs.CountPruned}, {Key: "size_pruned", Ptr: &rs.SizePruned},
+		{Key: "stats_errors", Ptr: &rs.StatsErrors}, {Key: "prior_damaged", Ptr: &rs.PriorDamaged},
+		{Key: "survivor.", Ptr: &rs.Survivors},
+		{Key: "clean", Ptr: &rs.Clean},
+	}
+}
+
 // Payload serializes the stats as key=value lines (the caller frames
 // the result with record.Frame).
-func (rs *RetentionStats) Payload() []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "scanned=%d\nkept=%d\npruned=%d\nkept_bytes=%d\npruned_bytes=%d\n",
-		rs.Scanned, rs.Kept, rs.Pruned, rs.KeptBytes, rs.PrunedBytes)
-	fmt.Fprintf(&buf, "age_pruned=%d\ncount_pruned=%d\nsize_pruned=%d\nstats_errors=%d\n",
-		rs.AgePruned, rs.CountPruned, rs.SizePruned, rs.StatsErrors)
-	fmt.Fprintf(&buf, "prior_damaged=%d\n", boolInt(rs.PriorDamaged))
-	paths := make([]string, 0, len(rs.Survivors))
-	for p := range rs.Survivors {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		fmt.Fprintf(&buf, "survivor.%s=%d\n", p, rs.Survivors[p])
-	}
-	fmt.Fprintf(&buf, "clean=%d\n", boolInt(rs.Clean))
-	return buf.Bytes()
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
+func (rs *RetentionStats) Payload() []byte { return AppendStats(nil, rs.table()) }
 
 // ReadRetentionStats parses the persisted retention record (last intact
-// record wins); nil if no intact record survives.
+// record wins); nil if no intact record survives or it fails to decode.
 func ReadRetentionStats(data []byte) *RetentionStats {
 	recs, _ := record.Scan(data)
-	if len(recs) == 0 {
+	rs := &RetentionStats{}
+	if len(recs) == 0 || !DecodeStats(recs[len(recs)-1], rs.table()) {
 		return nil
-	}
-	rs := &RetentionStats{Survivors: make(map[string]int)}
-	for _, line := range strings.Split(string(recs[len(recs)-1]), "\n") {
-		if line == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(line, "=")
-		if !ok {
-			return nil
-		}
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return nil
-		}
-		if p, found := strings.CutPrefix(k, "survivor."); found {
-			rs.Survivors[p] = int(n)
-			continue
-		}
-		switch k {
-		case "scanned":
-			rs.Scanned = int(n)
-		case "kept":
-			rs.Kept = int(n)
-		case "pruned":
-			rs.Pruned = int(n)
-		case "kept_bytes":
-			rs.KeptBytes = n
-		case "pruned_bytes":
-			rs.PrunedBytes = n
-		case "age_pruned":
-			rs.AgePruned = int(n)
-		case "count_pruned":
-			rs.CountPruned = int(n)
-		case "size_pruned":
-			rs.SizePruned = int(n)
-		case "stats_errors":
-			rs.StatsErrors = int(n)
-		case "prior_damaged":
-			rs.PriorDamaged = n != 0
-		case "clean":
-			rs.Clean = n != 0
-		}
 	}
 	return rs
 }
