@@ -71,10 +71,12 @@ chaos-smoke:
 # degraded-verdict. The second leg is the compaction-crash gate: the
 # fault-point sweep kills a compaction pass at every single mutation
 # and proves the store rereads identically, plus the windowed-query
-# oracle over compacted generations.
+# oracle over compacted generations, the store scan checked against
+# the readers it replaced on crash-built stores and at every fault
+# point, and the damaged-manifest path.
 fleet-smoke:
 	$(GO) test -race -run 'TestFleetChaos$$' -count=1 ./internal/harness/
-	$(GO) test -race -run 'TestCompactionFaultPointSweep|TestWindowedQueryOracle|TestFleetMapReplication' -count=1 ./internal/fleet/
+	$(GO) test -race -run 'TestCompactionFaultPointSweep|TestWindowedQueryOracle|TestFleetMapReplication|TestStoreScanMatchesReference|TestDamagedManifest' -count=1 ./internal/fleet/
 
 # Wide composed-schedule sweep (hundreds of seeds, minutes). Out of
 # `make check` by design: run it nightly or before cutting a release.

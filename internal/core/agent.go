@@ -290,7 +290,7 @@ func (a *VMAgent) writeMap(epoch int) {
 	// durable, so a failed append loses nothing — it only weakens the
 	// chain reader's listing cross-check, which is why the failure is
 	// counted rather than deferred.
-	commit := record.Frame([]byte(fmt.Sprintf("commit %d %d", epoch, len(entries))))
+	commit := oprofile.CommitRecord(agentCommitVerb, uint64(epoch), uint64(len(entries)))
 	if jerr := a.m.Kern.SysWrite(a.proc, AgentJournalPath(a.proc.PID), commit); jerr != nil {
 		a.stats.JournalErrors++
 	}
@@ -319,50 +319,18 @@ func AgentStatsPath(pid int) string {
 // "commit <epoch> <entries>" record per successfully renamed map file.
 // The chain reader cross-checks directory listings against it (a
 // committed epoch whose file a listing omits is a lost dirent, not a
-// deferred write), and the recovery pass consults it to tell a stale
-// orphan temp from an uncommitted one.
+// deferred write), and the recovery pass counts its damage.
 func AgentJournalPath(pid int) string {
 	return fmt.Sprintf("%s/%d/journal", MapDir, pid)
 }
 
-// AgentJournal is the parsed commit journal for one VM.
-type AgentJournal struct {
-	// Committed maps ratified epochs to the entry count their commit
-	// record claimed.
-	Committed map[int]int
-	// Damaged reports salvage loss or unparseable records.
-	Damaged bool
-	// Missing reports that the journal file does not exist.
-	Missing bool
-}
+// agentCommitVerb names the agent journal's commit records.
+const agentCommitVerb = "commit"
 
-// ReadAgentJournal parses a VM's commit journal through the salvage
-// layer. An unreadable journal (EIO) reads as damaged.
-func ReadAgentJournal(disk *kernel.Disk, pid int) AgentJournal {
-	j := AgentJournal{Committed: make(map[int]int)}
-	path := AgentJournalPath(pid)
-	if !disk.Exists(path) {
-		j.Missing = true
-		return j
-	}
-	data, err := disk.Read(path)
-	if err != nil {
-		j.Damaged = true
-		return j
-	}
-	recs, sal := record.Scan(data)
-	if sal.Lossy() {
-		j.Damaged = true
-	}
-	for _, payload := range recs {
-		var epoch, entries int
-		if n, err := fmt.Sscanf(string(payload), "commit %d %d", &epoch, &entries); n != 2 || err != nil || epoch < 0 {
-			j.Damaged = true
-			continue
-		}
-		j.Committed[epoch] = entries
-	}
-	return j
+// ReadAgentJournal reads a VM's commit journal through the salvage
+// layer; it has commit records and no marker.
+func ReadAgentJournal(disk *kernel.Disk, pid int) oprofile.CommitJournal {
+	return oprofile.ReadCommitJournal(disk, AgentJournalPath(pid), agentCommitVerb, "")
 }
 
 // writeStats persists the agent's self-counters as one framed record at

@@ -352,6 +352,29 @@ func TestChaosHardCapSMPSpillRows(t *testing.T) {
 	checkSpillRows(t, r.Report)
 }
 
+// TestChaosDaemonJournalReadFault pins the two nightly seeds whose read
+// faults strike the spill merge's own read of the daemon journal. Seed
+// 282 has no spill file: the fault must still count as a damaged
+// journal. Seed 485 has committed spill frames: with the journal
+// unreadable they would all look uncommitted, so the merge must leave
+// them parked instead of discarding them.
+func TestChaosDaemonJournalReadFault(t *testing.T) {
+	for _, tc := range []struct {
+		seed                int64
+		damaged, mergeError int
+	}{{282, 1, 0}, {485, 1, 1}} {
+		r, err := harness.RunChaos(tc.seed, 0.25)
+		if err != nil {
+			t.Fatalf("seed %d: chaos run: %v", tc.seed, err)
+		}
+		checkChaosInvariants(t, r)
+		if rec := r.Recovery; rec == nil || rec.JournalsDamaged != tc.damaged || rec.SpillMergeErrors != tc.mergeError {
+			t.Fatalf("seed %d: recovery %+v, want %d damaged journal(s) and %d merge error(s)",
+				tc.seed, rec, tc.damaged, tc.mergeError)
+		}
+	}
+}
+
 // isFinalMapPath reports whether p is a committed epoch map file
 // ("…/map.<digits>"), the artifact whose silent disappearance from a
 // listing would misattribute samples.

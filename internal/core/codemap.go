@@ -309,8 +309,8 @@ func ReadMapChain(disk *kernel.Disk, pid int) (*MapChain, error) {
 		integ.JournalDamaged++
 	}
 	if !journal.Missing || len(files) > 0 || integ.UnreadableFiles > 0 {
-		for e := range journal.Committed {
-			if !present[e] {
+		for c := range journal.Committed {
+			if e := int(c); !present[e] {
 				integ.MissingCommitted++
 				if e > poison {
 					poison = e

@@ -129,11 +129,13 @@ func RunRecovery(m *kernel.Machine, pids []int) (*oprofile.RecoveryStats, error)
 		if crashed {
 			continue
 		}
-		if dj := oprofile.ReadDaemonJournal(disk); dj.Damaged && !counted["daemon-journal"] {
-			counted["daemon-journal"] = true
-			stats.JournalsDamaged++
-		}
+		// The spill merge reads the daemon journal again; a read fault
+		// can strike either read.
+		dj := oprofile.ReadDaemonJournal(disk)
 		sr, serr := oprofile.RecoverSpill(m, proc)
+		if dj.Damaged || sr.JournalDamaged {
+			countOnce(counted, "daemon-journal", &stats.JournalsDamaged)
+		}
 		stats.SpillMergeErrors += sr.MergeErrors
 		if sr.MergeErrors == 0 {
 			// Frame counts are final only when the attempt resolved the
@@ -182,7 +184,7 @@ func recoverMaps(kern *kernel.Kernel, proc *kernel.Process, pid int, stats *opro
 		}
 	}
 	for _, tmp := range tmps {
-		if err := recoverOrphan(kern, proc, prefix, tmp, journal, stats, counted); err != nil {
+		if err := recoverOrphan(kern, proc, prefix, tmp, stats, counted); err != nil {
 			return err
 		}
 	}
@@ -191,7 +193,7 @@ func recoverMaps(kern *kernel.Kernel, proc *kernel.Process, pid int, stats *opro
 
 // recoverOrphan decides one temp file's fate. A non-nil error means
 // the recovery process crashed mid-decision.
-func recoverOrphan(kern *kernel.Kernel, proc *kernel.Process, prefix, tmp string, journal AgentJournal, stats *oprofile.RecoveryStats, counted map[string]bool) error {
+func recoverOrphan(kern *kernel.Kernel, proc *kernel.Process, prefix, tmp string, stats *oprofile.RecoveryStats, counted map[string]bool) error {
 	disk := kern.Disk()
 	if !disk.Exists(tmp) {
 		// The dirent exists but the file does not: a phantom from

@@ -188,7 +188,7 @@ func Vipreport(disk *kernel.Disk, images map[string]*image.Image, vmPIDs map[str
 			integ.RecoveryIncomplete = true
 		}
 	}
-	if spillSt.Journal.RecoveryBegun > 0 && integ.Recovery == nil {
+	if spillSt.Journal.Markers > 0 && integ.Recovery == nil {
 		// Durable begin marker(s), no decision record: a recovery pass
 		// started and never finished.
 		integ.RecoveryIncomplete = true

@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"viprof/internal/core"
 	"viprof/internal/kernel"
@@ -463,41 +462,6 @@ type JournalReplay struct {
 	ManifestDamaged bool
 }
 
-// replayInto classifies one store payload into the aggregate.
-func (rep *JournalReplay) replayInto(agg *Aggregate, payload []byte) {
-	msg, err := DecodePayload(payload)
-	if err != nil {
-		rep.ParseErrors++
-		return
-	}
-	rep.applyDecoded(agg, msg)
-}
-
-// applyDecoded classifies one already-decoded payload (nil = parse
-// failure) into the aggregate.
-func (rep *JournalReplay) applyDecoded(agg *Aggregate, msg *WireMsg) {
-	if msg == nil {
-		rep.ParseErrors++
-		return
-	}
-	switch msg.Kind {
-	case KindDelta:
-		if agg.Apply(msg) {
-			rep.Deltas++
-		} else {
-			rep.Duplicates++
-		}
-	case KindMap:
-		if agg.Apply(msg) {
-			rep.Maps++
-		} else {
-			rep.Duplicates++
-		}
-	case KindRestart:
-		rep.Markers++
-	}
-}
-
 // LoadStore rebuilds an aggregate from the durable store: the current
 // compacted generation (via the manifest) first, then every shard
 // journal, all through the salvage layer. Torn tails (a crash
@@ -508,142 +472,12 @@ func (rep *JournalReplay) applyDecoded(agg *Aggregate, msg *WireMsg) {
 // exists but cannot be read (injected EIO) — the caller retries or
 // degrades loudly.
 func LoadStore(disk *kernel.Disk, shards int) (*Aggregate, JournalReplay, error) {
-	agg := NewAggregate(shards)
-	var rep JournalReplay
-	if err := loadManifestInto(disk, agg, &rep); err != nil {
-		return nil, rep, err
+	sc, err := scanStore(disk, storeJournals)
+	if err != nil {
+		return nil, JournalReplay{}, err
 	}
-
-	// Shard journal reads go through the (stateful, fault-injected)
-	// disk sequentially; the pure salvage scan + decode of each journal
-	// then runs concurrently, share-nothing, and the results are applied
-	// in shard order — deterministic output, and the scan parallelism is
-	// real multi-shard work for the race detector.
-	var datas [][]byte
-	for i := 0; i < maxShardSlots; i++ {
-		path := ShardJournalPath(i)
-		if !disk.Exists(path) {
-			continue
-		}
-		//viplint:allow record-frame bytes reach record.Scan in the concurrent scan goroutines below
-		data, err := disk.Read(path)
-		if err != nil {
-			return nil, rep, err
-		}
-		datas = append(datas, data)
-	}
-	type decoded struct {
-		msg *WireMsg // nil on parse failure
-	}
-	type scanned struct {
-		recs []decoded
-		sal  record.Salvage
-	}
-	results := make([]scanned, len(datas))
-	var wg sync.WaitGroup
-	for idx, data := range datas {
-		wg.Add(1)
-		go func(idx int, data []byte) {
-			defer wg.Done()
-			recs, sal := record.Scan(data)
-			out := make([]decoded, len(recs))
-			for i, payload := range recs {
-				msg, err := DecodePayload(payload)
-				if err == nil {
-					out[i].msg = msg
-				}
-			}
-			results[idx] = scanned{recs: out, sal: sal}
-		}(idx, data)
-	}
-	wg.Wait()
-	for _, r := range results {
-		rep.Journals++
-		rep.Salvage.DroppedRecords += r.sal.DroppedRecords
-		rep.Salvage.DroppedBytes += r.sal.DroppedBytes
-		for _, d := range r.recs {
-			rep.applyDecoded(agg, d.msg)
-		}
-	}
+	agg, rep := sc.replay(shards)
 	return agg, rep, nil
-}
-
-// loadManifestInto replays the current compacted generation (if any)
-// into the aggregate: manifest first, then every file it names, each
-// through the salvage scan. A torn or unparseable manifest is marked
-// damaged (and its generation skipped — the journals still replay); an
-// EIO on the manifest or a generation file is an error.
-func loadManifestInto(disk *kernel.Disk, agg *Aggregate, rep *JournalReplay) error {
-	if !disk.Exists(ManifestPath) {
-		return nil
-	}
-	data, err := disk.Read(ManifestPath)
-	if err != nil {
-		return err
-	}
-	man, merr := parseManifest(data)
-	if merr != nil {
-		rep.ManifestDamaged = true
-		return nil
-	}
-	rep.ManifestGen = man.Gen
-	// Damage absorbed by past compactions is carried forward in the
-	// manifest, so pruned torn journals still count as loss here.
-	rep.Salvage.DroppedRecords += man.LostRecs
-	rep.Salvage.DroppedBytes += man.LostBytes
-	for _, mf := range man.Files {
-		data, err := disk.Read(mf.Path)
-		if err != nil {
-			return err
-		}
-		recs, sal := record.Scan(data)
-		rep.Salvage.DroppedRecords += sal.DroppedRecords
-		rep.Salvage.DroppedBytes += sal.DroppedBytes
-		rep.GenFiles++
-		rep.GenFrames += len(recs)
-		for _, payload := range recs {
-			rep.replayInto(agg, payload)
-		}
-	}
-	return nil
-}
-
-// loadJournalInto replays one shard journal into the aggregate.
-func loadJournalInto(disk *kernel.Disk, path string, agg *Aggregate, rep *JournalReplay) error {
-	if !disk.Exists(path) {
-		return nil
-	}
-	data, err := disk.Read(path)
-	if err != nil {
-		return err
-	}
-	rep.Journals++
-	recs, sal := record.Scan(data)
-	rep.Salvage.DroppedRecords += sal.DroppedRecords
-	rep.Salvage.DroppedBytes += sal.DroppedBytes
-	for _, payload := range recs {
-		rep.replayInto(agg, payload)
-	}
-	return nil
-}
-
-// loadBurnSet scans the durable store into a (host → seq) set without
-// building counts — the duplicate-suppression set a shard burns before
-// absorbing a dead peer's hosts or rejoining the serving set.
-func loadBurnSet(disk *kernel.Disk) (map[int]map[uint64]bool, error) {
-	agg, _, err := LoadStore(disk, 1)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]map[uint64]bool, len(agg.byHost))
-	for h, recs := range agg.byHost {
-		set := make(map[uint64]bool, len(recs))
-		for s := range recs {
-			set[s] = true
-		}
-		out[h] = set
-	}
-	return out, nil
 }
 
 // SpillReingest is the outcome of merging one host's parked spill file
@@ -669,25 +503,9 @@ type SpillReingest struct {
 func ReingestSpills(disk *kernel.Disk, agg *Aggregate, hosts []int) []SpillReingest {
 	var out []SpillReingest
 	for _, host := range hosts {
-		ri := SpillReingest{Host: host}
-		if !disk.Exists(SpillPath(host)) {
-			out = append(out, ri)
-			continue
-		}
-		data, err := disk.Read(SpillPath(host))
-		if err != nil {
-			ri.ReadError = true
-			out = append(out, ri)
-			continue
-		}
-		recs, sal := record.Scan(data)
-		ri.Salvage = sal
-		for _, payload := range recs {
-			msg, derr := DecodePayload(payload)
-			if derr != nil || (msg.Kind != KindDelta && msg.Kind != KindMap) || msg.Host != host {
-				ri.ParseErrors++
-				continue
-			}
+		msgs, sal, bad, err := readSpill(disk, host)
+		ri := SpillReingest{Host: host, ParseErrors: bad, Salvage: sal, ReadError: err != nil}
+		for _, msg := range msgs {
 			if agg.Apply(msg) {
 				ri.Applied++
 			} else {

@@ -208,111 +208,6 @@ type CompactResult struct {
 	PrunedJournals, PrunedGenFiles int
 }
 
-// storeContents is everything one compaction pass read.
-type storeContents struct {
-	man     *Manifest // nil if never compacted
-	recs    []*DeltaRec
-	markers []*WireMsg // deduped restart markers
-	// journals are the journal paths that existed (the prune set);
-	// lostRecs/lostBytes the cumulative salvage damage to carry
-	// forward (prior generations' plus this pass's journals').
-	journals            []string
-	lostRecs, lostBytes int
-}
-
-// collectStore reads the whole durable store — current generation
-// first (so its copy of a record wins the dedup), then every shard
-// journal in shard order. An EIO or a damaged manifest aborts: a pass
-// must never build a generation from a store it could not fully read,
-// because committing it would prune files whose content it missed.
-// Checksum-valid records that fail to parse (a torn map frame's inner
-// fragments) are counted into the carried-forward loss instead.
-func collectStore(disk *kernel.Disk) (*storeContents, error) {
-	st := &storeContents{}
-	agg := NewAggregate(1)
-	markerSeen := make(map[[2]int]bool)
-	absorb := func(data []byte, countLoss bool) error {
-		recs, sal := record.Scan(data)
-		if countLoss {
-			st.lostRecs += sal.DroppedRecords
-			st.lostBytes += sal.DroppedBytes
-		}
-		for _, payload := range recs {
-			msg, err := DecodePayload(payload)
-			if err != nil {
-				// Checksum-valid but unparseable: the torn tail of a map
-				// frame sheds its inner entry records as intact-looking
-				// fragments (the map body is itself a framed stream). The
-				// torn record was never acked, so its intact retry copy is
-				// also in the store; the fragment is loss evidence to
-				// carry forward, not content.
-				if countLoss {
-					st.lostRecs++
-					st.lostBytes += len(payload)
-				}
-				continue
-			}
-			switch msg.Kind {
-			case KindDelta, KindMap:
-				agg.Apply(msg)
-			case KindRestart:
-				key := [2]int{msg.Shard, msg.Attempt}
-				if !markerSeen[key] {
-					markerSeen[key] = true
-					st.markers = append(st.markers, msg)
-				}
-			}
-		}
-		return nil
-	}
-
-	if disk.Exists(ManifestPath) {
-		data, err := disk.Read(ManifestPath)
-		if err != nil {
-			return nil, err
-		}
-		man, merr := parseManifest(data)
-		if merr != nil {
-			return nil, fmt.Errorf("fleet: compaction refused: %v", merr)
-		}
-		st.man = man
-		st.lostRecs += man.LostRecs
-		st.lostBytes += man.LostBytes
-		for _, mf := range man.Files {
-			//viplint:allow record-frame bytes go through record.Scan inside the absorb closure below
-			data, err := disk.Read(mf.Path)
-			if err != nil {
-				return nil, err
-			}
-			// Generation files were written intact by a previous pass;
-			// any salvage loss inside them is fresh damage this pass
-			// must carry forward too.
-			if err := absorb(data, true); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for i := 0; i < maxShardSlots; i++ {
-		path := ShardJournalPath(i)
-		if !disk.Exists(path) {
-			continue
-		}
-		//viplint:allow record-frame bytes go through record.Scan inside the absorb closure above
-		data, err := disk.Read(path)
-		if err != nil {
-			return nil, err
-		}
-		st.journals = append(st.journals, path)
-		if err := absorb(data, true); err != nil {
-			return nil, err
-		}
-	}
-	for _, h := range agg.Hosts() {
-		st.recs = append(st.recs, agg.Records(h)...)
-	}
-	return st, nil
-}
-
 // encodeRec re-frames one applied record canonically, so the same
 // store always compacts to the same bytes.
 func encodeRec(rec *DeltaRec) ([]byte, error) {
@@ -322,24 +217,39 @@ func encodeRec(rec *DeltaRec) ([]byte, error) {
 	return DeltaFrame(rec.Host, rec.Seq, rec.At, rec.Counts)
 }
 
-// compactPass runs one full compaction: collect, sort, write the new
+// compactPass runs one full compaction: scan, sort, write the new
 // generation temp-then-rename, commit the manifest, prune. See the
 // file comment for the crash-safety argument at each fault point.
+//
+// A pass reads the whole store — current generation first, so its copy
+// of a record wins the dedup — and never builds a generation from a
+// store it could not fully read: an EIO or a damaged manifest aborts
+// before the first write, because committing would prune files whose
+// content the pass missed. Checksum-valid records that fail to parse
+// are carried forward as loss instead.
 func compactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
 	var res CompactResult
-	st, err := collectStore(disk)
+	sc, err := scanStore(disk, storeJournals)
 	if err != nil {
 		return res, err
 	}
-	if len(st.journals) == 0 {
+	if sc.manErr != nil {
+		return res, fmt.Errorf("fleet: compaction refused: %v", sc.manErr)
+	}
+	if len(sc.journals) == 0 {
 		return res, nil // nothing new since the last pass
+	}
+	agg, rep := sc.replay(1)
+	var recs []*DeltaRec
+	for _, h := range agg.Hosts() {
+		recs = append(recs, agg.Records(h)...)
 	}
 
 	// Sort by (At, Host, Seq): the time axis first, so a windowed query
 	// over a generation is a contiguous run and ManifestFile.MinAt/MaxAt
 	// bounds are tight.
-	sort.Slice(st.recs, func(i, j int) bool {
-		a, b := st.recs[i], st.recs[j]
+	sort.Slice(recs, func(i, j int) bool {
+		a, b := recs[i], recs[j]
 		if a.At != b.At {
 			return a.At < b.At
 		}
@@ -348,8 +258,9 @@ func compactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
 		}
 		return a.Seq < b.Seq
 	})
-	sort.Slice(st.markers, func(i, j int) bool {
-		a, b := st.markers[i], st.markers[j]
+	markers := sc.markers
+	sort.Slice(markers, func(i, j int) bool {
+		a, b := markers[i], markers[j]
 		if a.Shard != b.Shard {
 			return a.Shard < b.Shard
 		}
@@ -357,10 +268,15 @@ func compactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
 	})
 
 	newGen := 1
-	if st.man != nil {
-		newGen = st.man.Gen + 1
+	if sc.man != nil {
+		newGen = sc.man.Gen + 1
 	}
-	man := &Manifest{Gen: newGen, LostRecs: st.lostRecs, LostBytes: st.lostBytes}
+	// The replay's salvage loss includes what the old manifest carried.
+	man := &Manifest{
+		Gen:       newGen,
+		LostRecs:  rep.Salvage.DroppedRecords + sc.unparsed.DroppedRecords,
+		LostBytes: rep.Salvage.DroppedBytes + sc.unparsed.DroppedBytes,
+	}
 
 	// Chunk into data files. Restart markers lead the first file (they
 	// carry no timestamp and must survive every generation).
@@ -374,12 +290,12 @@ func compactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
 	var chunks []*chunk
 	cur := &chunk{}
 	chunks = append(chunks, cur)
-	for _, mk := range st.markers {
+	for _, mk := range markers {
 		cur.buf.Write(RestartJournalFrame(mk.Shard, mk.Attempt))
 		cur.frames++
 		res.Markers++
 	}
-	for _, rec := range st.recs {
+	for _, rec := range recs {
 		if cur.frames >= compactFileFrames {
 			cur = &chunk{}
 			chunks = append(chunks, cur)
@@ -432,15 +348,15 @@ func compactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
 	res.Gen = newGen
 
 	// Persist-before-prune: only now reclaim the inputs.
-	if st.man != nil {
-		for _, mf := range st.man.Files {
+	if sc.man != nil {
+		for _, mf := range sc.man.Files {
 			if err := io.Remove(mf.Path); err != nil {
 				return res, err
 			}
 			res.PrunedGenFiles++
 		}
 	}
-	for _, path := range st.journals {
+	for _, path := range sc.journals {
 		if err := io.Remove(path); err != nil {
 			return res, err
 		}

@@ -235,6 +235,9 @@ func TestCompactionFaultPointSweep(t *testing.T) {
 			if rep.ManifestDamaged {
 				t.Fatalf("manifest damaged after fault at %d", k)
 			}
+			if rep.Markers != orep.Markers {
+				t.Fatalf("fault at %d: %d restart markers, oracle %d", k, rep.Markers, orep.Markers)
+			}
 			if !sameCounts(agg.Counts(), oracle.Counts()) {
 				t.Fatalf("fault at %d changed the store: %d samples vs oracle %d",
 					k, agg.Total(), oracle.Total())

@@ -211,25 +211,14 @@ func AssembleIntegrity(disk *kernel.Disk, agg *Aggregate, rep JournalReplay, hos
 				hr.Stats = ReadSenderStats(data)
 			}
 		}
+		msgs, sal, bad, err := readSpill(disk, host)
+		hr.SpillSalvage, hr.SpillParse, hr.SpillUnreadable = sal, bad, err != nil
 		spillSeqs := make(map[uint64]bool)
-		if disk.Exists(SpillPath(host)) {
-			if data, err := disk.Read(SpillPath(host)); err != nil {
-				hr.SpillUnreadable = true
-			} else {
-				recs, sal := record.Scan(data)
-				hr.SpillSalvage = sal
-				for _, payload := range recs {
-					msg, derr := DecodePayload(payload)
-					if derr != nil || (msg.Kind != KindDelta && msg.Kind != KindMap) || msg.Host != host {
-						hr.SpillParse++
-						continue
-					}
-					if !spillSeqs[msg.Seq] {
-						spillSeqs[msg.Seq] = true
-						hr.SpillSeqs = append(hr.SpillSeqs, msg.Seq)
-						hr.SpillSamples += msg.Total()
-					}
-				}
+		for _, msg := range msgs {
+			if !spillSeqs[msg.Seq] {
+				spillSeqs[msg.Seq] = true
+				hr.SpillSeqs = append(hr.SpillSeqs, msg.Seq)
+				hr.SpillSamples += msg.Total()
 			}
 		}
 		// A collector-side gap is explained if the host parked the seq
@@ -283,13 +272,9 @@ func AssembleIntegrity(disk *kernel.Disk, agg *Aggregate, rep JournalReplay, hos
 	// never renamed, a data file whose manifest commit never landed) —
 	// harmless to replay, loud as evidence.
 	named := map[string]bool{ManifestPath: true}
-	if disk.Exists(ManifestPath) {
-		if data, err := disk.Read(ManifestPath); err == nil {
-			if man, merr := parseManifest(data); merr == nil {
-				for _, mf := range man.Files {
-					named[mf.Path] = true
-				}
-			}
+	if man, _, err := readManifest(disk); err == nil && man != nil {
+		for _, mf := range man.Files {
+			named[mf.Path] = true
 		}
 	}
 	for _, path := range disk.List() {

@@ -168,25 +168,22 @@ func (sh *Shard) restart(m *kernel.Machine) error {
 	c.stats.Restarts++
 	c.stats.DeadLetters += uint64(c.net.Flush(ShardEndpoint(sh.idx)))
 	disk := m.Kern.Disk()
-	agg := NewAggregate(c.cfg.Shards)
-	var rep JournalReplay
-	if err := loadManifestInto(disk, agg, &rep); err != nil {
+	own, err := scanStore(disk, []string{ShardJournalPath(sh.idx)})
+	if err != nil {
 		c.stats.ReplayErrors++
 		return err
 	}
-	if err := loadJournalInto(disk, ShardJournalPath(sh.idx), agg, &rep); err != nil {
-		c.stats.ReplayErrors++
-		return err
-	}
+	agg, rep := own.replay(c.cfg.Shards)
 	// Handoff burn: every (host, seq) anywhere in the durable store —
 	// peers' journals included — is re-ack-only here. An unreadable
 	// peer journal aborts the rejoin; serving blind would risk
 	// double-applying a record the peer already owns.
-	burn, err := loadBurnSet(disk)
+	all, err := scanStore(disk, storeJournals)
 	if err != nil {
 		c.stats.HandoffErrors++
 		return err
 	}
+	burn := all.burnSet()
 	for h, seqs := range burn {
 		for s := range seqs {
 			if !agg.Applied(h, s) {
@@ -318,11 +315,12 @@ func (c *Collector) RouteEndpoint(host int) int {
 // unreadable journal aborts the whole transition (no peer absorbs the
 // hosts blind); the supervisor retries on its next tick.
 func (c *Collector) failover(m *kernel.Machine, dead *Shard) error {
-	burn, err := loadBurnSet(m.Kern.Disk())
+	sc, err := scanStore(m.Kern.Disk(), storeJournals)
 	if err != nil {
 		c.stats.HandoffErrors++
 		return err
 	}
+	burn := sc.burnSet()
 	for _, p := range c.shards {
 		if p == dead || !p.serving {
 			continue

@@ -57,7 +57,7 @@ const spillChunkKeys = 48
 // spillHeader / journal record verbs.
 const (
 	spillHeaderPrefix    = "#spill "
-	journalSpillPrefix   = "spill "
+	journalSpillVerb     = "spill"
 	journalRecoveryBegin = "recovery-begin"
 )
 
@@ -78,12 +78,6 @@ func buildSpillFrames(seq uint64, counts map[Key]uint64, order []Key) ([]byte, e
 		out.Write(record.Frame(payload.Bytes()))
 	}
 	return out.Bytes(), nil
-}
-
-// journalSpillCommit formats the framed journal record ratifying one
-// spill sequence.
-func journalSpillCommit(seq, samples uint64) []byte {
-	return record.Frame([]byte(fmt.Sprintf("%s%d %d", journalSpillPrefix, seq, samples)))
 }
 
 // JournalRecoveryBegin formats the framed marker the recovery pass
@@ -116,60 +110,10 @@ func parseSpillFrame(payload []byte) (spillFrame, error) {
 	return spillFrame{seq: seq, counts: counts}, nil
 }
 
-// DaemonJournal is the parsed daemon-side commit journal.
-type DaemonJournal struct {
-	// Committed maps ratified spill sequence numbers to the sample
-	// total their commit record claimed.
-	Committed map[uint64]uint64
-	// RecoveryBegun counts recovery-begin markers (one per recovery
-	// attempt that got its marker to disk).
-	RecoveryBegun int
-	// Damaged reports salvage loss or unparseable records — the
-	// journal cannot be fully trusted.
-	Damaged bool
-	// Missing reports that the journal file does not exist at all.
-	Missing bool
-}
-
-// ReadDaemonJournal parses the journal through the salvage layer.
-func ReadDaemonJournal(disk *kernel.Disk) DaemonJournal {
-	j := DaemonJournal{Committed: make(map[uint64]uint64)}
-	if !disk.Exists(DaemonJournalFile) {
-		j.Missing = true
-		return j
-	}
-	data, err := disk.Read(DaemonJournalFile)
-	if err != nil {
-		j.Damaged = true
-		return j
-	}
-	recs, sal := record.Scan(data)
-	if sal.Lossy() {
-		j.Damaged = true
-	}
-	for _, payload := range recs {
-		s := string(payload)
-		switch {
-		case s == journalRecoveryBegin:
-			j.RecoveryBegun++
-		case strings.HasPrefix(s, journalSpillPrefix):
-			fields := strings.Fields(strings.TrimPrefix(s, journalSpillPrefix))
-			if len(fields) != 2 {
-				j.Damaged = true
-				continue
-			}
-			seq, err1 := strconv.ParseUint(fields[0], 10, 64)
-			n, err2 := strconv.ParseUint(fields[1], 10, 64)
-			if err1 != nil || err2 != nil {
-				j.Damaged = true
-				continue
-			}
-			j.Committed[seq] = n
-		default:
-			j.Damaged = true
-		}
-	}
-	return j
+// ReadDaemonJournal reads the daemon's commit journal: spill commits
+// and recovery-begin markers.
+func ReadDaemonJournal(disk *kernel.Disk) CommitJournal {
+	return ReadCommitJournal(disk, DaemonJournalFile, journalSpillVerb, journalRecoveryBegin)
 }
 
 // SpillState is the offline view of what is parked in the spill file:
@@ -183,8 +127,8 @@ type SpillState struct {
 	// FramesCommitted / FramesUncommitted partition intact frames by
 	// whether the journal ratified their sequence number.
 	FramesCommitted, FramesUncommitted int
-	// Journal is the parsed commit journal.
-	Journal DaemonJournal
+	// Journal is the daemon's commit journal.
+	Journal CommitJournal
 	// Salvage is the spill file's own damage accounting.
 	Salvage record.Salvage
 	// Unreadable reports an EIO reading the spill file back.
@@ -255,13 +199,14 @@ func RecoverSpill(m *kernel.Machine, proc *kernel.Process) (SpillRecovery, error
 	disk := m.Kern.Disk()
 	st := ReadSpillState(disk)
 	sr.JournalDamaged = st.Journal.Damaged
-	if st.Unreadable {
-		// Cannot read the spill back: leave it for a later attempt and
-		// count the failure as a merge error.
-		sr.MergeErrors++
+	if !disk.Exists(SpillFile) {
 		return sr, nil
 	}
-	if !disk.Exists(SpillFile) {
+	if st.Unreadable || st.Journal.Unreadable {
+		// Cannot read the spill or its journal back: without the
+		// journal every frame would look uncommitted and be discarded.
+		// Leave both for a later attempt and count a merge error.
+		sr.MergeErrors++
 		return sr, nil
 	}
 	sr.FramesDiscarded = st.FramesUncommitted + st.Salvage.DroppedRecords

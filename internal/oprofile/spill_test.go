@@ -79,7 +79,7 @@ func TestSpillTornSuffixSalvage(t *testing.T) {
 		cuts := []int{0, len(frames), rng.Intn(len(frames) + 1), rng.Intn(len(frames) + 1)}
 		for _, cut := range cuts {
 			disk := kernel.NewDisk()
-			disk.Append(DaemonJournalFile, journalSpillCommit(seq, sumCounts(counts)))
+			disk.Append(DaemonJournalFile, CommitRecord(journalSpillVerb, seq, sumCounts(counts)))
 			disk.Append(SpillFile, frames[:cut])
 			st := ReadSpillState(disk)
 			for k, c := range st.OnDisk {
@@ -142,7 +142,7 @@ func TestSpillSeqBurn(t *testing.T) {
 	disk := kernel.NewDisk()
 	disk.Append(SpillFile, staleFrames)
 	disk.Append(SpillFile, freshFrames)
-	disk.Append(DaemonJournalFile, journalSpillCommit(5, sumCounts(fresh)))
+	disk.Append(DaemonJournalFile, CommitRecord(journalSpillVerb, 5, sumCounts(fresh)))
 	st := ReadSpillState(disk)
 	if st.FramesCommitted != 1 || st.FramesUncommitted != 1 {
 		t.Errorf("committed=%d uncommitted=%d, want 1/1", st.FramesCommitted, st.FramesUncommitted)
@@ -165,18 +165,18 @@ func TestDaemonJournalReader(t *testing.T) {
 	if j := ReadDaemonJournal(disk); !j.Missing {
 		t.Error("absent journal not reported Missing")
 	}
-	disk.Append(DaemonJournalFile, journalSpillCommit(1, 100))
+	disk.Append(DaemonJournalFile, CommitRecord(journalSpillVerb, 1, 100))
 	disk.Append(DaemonJournalFile, JournalRecoveryBegin())
-	disk.Append(DaemonJournalFile, journalSpillCommit(2, 50))
+	disk.Append(DaemonJournalFile, CommitRecord(journalSpillVerb, 2, 50))
 	j := ReadDaemonJournal(disk)
 	if j.Damaged || j.Missing {
 		t.Errorf("clean journal read damaged=%v missing=%v", j.Damaged, j.Missing)
 	}
-	if j.RecoveryBegun != 1 || j.Committed[1] != 100 || j.Committed[2] != 50 {
+	if j.Markers != 1 || j.Committed[1] != 100 || j.Committed[2] != 50 {
 		t.Errorf("journal misread: %+v", j)
 	}
 	// A torn tail record is damage, but earlier commits survive.
-	disk.Append(DaemonJournalFile, journalSpillCommit(3, 25)[:5])
+	disk.Append(DaemonJournalFile, CommitRecord(journalSpillVerb, 3, 25)[:5])
 	j = ReadDaemonJournal(disk)
 	if !j.Damaged {
 		t.Error("torn journal tail not flagged Damaged")
