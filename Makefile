@@ -78,13 +78,15 @@ fleet-smoke:
 	$(GO) test -race -run 'TestFleetChaos$$' -count=1 ./internal/harness/
 	$(GO) test -race -run 'TestCompactionFaultPointSweep|TestWindowedQueryOracle|TestFleetMapReplication|TestStoreScanMatchesReference|TestDamagedManifest' -count=1 ./internal/fleet/
 
-# Wide composed-schedule sweep (hundreds of seeds, minutes). Out of
-# `make check` by design: run it nightly or before cutting a release.
-# Covers both the per-host persistence chaos suite and the fleet
-# network-fault suite.
+# Wide sweeps (hundreds of seeds or programs, minutes). Out of
+# `make check` by design: run them nightly or before cutting a release.
+# Covers the per-host persistence chaos suite, the fleet network-fault
+# suite, and the fused trace-replay oracle over 500 random programs
+# (`make check` runs 25).
 chaos-nightly:
 	VIPROF_CHAOS_SEEDS=500 $(GO) test -race -run 'TestChaosNightly' -count=1 -timeout 30m ./internal/core/
 	VIPROF_FLEET_SEEDS=300 $(GO) test -race -run 'TestFleetChaosNightly' -count=1 -timeout 30m ./internal/harness/
+	$(GO) test -race -run 'TestTraceReplayMatchesPerOpQuick$$' -count=1 -timeout 30m ./internal/jvm/ -args -quickchecks=2000
 
 bench-smoke:
 	$(GO) test -race -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkExecMemBatch|BenchmarkTraceBatch|BenchmarkEpochResolveIndexed|BenchmarkFleetIngest|BenchmarkSMPScaling' -benchtime 1x .

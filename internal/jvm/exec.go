@@ -587,14 +587,18 @@ func (vm *VM) CallStackPCs(max int) []addr.Address {
 	return out
 }
 
-// backEdge reports a taken loop back-edge to the adaptive system,
-// promotes the method when it crosses the hotness threshold, and — as
-// Jikes RVM's OSR machinery does — replaces the method's body in every
-// frame currently running it, so a hot loop benefits immediately.
+// backEdge reports a taken loop back-edge to the adaptive system and
+// promotes the method when it crosses the hotness threshold.
 func (vm *VM) backEdge(meth *classes.Method) {
-	if !vm.aosSys.OnBackEdge(meth, 1) {
-		return
+	if vm.aosSys.OnBackEdge(meth, 1) {
+		vm.promoteOSR(meth)
 	}
+}
+
+// promoteOSR recompiles a method at the optimizing level and — as Jikes
+// RVM's OSR machinery does — replaces the method's body in every frame
+// currently running it, so a hot loop benefits immediately.
+func (vm *VM) promoteOSR(meth *classes.Method) {
 	if err := vm.promote(meth.Index); err != nil {
 		vm.err = err
 		return

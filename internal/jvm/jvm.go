@@ -150,7 +150,8 @@ type VM struct {
 	sinceYield int // bytecodes since the last yieldpoint
 
 	traceAt    []*methodTraces // per-method trace cache (index = method)
-	rec        *traceRecorder  // active trace recording, if any
+	rec        *traceRecorder  // active trace recording, if any (points at recorder)
+	recorder   traceRecorder   // the one recorder, its ops buffer reused
 	traceStats TraceStats
 	scatterBuf []addr.Address // reusable operand vector for ExecScatter
 

@@ -1,15 +1,20 @@
 // Trace recording and fused superinstruction replay: the VM detects hot
 // straight-line (and single-backedge loop) bytecode sequences at method
 // entries and loop-backedge targets, compiles each into a compact trace
-// descriptor, and replays the descriptor with one event-horizon check
-// (cpu.Core.TraceWindow) and one bulk retirement (cpu.Core.RetireTrace)
-// per fused stretch instead of one dispatch + one accumulator call per
-// bytecode. Replay deoptimizes to the ordinary stepInstr interpreter at
-// any guard failure — branch divergence, operand-stack underflow or a
-// runtime exception, an exhausted event horizon, or a stale descriptor
-// after recompilation — leaving the VM in exactly the state per-op
-// execution would have at that bytecode, so the per-op path can always
-// resume mid-trace.
+// descriptor, and replays the descriptor against one event-horizon
+// window (cpu.Core.TraceWindow) whose accumulated ops retire in bulk
+// (cpu.Core.RetireTrace) when the window closes, instead of one
+// dispatch + one accumulator call per bytecode. At install, each
+// maximal run of plain ops becomes a segment with its Const operands
+// folded into the ops that consume them; replay checks the window once
+// per segment and runs its functional effect on a local operand stack.
+// A loop trace keeps replaying iterations inside one call for as long
+// as the Step loop would have re-entered it. Replay deoptimizes to the
+// ordinary stepInstr interpreter at any guard failure — branch
+// divergence, a runtime exception, an expired slice, or a stale
+// descriptor after recompilation — leaving the VM in exactly the state
+// per-op execution would have at that bytecode, so the per-op path can
+// always resume mid-trace.
 //
 // Equivalence contract: a fused replay is bit-for-bit identical to the
 // per-op interpretation of the same bytecodes. Ops are accumulated only
@@ -23,7 +28,10 @@
 package jvm
 
 import (
+	"slices"
+
 	"viprof/internal/addr"
+	"viprof/internal/cache"
 	"viprof/internal/cpu"
 	"viprof/internal/jvm/bytecode"
 	"viprof/internal/jvm/jit"
@@ -47,33 +55,31 @@ const (
 // traceOp is one recorded bytecode of a trace, predecoded so replay
 // touches neither the method's code array nor the body's offset table:
 // the opcode, its immediate, its cycle cost at the trace's JIT level,
-// its operand-stack entry requirement, its machine-PC offset from the
-// trace's first op (stable for the descriptor's body level — GC moves
-// the base, never the layout), and — for conditional branches — the
-// recorded direction the trace follows.
+// its machine-PC offset from the trace's first op (stable for the
+// descriptor's body level — GC moves the base, never the layout), and
+// — for conditional branches — the recorded direction the trace
+// follows.
 type traceOp struct {
 	bci   int32
 	a     int32 // the instruction's immediate operand
 	pcOff uint32
 	cost  uint32
 	op    bytecode.Opcode
-	needs uint8 // operand-stack values read below entry (opNeeds)
-	flags uint8 // opfBranch|opfMem|opfLast; zero selects the plain fast path
+	flags uint8 // opfBranch|opfMem|opfFault, plus opfSeg from install
 	taken bool  // recorded outcome for JmpZ/JmpNZ (always true for Jmp)
 }
 
-// traceOp.flags bits. An op with no flag set is "plain": it carries no
-// data operand, cannot diverge, and is not the trace's final op, so the
-// replayer's only architectural question is whether it still fits the
-// open window — the divergence, loop-close, and memory checks are
-// skipped entirely for it.
+// traceOp.flags bits. An op with neither opfBranch nor opfMem is
+// "plain": it carries no data operand and cannot diverge, so it belongs
+// to a segment and the replayer never visits it on its own.
 const (
 	opfBranch uint8 = 1 << iota // Jmp/JmpZ/JmpNZ: divergence checks apply
 	opfMem                      // may carry a data operand (mem != 0)
-	opfLast                     // final op of the trace: loop-close applies
+	opfFault                    // plain, but may raise: Div/Mod by zero, ArrayLen of null
+	opfSeg                      // first op of a segment (set at install)
 )
 
-// opFlags classifies an opcode for the replay fast path.
+// opFlags classifies an opcode for replay.
 func opFlags(op bytecode.Opcode) uint8 {
 	switch op {
 	case bytecode.Jmp, bytecode.JmpZ, bytecode.JmpNZ:
@@ -83,6 +89,8 @@ func opFlags(op bytecode.Opcode) uint8 {
 		bytecode.GetRef, bytecode.PutRef,
 		bytecode.GetStatic, bytecode.PutStatic:
 		return opfMem
+	case bytecode.Div, bytecode.Mod, bytecode.ArrayLen:
+		return opfFault
 	}
 	return 0
 }
@@ -96,17 +104,15 @@ func opFlags(op bytecode.Opcode) uint8 {
 // so a footprint spanning a page boundary fuses each page segment
 // separately with the crossing op retired precisely. The stack shape
 // (minDepth entry values consumed below the entry level, maxGrow slots
-// of growth, net delta) is precomputed for the entry guard.
+// of growth) is precomputed for the entry guard and the local stack.
 type traceDesc struct {
-	level     jit.Level
-	startBC   int32 // anchor: first op's bytecode index
-	lastBC    int32 // final op's bytecode index (the maximum of the trace)
-	loop      bool  // final op is a branch back to startBC
-	ops       []traceOp
-	totalCost uint64 // sum of op costs at `level` (the fused cycle cost)
-	minDepth  int    // operand-stack values required on entry
-	maxGrow   int    // max growth above the entry stack level
-	net       int    // net operand-stack delta of a full replay
+	level    jit.Level
+	startBC  int32 // anchor: first op's bytecode index
+	loop     bool  // final op is a branch back to startBC
+	ops      []traceOp
+	segs     []traceSeg // the plain-op segments, in trace order
+	minDepth int        // operand-stack values required on entry
+	maxGrow  int        // max growth above the entry stack level
 	// Divergence hygiene: replays counts completed replays, diverges
 	// the ones that left through a branch going the unrecorded way. A
 	// descriptor whose recorded path chronically diverges (a recording
@@ -114,6 +120,39 @@ type traceDesc struct {
 	// so the anchor re-heats and re-records the now-common path.
 	replays  uint32
 	diverges uint32
+}
+
+// traceSeg is a maximal run of plain ops, replayed as one unit: one
+// window, page and slice check for the whole run, then its functional
+// effect through runSeg. Only its first op may raise (guard), and the
+// replayer checks that op's operand on the live stack before the
+// segment starts; every later op is proven unable to fault.
+type traceSeg struct {
+	n         uint32 // ops covered, starting at the op flagged opfSeg
+	cost      uint32 // their total cycle cost
+	headCost  uint32 // cost without the last op: the slice must outlast it
+	lastPcOff uint32 // the last op's machine-PC offset
+	guard     bool   // the first op is opfFault and unfolded
+	code      []segInstr
+}
+
+// segInstr is one instruction of a segment's functional program: a
+// plain bytecode, or a binary/compare op whose right operand is the
+// immediate k of the Const folded into it (Ertl & Gregg's
+// superinstructions, chosen at install from the recorded ops). k is
+// also the Const value and the Load/Store local index.
+type segInstr struct {
+	op  bytecode.Opcode
+	imm bool
+	k   int32
+}
+
+// width is how many recorded ops the instruction stands for.
+func (in *segInstr) width() int {
+	if in.imm {
+		return 2
+	}
+	return 1
 }
 
 // methodTraces is the per-method trace cache: one descriptor slot and
@@ -126,7 +165,9 @@ type methodTraces struct {
 // traceRecorder captures one in-progress recording. Recording is purely
 // observational: recordStep peeks at the instruction about to execute,
 // appends it (or finalizes/aborts), then lets stepInstr run it, so the
-// recording pass is bit-for-bit the ordinary interpreter.
+// recording pass is bit-for-bit the ordinary interpreter. The VM keeps
+// one recorder and reuses its ops buffer; installation copies the ops
+// out at their exact size.
 type traceRecorder struct {
 	mi      int // method index
 	thread  int // vm.cur at start; any switch aborts
@@ -146,11 +187,14 @@ type traceRecorder struct {
 // batched, per-op, and trace-disabled configurations while TraceStats
 // legitimately differs.
 type TraceStats struct {
-	Installed     int    // descriptors installed
-	Aborted       int    // recordings abandoned before installation
-	Replays       uint64 // replay invocations that retired at least one op
+	Installed int // descriptors installed
+	Aborted   int // recordings abandoned before installation
+	// Replays counts the fused passes that retired at least one op: one
+	// per loop iteration and one per straight-line pass, however many of
+	// them a single replayTrace call ran.
+	Replays       uint64
 	OpsReplayed   uint64 // bytecodes retired by fused replay
-	Deopts        uint64 // replays that left the trace before its recorded end
+	Deopts        uint64 // passes that left the trace before its recorded end
 	Invalidations int    // per-method cache flushes on recompilation
 	Dropped       int    // descriptors retired for chronic branch divergence
 }
@@ -214,14 +258,17 @@ func (vm *VM) noteAnchor(f *frame, bci int) {
 	if mt.heat[bci] < traceHotThreshold || vm.rec != nil {
 		return
 	}
-	vm.rec = &traceRecorder{
+	r := &vm.recorder
+	*r = traceRecorder{
 		mi:      mi,
 		thread:  vm.cur,
 		depth:   len(vm.threads[vm.cur].frames),
 		level:   f.body.Level,
 		startBC: int32(bci),
 		expect:  int32(bci),
+		ops:     r.ops[:0],
 	}
+	vm.rec = r
 }
 
 // invalidateTraces drops every descriptor of a method. Called on
@@ -345,8 +392,7 @@ func (vm *VM) recordStep(f *frame) error {
 // append adds one op to the recording and folds its operand-stack shape
 // into the descriptor's entry requirements.
 func (r *traceRecorder) append(in bytecode.Instr, bci int32, cost uint32, taken bool) {
-	needs := opNeeds(in.Op)
-	if need := needs - r.rd; need > r.minD {
+	if need := opNeeds(in.Op) - r.rd; need > r.minD {
 		r.minD = need
 	}
 	r.rd += bytecode.StackDelta(in)
@@ -355,7 +401,7 @@ func (r *traceRecorder) append(in bytecode.Instr, bci int32, cost uint32, taken 
 	}
 	r.ops = append(r.ops, traceOp{
 		bci: bci, a: in.A, cost: cost,
-		op: in.Op, needs: uint8(needs), flags: opFlags(in.Op), taken: taken,
+		op: in.Op, flags: opFlags(in.Op), taken: taken,
 	})
 }
 
@@ -366,45 +412,361 @@ func (r *traceRecorder) append(in bytecode.Instr, bci int32, cost uint32, taken 
 func (vm *VM) finishRecording(f *frame, loop bool) {
 	r := vm.rec
 	vm.rec = nil
-	if len(r.ops) < traceMinOps || f.body.Level != r.level {
-		vm.traceStats.Aborted++
-		return
-	}
-	var total uint64
-	base := f.body.PC(int(r.startBC))
-	for i := range r.ops {
-		total += uint64(r.ops[i].cost)
-		r.ops[i].pcOff = uint32(f.body.PC(int(r.ops[i].bci)) - base)
-	}
-	r.ops[len(r.ops)-1].flags |= opfLast
-	d := &traceDesc{
-		level:     r.level,
-		startBC:   r.startBC,
-		lastBC:    r.ops[len(r.ops)-1].bci,
-		loop:      loop,
-		ops:       r.ops,
-		totalCost: total,
-		minDepth:  r.minD,
-		maxGrow:   r.maxG,
-		net:       r.rd,
-	}
 	mt := vm.traceAt[r.mi]
-	if mt == nil || int(r.startBC) >= len(mt.at) {
+	if len(r.ops) < traceMinOps || f.body.Level != r.level ||
+		mt == nil || int(r.startBC) >= len(mt.at) {
 		vm.traceStats.Aborted++
 		return
 	}
-	mt.at[r.startBC] = d
+	ops := slices.Clone(r.ops)
+	base := f.body.PC(int(r.startBC))
+	for i := range ops {
+		ops[i].pcOff = uint32(f.body.PC(int(ops[i].bci)) - base)
+	}
+	mt.at[r.startBC] = &traceDesc{
+		level:    r.level,
+		startBC:  r.startBC,
+		loop:     loop,
+		ops:      ops,
+		segs:     buildSegments(ops),
+		minDepth: r.minD,
+		maxGrow:  r.maxG,
+	}
 	vm.traceStats.Installed++
 }
 
-// replayTrace executes one pass over a descriptor. It returns done=true
-// when it retired at least one bytecode (f.pc then points at the next
-// bytecode to execute, which may be mid-trace after a deoptimization)
-// and done=false — with zero architectural or functional effect — when
-// replay cannot begin, in which case the caller falls through to
-// stepInstr. A loop trace replays exactly one iteration per call, so
-// the Step loop's slice and scheduling checks run between iterations
-// exactly as they do per-op.
+// buildSegments groups each maximal run of plain ops into a segment,
+// flags the run's first op opfSeg, and compiles the run into segInstrs.
+// A Const followed by a binary or compare op folds into one immediate
+// instruction — into Div or Mod only when the constant is nonzero, the
+// fold that proves the division cannot trap. An op that can still raise
+// (opfFault) may only lead a segment, where the replayer guards it on
+// the live stack before the segment runs.
+func buildSegments(ops []traceOp) []traceSeg {
+	// A segment starts at op 0, after a branch or memory op, or at a
+	// faulting op: that bounds their number. No segment needs more
+	// instructions than it has ops, so code never reallocates under the
+	// segments slicing it.
+	heads := 1
+	for i := range ops {
+		if ops[i].flags != 0 {
+			heads++
+		}
+	}
+	segs := make([]traceSeg, 0, heads)
+	code := make([]segInstr, 0, len(ops))
+	for j := 0; j < len(ops); {
+		if ops[j].flags&(opfBranch|opfMem) != 0 {
+			j++
+			continue
+		}
+		start, c0 := j, len(code)
+		guard := ops[j].flags&opfFault != 0
+		for j < len(ops) && ops[j].flags&(opfBranch|opfMem) == 0 {
+			o := &ops[j]
+			if o.op == bytecode.Const && j+1 < len(ops) && foldsConst(ops[j+1].op, o.a) {
+				code = append(code, segInstr{op: ops[j+1].op, imm: true, k: o.a})
+				j += 2
+				continue
+			}
+			if o.flags&opfFault != 0 && j > start {
+				break
+			}
+			code = append(code, segInstr{op: o.op, k: o.a})
+			j++
+		}
+		var cost uint32
+		for i := start; i < j; i++ {
+			cost += ops[i].cost
+		}
+		ops[start].flags |= opfSeg
+		segs = append(segs, traceSeg{
+			n:         uint32(j - start),
+			cost:      cost,
+			headCost:  cost - ops[j-1].cost,
+			lastPcOff: ops[j-1].pcOff,
+			guard:     guard,
+			code:      code[c0:len(code):len(code)],
+		})
+	}
+	return segs
+}
+
+// foldsConst reports whether a Const k followed by op folds into one
+// immediate instruction.
+func foldsConst(op bytecode.Opcode, k int32) bool {
+	switch op {
+	case bytecode.Add, bytecode.Sub, bytecode.Mul,
+		bytecode.And, bytecode.Or, bytecode.Xor, bytecode.Shl, bytecode.Shr,
+		bytecode.CmpLT, bytecode.CmpLE, bytecode.CmpEQ, bytecode.CmpNE,
+		bytecode.CmpGT, bytecode.CmpGE:
+		return true
+	case bytecode.Div, bytecode.Mod:
+		return k != 0
+	}
+	return false
+}
+
+// faults reports whether the segment's guarded first op would raise on
+// the operand stack st[:sp]: a zero divisor, or ArrayLen of null.
+func (s *traceSeg) faults(st []Value, sp int) bool {
+	if !s.guard {
+		return false
+	}
+	if s.code[0].op == bytecode.ArrayLen {
+		return st[sp-1].R == nil
+	}
+	return st[sp-1].I == 0
+}
+
+// runSeg applies a segment's functional effect — exactly stepInstr's
+// for each op it stands for — to the operand stack st, live up to sp,
+// and the frame's locals, and returns the new stack depth. The stack
+// has room for the segment's growth and holds every value its ops read
+// (the descriptor's entry guard), and no op in it can raise.
+func runSeg(code []segInstr, st []Value, sp int, locals []Value) int {
+	var a, b int64
+	for i := range code {
+		in := &code[i]
+		switch in.op {
+		case bytecode.Nop:
+		case bytecode.Const:
+			st[sp] = Value{I: int64(in.k)}
+			sp++
+		case bytecode.Load:
+			st[sp] = locals[in.k]
+			sp++
+		case bytecode.Store:
+			sp--
+			locals[in.k] = st[sp]
+		case bytecode.Dup:
+			st[sp] = st[sp-1]
+			sp++
+		case bytecode.Pop:
+			sp--
+		case bytecode.Neg:
+			st[sp-1] = Value{I: -st[sp-1].I}
+		case bytecode.ArrayLen:
+			o := st[sp-1].R
+			n := len(o.Scalars)
+			if len(o.Refs) > 0 {
+				n = len(o.Refs)
+			}
+			st[sp-1] = Value{I: int64(n)}
+		case bytecode.Add:
+			sp, a, b = operands(in, st, sp)
+			st[sp-1] = Value{I: a + b}
+		case bytecode.Sub:
+			sp, a, b = operands(in, st, sp)
+			st[sp-1] = Value{I: a - b}
+		case bytecode.Mul:
+			sp, a, b = operands(in, st, sp)
+			st[sp-1] = Value{I: a * b}
+		case bytecode.Div:
+			sp, a, b = operands(in, st, sp)
+			st[sp-1] = Value{I: a / b}
+		case bytecode.Mod:
+			sp, a, b = operands(in, st, sp)
+			st[sp-1] = Value{I: a % b}
+		case bytecode.And:
+			sp, a, b = operands(in, st, sp)
+			st[sp-1] = Value{I: a & b}
+		case bytecode.Or:
+			sp, a, b = operands(in, st, sp)
+			st[sp-1] = Value{I: a | b}
+		case bytecode.Xor:
+			sp, a, b = operands(in, st, sp)
+			st[sp-1] = Value{I: a ^ b}
+		case bytecode.Shl:
+			sp, a, b = operands(in, st, sp)
+			st[sp-1] = Value{I: a << (uint64(b) & 63)}
+		case bytecode.Shr:
+			sp, a, b = operands(in, st, sp)
+			st[sp-1] = Value{I: a >> (uint64(b) & 63)}
+		case bytecode.CmpLT:
+			sp, a, b = operands(in, st, sp)
+			st[sp-1] = Value{I: b2i(a < b)}
+		case bytecode.CmpLE:
+			sp, a, b = operands(in, st, sp)
+			st[sp-1] = Value{I: b2i(a <= b)}
+		case bytecode.CmpEQ:
+			sp, a, b = operands(in, st, sp)
+			st[sp-1] = Value{I: b2i(a == b)}
+		case bytecode.CmpNE:
+			sp, a, b = operands(in, st, sp)
+			st[sp-1] = Value{I: b2i(a != b)}
+		case bytecode.CmpGT:
+			sp, a, b = operands(in, st, sp)
+			st[sp-1] = Value{I: b2i(a > b)}
+		case bytecode.CmpGE:
+			sp, a, b = operands(in, st, sp)
+			st[sp-1] = Value{I: b2i(a >= b)}
+		}
+	}
+	return sp
+}
+
+// operands pops a binary or compare op's operands, the right one being
+// the folded constant or the top, and returns the new depth: the
+// result goes to st[sp-1].
+func operands(in *segInstr, st []Value, sp int) (int, int64, int64) {
+	if in.imm {
+		return sp, st[sp-1].I, int64(in.k)
+	}
+	return sp - 1, st[sp-2].I, st[sp-1].I
+}
+
+// b2i is a compare op's result: 1 for true, 0 for false.
+func b2i(c bool) int64 {
+	if c {
+		return 1
+	}
+	return 0
+}
+
+// runSegPrefix applies the first m recorded ops of a segment. A prefix
+// can end between a folded Const and the op consuming it; the Const
+// alone then retired, and its value is pushed.
+func runSegPrefix(code []segInstr, m int, st []Value, sp int, locals []Value) int {
+	i := 0
+	for ; i < len(code) && code[i].width() <= m; i++ {
+		m -= code[i].width()
+	}
+	sp = runSeg(code[:i], st, sp, locals)
+	if m > 0 {
+		st[sp] = Value{I: int64(code[i].k)}
+		sp++
+	}
+	return sp
+}
+
+// traceAcc is a replay's architectural side: the event-horizon window
+// cpu.Core.TraceWindow granted, the ops charged into it and not yet
+// retired, and the scheduling slice those ops will consume.
+type traceAcc struct {
+	core    *cpu.Core
+	hier    *cache.Hierarchy
+	hit     uint32 // the data-hit cost a proven-resident operand adds
+	open    bool   // the window is valid: no precise op since it opened
+	winPage uint64 // the instruction page the window proved fetch-free
+	remOps  uint64 // window headroom in ops and cycles
+	remCost uint64
+	n, cost uint64 // charged into the window, not yet retired
+	lastPC  addr.Address
+	dtouch  uint32 // deferred guaranteed-hit data probes, all on daddr's line
+	daddr   addr.Address
+	// The Step loop polls core.Expired() between bytecodes, so per-op
+	// execution yields to the kernel at exactly the op where the
+	// scheduling slice runs out. Replay must stop at the same op:
+	// sliceUsed is the slice the charged ops will consume, sliceBudget
+	// the core's slice when sliceUsed was last zero.
+	sliceBudget uint64
+	sliceUsed   uint64
+}
+
+// reopen ensures the window is open, asking the core for a fresh one
+// at pc if a precise op (or a cold entry) closed it.
+func (a *traceAcc) reopen(pc addr.Address) bool {
+	if !a.open {
+		a.remOps, a.remCost, a.open = a.core.TraceWindow(pc, pc)
+		a.winPage = uint64(pc) >> 12
+	}
+	return a.open
+}
+
+// fits reports whether n more ops spanning [pcFirst, pcLast] and
+// costing cost cycles stay inside the open window.
+func (a *traceAcc) fits(pcFirst, pcLast addr.Address, n, cost uint64) bool {
+	return uint64(pcFirst)>>12 == a.winPage && uint64(pcLast)>>12 == a.winPage &&
+		a.n+n <= a.remOps && a.cost+cost <= a.remCost
+}
+
+// add charges n ops ending at lastPC into the window.
+func (a *traceAcc) add(lastPC addr.Address, n, cost uint64) {
+	a.n += n
+	a.cost += cost
+	a.lastPC = lastPC
+	a.sliceUsed += cost
+}
+
+// flush retires the charged ops in one bulk update and re-reads the
+// slice.
+func (a *traceAcc) flush() {
+	if a.n > 0 {
+		a.core.RetireTrace(a.lastPC, a.n, a.cost, a.daddr, a.dtouch)
+		a.n, a.cost, a.dtouch, a.daddr = 0, 0, 0, 0
+	}
+	a.sliceBudget = a.core.SliceLeft()
+	a.sliceUsed = 0
+}
+
+// charge retires one op at pc: into the window when it is provably
+// event-free, otherwise precisely, after retiring what the window
+// holds. A precise op may deliver NMIs, tick counters and refetch the
+// page, so it closes the window; the next op reopens it.
+func (a *traceAcc) charge(pc addr.Address, cost uint32, mem addr.Address) {
+	free := mem == 0 || (a.hier != nil && a.hier.DataFree(mem))
+	eff := uint64(cost)
+	if mem != 0 {
+		eff += uint64(a.hit)
+	}
+	if free && a.reopen(pc) && a.fits(pc, pc, 1, eff) {
+		a.add(pc, 1, eff)
+		if mem != 0 {
+			a.dtouch++
+			a.daddr = mem
+		}
+		return
+	}
+	a.flush()
+	a.core.Exec(cpu.Op{PC: pc, Cost: cost, Mem: mem})
+	a.sync()
+}
+
+// sync follows a precise op run directly on the core: it re-reads the
+// slice the op consumed and closes the window, which the op made stale.
+func (a *traceAcc) sync() {
+	a.sliceBudget = a.core.SliceLeft()
+	a.sliceUsed = 0
+	a.open = false
+}
+
+// commitReplay books one fused pass that retired n ops.
+func (vm *VM) commitReplay(d *traceDesc, n int, deopt bool) {
+	vm.sinceYield += n
+	vm.stats.BytecodesRun += uint64(n)
+	if n > 0 {
+		vm.traceStats.Replays++
+		vm.traceStats.OpsReplayed += uint64(n)
+		d.replays++
+	}
+	if deopt {
+		vm.traceStats.Deopts++
+	}
+}
+
+// replayTrace executes fused passes over a descriptor. It returns
+// done=true when its last pass retired at least one bytecode (f.pc then
+// points at the next bytecode to execute, which may be mid-trace after
+// a deoptimization) and done=false when its last pass retired none — a
+// guard that failed on the first op, or an entry guard refusing with
+// zero architectural or functional effect — in which case f.pc is the
+// anchor and the caller falls through to stepInstr, as on any refused
+// entry. A loop trace replays one iteration per pass, and starts the
+// next pass in the same call only when the Step loop would have
+// re-entered this descriptor with nothing in between: slice left, the
+// yield quantum not reached inside the next pass, no recording, no VM
+// error, the descriptor still installed at the frame's level, and the
+// entry stack depth. Each pass is committed on its own, so TraceStats
+// counts passes exactly as one call per pass would.
+//
+// The operand stack is indexed through a local sp inside capacity
+// grown once per pass; f.stack is written back before every precise
+// op, backEdge, and exit. Deferring a segment's functional effect past
+// its precise ops (the slow path below) relies on nothing outside the
+// replayer reading the top frame's operand stack or locals during a
+// replay: the NMI path reaches the VM only through CallStackPCs, which
+// reads the callers' frames.
 func (vm *VM) replayTrace(f *frame, d *traceDesc) (bool, error) {
 	// Entry guards: enough operand stack for the recorded shape, and the
 	// yield quantum cannot expire inside the fused stretch (scheduling
@@ -418,405 +780,258 @@ func (vm *VM) replayTrace(f *frame, d *traceDesc) (bool, error) {
 		return false, nil
 	}
 	body := f.body
+	meth := body.Method
+	mi := meth.Index
 	startPC := body.PC(int(d.startBC))
 	// The window is anchored per instruction page, not per trace: a
 	// descriptor whose footprint spans a page boundary (long bodies,
 	// post-promotion code layouts) fuses each page segment separately,
 	// with the crossing op retired precisely so it pays exactly the
-	// per-op ITLB probe. winPage is the page the current window proved
-	// fetch-free; ops off that page leave the accumulator.
-	remOps, remCost, ok := core.TraceWindow(startPC, startPC)
-	winPage := uint64(startPC) >> 12
-	needReopen := !ok
-	if !ok {
-		// Cold entry: the instruction page moved (a kernel slice ran
-		// since the last replay), an NMI is latched, or a counter is
-		// within one op of overflow. None of these forbids replay — the
-		// first op(s) retire precisely, paying exactly the per-op
-		// fetch/latch/overflow accounting, and the window reopens warm
-		// (typically from the second op).
-		remOps, remCost = 0, 0
+	// per-op ITLB probe. A cold entry — the instruction page moved, an
+	// NMI is latched, or a counter is within one op of overflow — does
+	// not forbid replay: the first op(s) retire precisely and the window
+	// reopens warm.
+	a := traceAcc{core: core, hier: core.Mem, sliceBudget: core.SliceLeft()}
+	if a.hier != nil {
+		a.hit = a.hier.HitCost()
 	}
-	hier := core.Mem
-	var hit uint32
-	if hier != nil {
-		hit = hier.HitCost()
-	}
-	meth := body.Method
-	mi := meth.Index
+	a.reopen(startPC)
+	ops, segs, locals := d.ops, d.segs, f.locals
+	last := len(ops) - 1
 
-	var accN, accCost uint64
-	var accLastPC addr.Address
-	var dtouch uint32
-	var daddr addr.Address
-	executed := 0
+pass:
+	for {
+		// One pass. The stack grows at most maxGrow above its entry
+		// depth, so one capacity check covers every push.
+		if len(f.stack)+d.maxGrow > cap(f.stack) {
+			f.stack = slices.Grow(f.stack, d.maxGrow)
+		}
+		st, sp := f.stack[:cap(f.stack)], len(f.stack)
+		executed, si := 0, 0
+		exitPC, diverged := 0, false
+		for executed <= last {
+			j := executed
+			op := &ops[j]
+			if op.flags&opfSeg != 0 {
+				s := &segs[si]
+				si++
+				if a.sliceUsed >= a.sliceBudget || s.faults(st, sp) {
+					// The slice expired at this op boundary, or the op
+					// would raise: stop before it, unexecuted, and let
+					// stepInstr run it (and raise its error).
+					exitPC = int(op.bci)
+					break
+				}
+				pc := startPC + addr.Address(op.pcOff)
+				lastPC := startPC + addr.Address(s.lastPcOff)
+				if a.reopen(pc) && a.fits(pc, lastPC, uint64(s.n), uint64(s.cost)) &&
+					a.sliceUsed+uint64(s.headCost) < a.sliceBudget {
+					sp = runSeg(s.code, st, sp, locals)
+					a.add(lastPC, uint64(s.n), uint64(s.cost))
+					executed += int(s.n)
+					continue
+				}
+				// The segment does not fit the window whole: charge its
+				// ops one by one, then apply the prefix that retired.
+				f.stack = st[:sp]
+				k := 0
+				for ; k < int(s.n); k++ {
+					if k > 0 && a.sliceUsed >= a.sliceBudget {
+						break
+					}
+					o := &ops[j+k]
+					a.charge(startPC+addr.Address(o.pcOff), o.cost, 0)
+				}
+				sp = runSegPrefix(s.code, k, st, sp, locals)
+				executed += k
+				if k < int(s.n) {
+					exitPC = int(ops[executed].bci)
+					break
+				}
+				continue
+			}
 
-	// The Step loop polls core.Expired() between bytecodes, so per-op
-	// execution yields to the kernel at exactly the op where the
-	// scheduling slice runs out. Fused replay must stop at the same op:
-	// track pending slice consumption (the accumulator's cost is not yet
-	// applied to the core) and re-sync from the core whenever it is.
-	sliceBudget := core.SliceLeft()
-	var sliceUsed uint64
+			if a.sliceUsed >= a.sliceBudget {
+				exitPC = int(op.bci)
+				break
+			}
+			// A branch or memory op. Functional phase: validate without
+			// mutating, then apply — exactly stepInstr's effect. An op
+			// that would raise stops the pass unexecuted.
+			var mem addr.Address
+			taken := op.taken
+			fault := false
+			switch op.op {
+			case bytecode.Jmp:
+			case bytecode.JmpZ, bytecode.JmpNZ:
+				sp--
+				taken = (st[sp].I == 0) == (op.op == bytecode.JmpZ)
+			case bytecode.ALoad:
+				o, i := st[sp-2].R, st[sp-1].I
+				switch {
+				case o == nil:
+					fault = true
+				case len(o.Refs) > 0:
+					if fault = i < 0 || int(i) >= len(o.Refs); !fault {
+						mem = o.FieldAddr(int(i))
+						st[sp-2] = Value{R: o.Refs[i]}
+						sp--
+					}
+				default:
+					if fault = i < 0 || int(i) >= len(o.Scalars); !fault {
+						mem = o.FieldAddr(int(i))
+						st[sp-2] = Value{I: o.Scalars[i]}
+						sp--
+					}
+				}
+			case bytecode.AStore:
+				o, i, v := st[sp-3].R, st[sp-2].I, st[sp-1]
+				switch {
+				case o == nil:
+					fault = true
+				case len(o.Refs) > 0:
+					if fault = i < 0 || int(i) >= len(o.Refs); !fault {
+						o.Refs[i] = v.R
+					}
+				default:
+					if fault = i < 0 || int(i) >= len(o.Scalars); !fault {
+						o.Scalars[i] = v.I
+					}
+				}
+				if !fault {
+					mem = o.FieldAddr(int(i))
+					sp -= 3
+				}
+			case bytecode.GetField:
+				o := st[sp-1].R
+				if fault = o == nil || int(op.a) >= len(o.Scalars); !fault {
+					mem = o.FieldAddr(int(op.a))
+					st[sp-1] = Value{I: o.Scalars[op.a]}
+				}
+			case bytecode.PutField:
+				o := st[sp-2].R
+				if fault = o == nil || int(op.a) >= len(o.Scalars); !fault {
+					o.Scalars[op.a] = st[sp-1].I
+					mem = o.FieldAddr(int(op.a))
+					sp -= 2
+				}
+			case bytecode.GetRef:
+				o := st[sp-1].R
+				if fault = o == nil || int(op.a) >= len(o.Refs); !fault {
+					mem = o.FieldAddr(int(op.a))
+					st[sp-1] = Value{R: o.Refs[op.a]}
+				}
+			case bytecode.PutRef:
+				o := st[sp-2].R
+				if fault = o == nil || int(op.a) >= len(o.Refs); !fault {
+					o.Refs[op.a] = st[sp-1].R
+					mem = o.FieldAddr(int(op.a))
+					sp -= 2
+				}
+			case bytecode.GetStatic:
+				mem = vm.staticsBase + addr.Address(op.a)*8
+				st[sp] = vm.statics[op.a]
+				sp++
+			case bytecode.PutStatic:
+				mem = vm.staticsBase + addr.Address(op.a)*8
+				sp--
+				vm.statics[op.a] = st[sp]
+			default:
+				// A non-traceable opcode can only appear here through a
+				// bug in the recorder; run it per-op.
+				fault = true
+			}
+			if fault {
+				exitPC = int(op.bci)
+				break
+			}
+			f.stack = st[:sp]
+			pc := startPC + addr.Address(op.pcOff)
 
-	flush := func() {
-		if accN > 0 {
-			core.RetireTrace(accLastPC, accN, accCost, daddr, dtouch)
-			accN, accCost, dtouch, daddr = 0, 0, 0, 0
+			if op.flags&opfBranch != 0 {
+				if j == last && d.loop && taken {
+					// Loop-closing backedge, in stepInstr's order: the
+					// adaptive system's verdict first. A promotion
+					// (recompile, OSR-replace f.body, invalidate this
+					// descriptor) ends the call; the backedge then charges
+					// at the *new* body's address with the *old* level's
+					// cost.
+					executed = len(ops)
+					if vm.aosSys.OnBackEdge(meth, 1) {
+						a.flush()
+						vm.promoteOSR(meth)
+						core.BatchOp(f.body.PC(int(op.bci)), op.cost)
+						vm.noteAnchor(f, int(d.startBC))
+						f.pc = int(d.startBC)
+						vm.commitReplay(d, executed, false)
+						return true, nil
+					}
+					// No promotion: the backedge is a plain op at pc.
+					if a.reopen(pc) && a.fits(pc, pc, 1, uint64(op.cost)) {
+						a.add(pc, 1, uint64(op.cost))
+					} else {
+						a.flush()
+						core.BatchOp(pc, op.cost)
+						a.sync()
+					}
+					vm.commitReplay(d, executed, false)
+					if mt := vm.traceAt[mi]; mt != nil && mt.at[d.startBC] == d &&
+						d.level == f.body.Level && vm.rec == nil && vm.err == nil &&
+						a.sliceUsed < a.sliceBudget && len(f.stack) >= d.minDepth &&
+						vm.sinceYield+len(ops) <= vm.cfg.YieldQuantum {
+						continue pass // the next iteration, in this call
+					}
+					vm.noteAnchor(f, int(d.startBC))
+					a.flush()
+					f.pc = int(d.startBC)
+					return true, nil
+				}
+				if taken != op.taken {
+					// Divergence from the recorded direction exits the
+					// trace after charging this op; a backward divergence
+					// reports its backedge first, exactly as stepInstr
+					// does.
+					exitPC, diverged = int(op.bci)+1, true
+					if taken {
+						exitPC = int(op.a)
+					}
+					if exitPC <= int(op.bci) {
+						a.flush()
+						vm.backEdge(meth)
+						core.BatchOp(f.body.PC(int(op.bci)), op.cost)
+						vm.noteAnchor(f, exitPC)
+						f.pc = exitPC
+						vm.commitReplay(d, j+1, true)
+						d.diverges++
+						vm.dropChronicDiverge(d, mi)
+						return true, nil
+					}
+				}
+			}
+			// Architectural phase: accumulate inside the window when the
+			// op is provably event-free, otherwise retire precisely. A
+			// closed window never abandons the trace.
+			a.charge(pc, op.cost, mem)
+			executed = j + 1
+			if diverged {
+				break
+			}
 		}
-		sliceBudget = core.SliceLeft()
-		sliceUsed = 0
-	}
-	commit := func(deopt bool) {
-		vm.sinceYield += executed
-		vm.stats.BytecodesRun += uint64(executed)
-		if executed > 0 {
-			vm.traceStats.Replays++
-			vm.traceStats.OpsReplayed += uint64(executed)
-			d.replays++
+		f.stack = st[:sp]
+		a.flush()
+		if executed > last && !diverged {
+			// Recorded end of a straight-line trace (a loop trace's
+			// closing branch either continued above or diverged).
+			exitPC = nextTracePC(d, last)
 		}
-		if deopt {
-			vm.traceStats.Deopts++
+		f.pc = exitPC
+		vm.commitReplay(d, executed, executed <= last || diverged)
+		if diverged {
+			d.diverges++
+			vm.dropChronicDiverge(d, mi)
 		}
-	}
-	// deopt abandons the trace before executing op j: all previous ops
-	// are committed, f.pc points at op j's bytecode, and stepInstr
-	// resumes there — including re-raising whatever runtime error made
-	// the op unexecutable, with the per-op path's exact semantics.
-	deopt := func(bci int32) (bool, error) {
-		flush()
-		f.pc = int(bci)
-		commit(true)
 		return executed > 0, nil
 	}
-
-	for j := 0; j < len(d.ops); j++ {
-		op := &d.ops[j]
-		if sliceUsed >= sliceBudget {
-			// The scheduling slice expired at this op boundary: per-op
-			// execution would leave the Step loop here without running
-			// the op, so replay stops and lets the kernel take over.
-			flush()
-			f.pc = int(op.bci)
-			commit(true)
-			return executed > 0, nil
-		}
-		pc := startPC + addr.Address(op.pcOff)
-		sp := len(f.stack)
-		if sp < int(op.needs) {
-			return deopt(op.bci)
-		}
-
-		// Functional phase: validate without mutating, then apply —
-		// exactly stepInstr's effect for the op. Ops that would raise a
-		// runtime error deopt unexecuted so stepInstr raises it.
-		var mem addr.Address
-		branchTaken := op.taken
-		switch op.op {
-		case bytecode.Nop:
-		case bytecode.Const:
-			f.stack = append(f.stack, Value{I: int64(op.a)})
-		case bytecode.Load:
-			f.stack = append(f.stack, f.locals[op.a])
-		case bytecode.Store:
-			f.locals[op.a] = f.stack[sp-1]
-			f.stack = f.stack[:sp-1]
-		case bytecode.Dup:
-			f.stack = append(f.stack, f.stack[sp-1])
-		case bytecode.Pop:
-			f.stack = f.stack[:sp-1]
-
-		case bytecode.Add, bytecode.Sub, bytecode.Mul, bytecode.Div, bytecode.Mod,
-			bytecode.And, bytecode.Or, bytecode.Xor, bytecode.Shl, bytecode.Shr:
-			a, b := f.stack[sp-2], f.stack[sp-1]
-			if (op.op == bytecode.Div || op.op == bytecode.Mod) && b.I == 0 {
-				return deopt(op.bci)
-			}
-			var v int64
-			switch op.op {
-			case bytecode.Add:
-				v = a.I + b.I
-			case bytecode.Sub:
-				v = a.I - b.I
-			case bytecode.Mul:
-				v = a.I * b.I
-			case bytecode.Div:
-				v = a.I / b.I
-			case bytecode.Mod:
-				v = a.I % b.I
-			case bytecode.And:
-				v = a.I & b.I
-			case bytecode.Or:
-				v = a.I | b.I
-			case bytecode.Xor:
-				v = a.I ^ b.I
-			case bytecode.Shl:
-				v = a.I << (uint64(b.I) & 63)
-			case bytecode.Shr:
-				v = a.I >> (uint64(b.I) & 63)
-			}
-			f.stack = f.stack[:sp-1]
-			f.stack[sp-2] = Value{I: v}
-		case bytecode.Neg:
-			f.stack[sp-1] = Value{I: -f.stack[sp-1].I}
-
-		case bytecode.CmpLT, bytecode.CmpLE, bytecode.CmpEQ, bytecode.CmpNE,
-			bytecode.CmpGT, bytecode.CmpGE:
-			a, b := f.stack[sp-2], f.stack[sp-1]
-			var r bool
-			switch op.op {
-			case bytecode.CmpLT:
-				r = a.I < b.I
-			case bytecode.CmpLE:
-				r = a.I <= b.I
-			case bytecode.CmpEQ:
-				r = a.I == b.I
-			case bytecode.CmpNE:
-				r = a.I != b.I
-			case bytecode.CmpGT:
-				r = a.I > b.I
-			case bytecode.CmpGE:
-				r = a.I >= b.I
-			}
-			var v int64
-			if r {
-				v = 1
-			}
-			f.stack = f.stack[:sp-1]
-			f.stack[sp-2] = Value{I: v}
-
-		case bytecode.Jmp:
-		case bytecode.JmpZ, bytecode.JmpNZ:
-			v := f.stack[sp-1]
-			f.stack = f.stack[:sp-1]
-			branchTaken = (v.I == 0) == (op.op == bytecode.JmpZ)
-
-		case bytecode.ALoad:
-			ref, idx := f.stack[sp-2], f.stack[sp-1]
-			o := ref.R
-			if o == nil {
-				return deopt(op.bci)
-			}
-			i := idx.I
-			if len(o.Refs) > 0 {
-				if i < 0 || int(i) >= len(o.Refs) {
-					return deopt(op.bci)
-				}
-				mem = o.FieldAddr(int(i))
-				f.stack = f.stack[:sp-1]
-				f.stack[sp-2] = Value{R: o.Refs[i]}
-			} else {
-				if i < 0 || int(i) >= len(o.Scalars) {
-					return deopt(op.bci)
-				}
-				mem = o.FieldAddr(int(i))
-				f.stack = f.stack[:sp-1]
-				f.stack[sp-2] = Value{I: o.Scalars[i]}
-			}
-		case bytecode.AStore:
-			ref, idx, val := f.stack[sp-3], f.stack[sp-2], f.stack[sp-1]
-			o := ref.R
-			if o == nil {
-				return deopt(op.bci)
-			}
-			i := idx.I
-			if len(o.Refs) > 0 {
-				if i < 0 || int(i) >= len(o.Refs) {
-					return deopt(op.bci)
-				}
-				o.Refs[i] = val.R
-			} else {
-				if i < 0 || int(i) >= len(o.Scalars) {
-					return deopt(op.bci)
-				}
-				o.Scalars[i] = val.I
-			}
-			mem = o.FieldAddr(int(i))
-			f.stack = f.stack[:sp-3]
-		case bytecode.ArrayLen:
-			o := f.stack[sp-1].R
-			if o == nil {
-				return deopt(op.bci)
-			}
-			n := len(o.Scalars)
-			if len(o.Refs) > 0 {
-				n = len(o.Refs)
-			}
-			f.stack[sp-1] = Value{I: int64(n)}
-
-		case bytecode.GetField:
-			o := f.stack[sp-1].R
-			if o == nil || int(op.a) >= len(o.Scalars) {
-				return deopt(op.bci)
-			}
-			mem = o.FieldAddr(int(op.a))
-			f.stack[sp-1] = Value{I: o.Scalars[op.a]}
-		case bytecode.PutField:
-			o := f.stack[sp-2].R
-			if o == nil || int(op.a) >= len(o.Scalars) {
-				return deopt(op.bci)
-			}
-			o.Scalars[op.a] = f.stack[sp-1].I
-			mem = o.FieldAddr(int(op.a))
-			f.stack = f.stack[:sp-2]
-		case bytecode.GetRef:
-			o := f.stack[sp-1].R
-			if o == nil || int(op.a) >= len(o.Refs) {
-				return deopt(op.bci)
-			}
-			mem = o.FieldAddr(int(op.a))
-			f.stack[sp-1] = Value{R: o.Refs[op.a]}
-		case bytecode.PutRef:
-			o := f.stack[sp-2].R
-			if o == nil || int(op.a) >= len(o.Refs) {
-				return deopt(op.bci)
-			}
-			o.Refs[op.a] = f.stack[sp-1].R
-			mem = o.FieldAddr(int(op.a))
-			f.stack = f.stack[:sp-2]
-
-		case bytecode.GetStatic:
-			mem = vm.staticsBase + addr.Address(op.a)*8
-			f.stack = append(f.stack, vm.statics[op.a])
-		case bytecode.PutStatic:
-			mem = vm.staticsBase + addr.Address(op.a)*8
-			vm.statics[op.a] = f.stack[sp-1]
-			f.stack = f.stack[:sp-1]
-
-		default:
-			// A non-traceable opcode can only appear here through a bug in
-			// the recorder; run it per-op.
-			return deopt(op.bci)
-		}
-
-		// Plain ops (no data operand, no divergence possible, not the
-		// final op) take a short architectural path: reopen-if-needed,
-		// accumulate if the op fits the window, retire precisely if not.
-		// This is the general path below with every branch that cannot
-		// apply removed — the bulk of any trace is these.
-		if op.flags == 0 {
-			if needReopen {
-				remOps, remCost, ok = core.TraceWindow(pc, pc)
-				if ok {
-					winPage = uint64(pc) >> 12
-					needReopen = false
-				}
-			}
-			eff := uint64(op.cost)
-			if !needReopen && uint64(pc)>>12 == winPage &&
-				accN+1 <= remOps && accCost+eff <= remCost {
-				accN++
-				accCost += eff
-				accLastPC = pc
-				sliceUsed += eff
-			} else {
-				flush()
-				core.Exec(cpu.Op{PC: pc, Cost: op.cost})
-				sliceBudget = core.SliceLeft()
-				sliceUsed = 0
-				needReopen = true
-			}
-			executed = j + 1
-			continue
-		}
-
-		// Loop-closing backedge: retire the accumulator, then charge the
-		// backedge in stepInstr's exact order — backEdge (which may
-		// promote, OSR-replace f.body, and invalidate this descriptor)
-		// before the op's own charge at the *new* body's address with the
-		// *old* level's cost.
-		if d.loop && j == len(d.ops)-1 && branchTaken {
-			flush()
-			executed = len(d.ops)
-			vm.backEdge(meth)
-			core.BatchOp(f.body.PC(int(op.bci)), op.cost)
-			vm.noteAnchor(f, int(d.startBC))
-			f.pc = int(d.startBC)
-			commit(false)
-			return true, nil
-		}
-
-		// Divergence from the recorded direction exits the trace after
-		// charging this op; a backward divergence reports its backedge
-		// first, exactly as stepInstr does.
-		diverged := false
-		var divergeDest int
-		if op.op == bytecode.Jmp || op.op == bytecode.JmpZ || op.op == bytecode.JmpNZ {
-			if branchTaken != op.taken {
-				diverged = true
-				divergeDest = int(op.bci) + 1
-				if branchTaken {
-					divergeDest = int(op.a)
-				}
-			}
-		}
-		if diverged && divergeDest <= int(op.bci) {
-			flush()
-			executed = j + 1
-			vm.backEdge(meth)
-			core.BatchOp(f.body.PC(int(op.bci)), op.cost)
-			vm.noteAnchor(f, divergeDest)
-			f.pc = divergeDest
-			commit(true)
-			d.diverges++
-			vm.dropChronicDiverge(d, mi)
-			return true, nil
-		}
-
-		// Architectural phase: accumulate inside the window when the op
-		// is provably event-free, otherwise retire precisely. A closed
-		// window never abandons the trace — precise ops deliver latched
-		// NMIs, tick overflows, and refetch the page, after which the
-		// window reopens for the remaining ops.
-		canAcc := mem == 0 || (hier != nil && hier.DataFree(mem))
-		if canAcc && needReopen {
-			remOps, remCost, ok = core.TraceWindow(pc, pc)
-			if ok {
-				winPage = uint64(pc) >> 12
-				needReopen = false
-			}
-		}
-		eff := uint64(op.cost)
-		if mem != 0 {
-			eff += uint64(hit)
-		}
-		if canAcc && !needReopen && uint64(pc)>>12 == winPage &&
-			accN+1 <= remOps && accCost+eff <= remCost {
-			accN++
-			accCost += eff
-			accLastPC = pc
-			sliceUsed += eff
-			if mem != 0 {
-				dtouch++
-				daddr = mem
-			}
-		} else {
-			flush()
-			core.Exec(cpu.Op{PC: pc, Cost: op.cost, Mem: mem})
-			// The precise op (and any NMI handler it ran) consumed slice
-			// directly on the core.
-			sliceBudget = core.SliceLeft()
-			sliceUsed = 0
-			needReopen = true
-		}
-		executed = j + 1
-
-		if diverged {
-			flush()
-			f.pc = divergeDest
-			commit(true)
-			d.diverges++
-			vm.dropChronicDiverge(d, mi)
-			return true, nil
-		}
-	}
-
-	// Recorded end of a straight-line trace (or a loop trace whose
-	// closing branch fell through — handled above as divergence).
-	flush()
-	f.pc = nextTracePC(d, len(d.ops)-1)
-	commit(false)
-	return true, nil
 }
 
 // traceDivergeMinReplays is how many replays a descriptor gets before

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -19,11 +20,12 @@ import (
 // must produce bit-for-bit identical simulated machines under (a) the
 // default fused trace replay, (b) DisableTrace (per-op interpretation
 // over the streaming batch engine), and (c) SetBatching(false) (the
-// fully per-op oracle). Programs mix arithmetic, array and field RMW,
-// statics, data-dependent branches (random deopt points), and periodic
+// fully per-op oracle). Programs mix arithmetic (every binary, compare
+// and stack op, folded and unfolded), array and field RMW, statics,
+// data-dependent branches (random deopt points), and periodic
 // allocation (GC moves JIT bodies mid-trace), so the sweep exercises
-// replay, divergence deopts, trace invalidation on promotion, and
-// descriptor survival across code motion.
+// replay, segment slow paths, divergence deopts, trace invalidation on
+// promotion, and descriptor survival across code motion.
 
 // genTraceProgram builds a worker whose loop body is a random sequence
 // of stack-neutral gadgets, plus a main that calls it enough times for
@@ -50,7 +52,7 @@ func genTraceProgram(rng *rand.Rand) *classes.Program {
 	nGadgets := 3 + rng.Intn(4)
 	for gi := 0; gi < nGadgets; gi++ {
 		lbl := fmt.Sprintf("g%d", gi)
-		switch rng.Intn(5) {
+		switch rng.Intn(6) {
 		case 0: // arithmetic chain on acc
 			w.Load(4).Load(1).Emit(binOps[rng.Intn(len(binOps))])
 			w.Const(int32(rng.Intn(200) - 100)).Emit(binOps[rng.Intn(len(binOps))])
@@ -72,6 +74,34 @@ func genTraceProgram(rng *rand.Rand) *classes.Program {
 			w.Emit(bytecode.GetStatic, 5)
 			w.Load(1).Emit(binOps[rng.Intn(len(binOps))])
 			w.Emit(bytecode.PutStatic, 5)
+		case 4: // wide ALU chain: the ops and operands the gadgets above never draw
+			// obj.f1 = chain(obj.f1 + acc); acc ^= obj.f1 — through a
+			// Dup'ed ref.
+			w.Load(3).Emit(bytecode.Dup).Emit(bytecode.GetField, 1)
+			w.Load(4).Emit(bytecode.Add)
+			for k := 2 + rng.Intn(5); k > 0; k-- {
+				switch rng.Intn(5) {
+				case 0: // a Const right operand, folded at install
+					op := wideOps[rng.Intn(len(wideOps))]
+					w.Const(wideConst(rng, op)).Emit(op)
+				case 1: // a stack right operand: i|1 is never zero
+					w.Load(1).Const(1).Emit(bytecode.Or)
+					w.Emit(wideOps[rng.Intn(len(wideOps))])
+				case 2: // equal operands, except into a division (x may be 0)
+					w.Emit(bytecode.Dup)
+					if op := wideOps[rng.Intn(len(wideOps))]; op != bytecode.Div && op != bytecode.Mod {
+						w.Emit(op)
+					} else {
+						w.Emit(bytecode.Pop)
+					}
+				case 3: // ArrayLen of the scalar array or of the ref-bearing object
+					w.Load(int32(2 + rng.Intn(2))).Emit(bytecode.ArrayLen).Emit(bytecode.Add)
+				default:
+					w.Emit(bytecode.Neg)
+				}
+			}
+			w.Emit(bytecode.Dup).Load(4).Emit(bytecode.Xor).Store(4)
+			w.Emit(bytecode.PutField, 1)
 		default: // data-dependent skip: diverges from any recorded direction
 			br := bytecode.JmpZ
 			if rng.Intn(2) == 0 {
@@ -120,6 +150,29 @@ func genTraceProgram(rng *rand.Rand) *classes.Program {
 	})
 	p.SetMain(main)
 	return p
+}
+
+// wideOps are the binary and compare ops of the wide ALU gadget.
+var wideOps = []bytecode.Opcode{
+	bytecode.Add, bytecode.Sub, bytecode.Mul, bytecode.Div, bytecode.Mod,
+	bytecode.And, bytecode.Or, bytecode.Xor, bytecode.Shl, bytecode.Shr,
+	bytecode.CmpLT, bytecode.CmpLE, bytecode.CmpEQ, bytecode.CmpNE,
+	bytecode.CmpGT, bytecode.CmpGE,
+}
+
+// wideConst draws a Const right operand for op: shift counts of 0, in
+// range, and of 64 or more (negative too); nonzero divisors of either
+// sign; anything else from [-200, 200].
+func wideConst(rng *rand.Rand, op bytecode.Opcode) int32 {
+	switch op {
+	case bytecode.Shl, bytecode.Shr:
+		counts := []int32{0, 1, 7, 63, 64, 65, 127, -1, -64}
+		return counts[rng.Intn(len(counts))]
+	case bytecode.Div, bytecode.Mod:
+		divs := []int32{-1000, -9, -2, -1, 1, 2, 3, 7, 1000}
+		return divs[rng.Intn(len(divs))]
+	}
+	return int32(rng.Intn(401) - 200)
 }
 
 type traceNMI struct {
@@ -223,7 +276,7 @@ func TestTraceReplayMatchesPerOpQuick(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.25}); err != nil {
 		t.Error(err)
 	}
 	// The sweep must actually exercise the fused path, its deopt exits,
@@ -267,5 +320,206 @@ func TestTraceReplayCoversHotLoop(t *testing.T) {
 	if ts.OpsReplayed*2 < st.BytecodesRun {
 		t.Errorf("fused replay covered %d of %d bytecodes, want majority",
 			ts.OpsReplayed, st.BytecodesRun)
+	}
+}
+
+// zeroDivisorProgram builds a single long worker loop whose div op
+// (Div or Mod) divides by the stack value late-i: a loop trace is
+// recorded and replayed for hundreds of iterations before the divisor
+// reaches zero at iteration late, inside a replay.
+//
+// Worker locals: 0=iterations 1=i 4=acc 5=tmp.
+func zeroDivisorProgram(div bytecode.Opcode, late int32) *classes.Program {
+	p := classes.NewProgram("tracediv", 8)
+	w := bytecode.NewAsm()
+	w.Const(7).Store(4)
+	w.Const(0).Store(1)
+	w.Label("loop")
+	w.Load(4).Const(3).Emit(bytecode.Mul).Load(1).Emit(bytecode.Add).Store(4)
+	w.Load(4).Const(late).Load(1).Emit(bytecode.Sub).Emit(div).Store(5)
+	w.Load(4).Load(5).Emit(bytecode.Xor).Emit(bytecode.PutStatic, 2)
+	w.Load(1).Const(1).Emit(bytecode.Add).Store(1)
+	w.Load(1).Load(0).Emit(bytecode.CmpLT)
+	w.Branch(bytecode.JmpNZ, "loop")
+	w.Load(4).Emit(bytecode.PutStatic, 3)
+	w.Emit(bytecode.RetVoid)
+	worker := p.Add(&classes.Method{
+		Class: "tracediv.Worker", Name: "run", NArgs: 1, MaxLocals: 6,
+		Code: w.MustFinish(),
+	})
+	mn := bytecode.NewAsm()
+	mn.Const(3 * late).Call(int32(worker.Index))
+	mn.Emit(bytecode.RetVoid)
+	main := p.Add(&classes.Method{
+		Class: "tracediv.Main", Name: "main", MaxLocals: 1,
+		Code: mn.MustFinish(),
+	})
+	p.SetMain(main)
+	return p
+}
+
+// A zero divisor met inside a replayed loop trace must raise exactly
+// what per-op execution raises, at the same cycle, with the same NMIs.
+// And a Const 0 never folds into the Div or Mod it feeds: the division
+// stays a guarded segment head that deopts to stepInstr.
+func TestTraceReplayZeroDivisor(t *testing.T) {
+	for _, div := range []bytecode.Opcode{bytecode.Div, bytecode.Mod} {
+		p := zeroDivisorProgram(div, 1500)
+		if err := p.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		fused, ts := runTraceProgram(t, p, 3, false, false)
+		if !strings.Contains(fused.ErrStr, "by zero") {
+			t.Fatalf("%s: fused run ended with %q, want a division by zero", div, fused.ErrStr)
+		}
+		if ts.Replays < 1000 {
+			t.Errorf("%s: only %d replays before the fault: the trace was not exercised", div, ts.Replays)
+		}
+		plain, _ := runTraceProgram(t, p, 3, true, false)
+		if !reflect.DeepEqual(fused, plain) {
+			t.Errorf("%s: fused vs DisableTrace diverged:\n fused: %+v\n plain: %+v", div, fused, plain)
+		}
+		perop, _ := runTraceProgram(t, p, 3, false, true)
+		if !reflect.DeepEqual(fused, perop) {
+			t.Errorf("%s: fused vs per-op oracle diverged:\n fused: %+v\n perop: %+v", div, fused, perop)
+		}
+	}
+
+	// Load; Const 0; Div; Store; Load; Const 3; Div; Const 0; Mod
+	code := []bytecode.Instr{
+		{Op: bytecode.Load, A: 4}, {Op: bytecode.Const, A: 0}, {Op: bytecode.Div},
+		{Op: bytecode.Store, A: 5}, {Op: bytecode.Load, A: 4},
+		{Op: bytecode.Const, A: 3}, {Op: bytecode.Div},
+		{Op: bytecode.Const, A: 0}, {Op: bytecode.Mod},
+	}
+	ops := make([]traceOp, len(code))
+	for i, in := range code {
+		ops[i] = traceOp{bci: int32(i), a: in.A, cost: 1, op: in.Op, flags: opFlags(in.Op)}
+	}
+	segs := buildSegments(ops)
+	var got []string
+	for _, s := range segs {
+		got = append(got, fmt.Sprintf("n=%d guard=%v code=%v", s.n, s.guard, s.code))
+	}
+	want := []string{
+		fmt.Sprintf("n=2 guard=false code=%v", []segInstr{{op: bytecode.Load, k: 4}, {op: bytecode.Const}}),
+		fmt.Sprintf("n=6 guard=true code=%v", []segInstr{{op: bytecode.Div}, {op: bytecode.Store, k: 5},
+			{op: bytecode.Load, k: 4}, {op: bytecode.Div, imm: true, k: 3}, {op: bytecode.Const}}),
+		fmt.Sprintf("n=1 guard=true code=%v", []segInstr{{op: bytecode.Mod}}),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("segments:\n got  %q\n want %q", got, want)
+	}
+}
+
+// stackShapeProgram builds a worker loop whose iterations change the
+// operand stack's depth: it pushes i each iteration (grow), or pops one
+// of 20 values pushed before the loop, so that the 21st iteration
+// underflows (drain). The verifier does not check stack depths, so
+// loop traces with a nonzero net delta are legal input.
+//
+// Worker locals: 0=iterations 1=i 5=tmp.
+func stackShapeProgram(grow bool) *classes.Program {
+	p := classes.NewProgram("traceshape", 8)
+	w := bytecode.NewAsm()
+	w.Const(0).Store(1)
+	if !grow {
+		for k := int32(0); k < 20; k++ {
+			w.Const(k)
+		}
+	}
+	w.Label("loop")
+	if grow {
+		w.Load(1)
+	} else {
+		w.Store(5)
+	}
+	w.Load(1).Const(1).Emit(bytecode.Add).Store(1)
+	w.Load(1).Load(0).Emit(bytecode.CmpLT)
+	w.Branch(bytecode.JmpNZ, "loop")
+	w.Emit(bytecode.Dup).Emit(bytecode.PutStatic, 2)
+	w.Emit(bytecode.RetVoid)
+	worker := p.Add(&classes.Method{
+		Class: "traceshape.Worker", Name: "run", NArgs: 1, MaxLocals: 6,
+		Code: w.MustFinish(),
+	})
+	mn := bytecode.NewAsm()
+	mn.Const(300).Call(int32(worker.Index))
+	mn.Emit(bytecode.RetVoid)
+	main := p.Add(&classes.Method{
+		Class: "traceshape.Main", Name: "main", MaxLocals: 1,
+		Code: mn.MustFinish(),
+	})
+	p.SetMain(main)
+	return p
+}
+
+// Loop iterations that change the stack's depth: a growing loop makes
+// the replayer grow the stack's capacity between passes of one call,
+// and a draining loop must stop starting passes once the stack no
+// longer covers the trace's entry requirement, so that stepInstr raises
+// the underflow exactly where per-op execution does.
+func TestTraceReplayStackShape(t *testing.T) {
+	for _, grow := range []bool{true, false} {
+		p := stackShapeProgram(grow)
+		if err := p.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		fused, ts := runTraceProgram(t, p, 5, false, false)
+		if grow && !fused.Finished || !grow && !strings.Contains(fused.ErrStr, "underflow") {
+			t.Fatalf("grow=%v: run ended finished=%v err=%q", grow, fused.Finished, fused.ErrStr)
+		}
+		if ts.Replays < 10 {
+			t.Errorf("grow=%v: only %d replays: the loop trace was not exercised", grow, ts.Replays)
+		}
+		plain, _ := runTraceProgram(t, p, 5, true, false)
+		if !reflect.DeepEqual(fused, plain) {
+			t.Errorf("grow=%v: fused vs DisableTrace diverged:\n fused: %+v\n plain: %+v", grow, fused, plain)
+		}
+		perop, _ := runTraceProgram(t, p, 5, false, true)
+		if !reflect.DeepEqual(fused, perop) {
+			t.Errorf("grow=%v: fused vs per-op oracle diverged:\n fused: %+v\n perop: %+v", grow, fused, perop)
+		}
+	}
+}
+
+// A fixed corpus of generated programs pins what the random sweep
+// above can only sample. Fused passes must be booked exactly as one
+// replayTrace call per pass books them, however many loop iterations
+// a call runs: divergence hygiene (dropChronicDiverge) reads a
+// descriptor's pass count, and OpsReplayed feeds the benchmark's exact
+// trace-replay share. The counter sums are those of a replayer that
+// returned after every iteration, and the digest folds the programs'
+// published results (statics 2..5, pure functions of the program) as
+// per-op interpretation computes them. Regenerate both only for a
+// deliberate change to the trace policy or to genTraceProgram.
+func TestTraceReplayFixedCorpus(t *testing.T) {
+	var got TraceStats
+	var digest uint64
+	for seed := int64(0); seed < 40; seed++ {
+		res, ts := runTraceProgram(t, genTraceProgram(rand.New(rand.NewSource(seed))), seed, false, false)
+		if !res.Finished {
+			t.Fatalf("seed %d: did not finish: %s", seed, res.ErrStr)
+		}
+		for _, v := range res.Statics {
+			digest = digest*1099511628211 ^ uint64(v)
+		}
+		got.Installed += ts.Installed
+		got.Aborted += ts.Aborted
+		got.Replays += ts.Replays
+		got.OpsReplayed += ts.OpsReplayed
+		got.Deopts += ts.Deopts
+		got.Invalidations += ts.Invalidations
+		got.Dropped += ts.Dropped
+	}
+	want := TraceStats{
+		Installed: 345, Aborted: 709, Replays: 140149, OpsReplayed: 6364083,
+		Deopts: 37445, Invalidations: 40, Dropped: 267,
+	}
+	if got != want {
+		t.Errorf("trace counters over the corpus:\n got  %+v\n want %+v", got, want)
+	}
+	if digest != 0x82d4a7175879480 {
+		t.Errorf("results digest over the corpus = %#x, want 0x82d4a7175879480", digest)
 	}
 }
