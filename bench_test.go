@@ -1,10 +1,15 @@
 package viprof
 
-// The benchmark harness: one testing.B benchmark per table/figure of
-// the paper's evaluation, plus ablation benches for the design choices
+// Go benchmarks: one testing.B benchmark per table/figure of the
+// paper's evaluation, plus ablation benches for the design choices
 // DESIGN.md calls out. These default to reduced workload scales so
-// `go test -bench=.` completes in minutes; paper-scale numbers are
+// `go test -bench=.` completes in minutes; paper-scale figures are
 // regenerated with `go run ./cmd/vipbench` (see EXPERIMENTS.md).
+// The engine microbenchmarks (BenchmarkExecBatch, BenchmarkExecMemBatch,
+// BenchmarkTraceBatch, BenchmarkEpochResolveIndexed) fail when their
+// fast and reference paths disagree; `make bench-smoke` runs each once.
+// End-to-end host time is measured by the benchmark program under
+// bench/ (`bash bench/run.sh`), not here.
 //
 // Custom metrics (b.ReportMetric) carry the quantities the paper
 // reports: slowdown factors for Figure 2, simulated seconds for
@@ -21,6 +26,7 @@ import (
 	"viprof/internal/cpu"
 	"viprof/internal/harness"
 	"viprof/internal/hpc"
+	"viprof/internal/jvm"
 	"viprof/internal/workload"
 )
 
@@ -266,7 +272,7 @@ func BenchmarkExecBatch(b *testing.B) {
 
 // BenchmarkExecMemBatch measures the batched memory-operand path
 // against the precise per-op path on the arraycopy/GC-copy-heavy stream
-// in membench.go: bulk ExecMemBatch runs and sequential BatchMemOp
+// in membench_test.go: bulk ExecMemBatch runs and sequential BatchMemOp
 // sweeps with both paper events armed and the NMI handler charging a
 // driver-sized cost. Both sides execute the identical stream through the
 // identical entry points; the per-op side only has batching disabled, so
@@ -276,7 +282,7 @@ func BenchmarkExecBatch(b *testing.B) {
 func BenchmarkExecMemBatch(b *testing.B) {
 	stream := func(b *testing.B, batched bool) (cycles uint64) {
 		for i := 0; i < b.N; i++ {
-			cycles = MemBatchStream(MemBenchCore(batched), MemBenchOps)
+			cycles = memBatchStream(memBenchCore(batched))
 		}
 		return cycles
 	}
@@ -289,7 +295,7 @@ func BenchmarkExecMemBatch(b *testing.B) {
 }
 
 // BenchmarkTraceBatch measures the trace cache's fused replay against
-// the per-op oracle on the dispatch-heavy VM workload in tracebench.go:
+// the per-op oracle on the dispatch-heavy VM workload in tracebench_test.go:
 // a hot loop of arithmetic chains, array/field/static read-modify-
 // writes, a deopting data-dependent branch, and a periodic allocation
 // that moves the traced body mid-run, with both paper events armed at
@@ -299,17 +305,17 @@ func BenchmarkExecMemBatch(b *testing.B) {
 // quickcheck suite proves equivalent. Both sides must agree on the
 // final simulated cycle count (and NMI count) bit for bit.
 func BenchmarkTraceBatch(b *testing.B) {
-	run := func(b *testing.B, disTrace, disBatch bool) (r TraceBenchResult) {
+	run := func(b *testing.B, disTrace, disBatch bool) (r traceBenchResult) {
 		for i := 0; i < b.N; i++ {
 			var err error
-			r, err = TraceBenchRun(disTrace, disBatch)
+			r, err = traceBenchRun(disTrace, disBatch)
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
 		return r
 	}
-	var fused, perop TraceBenchResult
+	var fused, perop traceBenchResult
 	b.Run("fused", func(b *testing.B) { fused = run(b, false, false) })
 	b.Run("perop", func(b *testing.B) { perop = run(b, true, true) })
 	if fused.Cycles != perop.Cycles || fused.NMIs != perop.NMIs {
@@ -431,7 +437,7 @@ func BenchmarkAblationOSR(b *testing.B) {
 		}
 		run := func(disableOSR bool) float64 {
 			m := NewMachine(int64(i) + 1)
-			vm, _, err := StartVMForBench(m, prog, disableOSR)
+			vm, _, err := jvm.Launch(m, prog, jvm.Config{DisableOSR: disableOSR})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,30 +1,138 @@
 package viprof
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"viprof/internal/fleet"
 	"viprof/internal/harness"
+	"viprof/internal/kernel"
 	"viprof/internal/oprofile"
 )
 
-// TestFleetBenchConserves pins the bench harness's own verification:
-// both cells (clean and crash) run conserved at a small host count, on
-// one core and on four (the new SMP axis — shards pinned across
-// cores).
+// fleetBenchDeltas is each host's delta count: large enough that store
+// replay is measurably more than constant overhead, small enough that
+// the 16-host cells stay quick.
+const fleetBenchDeltas = 40
+
+// fleetBenchResult carries one fleet bench cell's verified outcome.
+type fleetBenchResult struct {
+	Samples uint64
+	// JournalFrames is what the offline replay walked (== successful
+	// journal writes plus compacted frames; the recovery cost scales
+	// with it).
+	JournalFrames int
+	// Restarts counts injected shard crashes survived (crash cell
+	// only).
+	Restarts uint64
+}
+
+// fleetBenchRun runs one deterministic fleet ingestion: the given
+// number of hosts ship their full runs (epoch code maps first, then
+// fleetBenchDeltas sample deltas each) through the simulated network
+// into the collector shards' write-ahead journals on a machine with
+// the given core count, and the store is then replayed offline — the
+// recovery path a supervisor restart takes. With crash set, a scripted
+// fault plan kills collector shards mid-append so the run includes
+// failover, supervisor restarts, and an under-fire store replay. The
+// in-memory per-host oracles, the live aggregate and the replayed
+// aggregate must agree key by key, every replicated code map must
+// match what its sender published, a fault-free run must not be
+// degraded, and a crash run must have restarted.
+func fleetBenchRun(hosts, cores int, crash bool) (fleetBenchResult, error) {
+	var res fleetBenchResult
+	m := harness.BuildMachine(cores, int64(hosts)*1000+int64(cores)*17+7)
+	if crash {
+		m.Kern.SetFaultInjectors(kernel.FaultPlan{
+			Seed:       int64(hosts),
+			PathPrefix: fleet.JournalPrefix,
+			Script: []kernel.FaultPoint{
+				{Write: 5, Kind: kernel.FaultCrash},
+				{Write: 5 + 4*hosts, Kind: kernel.FaultCrash},
+			},
+		})
+	}
+	cfg := fleet.FleetConfig{
+		Hosts:         hosts,
+		DeltasPerHost: fleetBenchDeltas,
+		Seed:          int64(hosts)*101 + 3,
+	}
+	r, err := fleet.RunFleet(m, cfg)
+	if err != nil {
+		return res, err
+	}
+	if r.RunErr != nil {
+		return res, r.RunErr
+	}
+	cons := fleet.CheckConservation(r.Senders, r.Collector.Aggregate())
+	if !cons.Balanced() {
+		return res, fmt.Errorf("fleetbench: live aggregate unbalanced: %v", cons.Mismatches)
+	}
+	if r.Replayed != nil {
+		rcons := fleet.CheckConservation(r.Senders, r.Replayed)
+		if !rcons.Balanced() {
+			return res, fmt.Errorf("fleetbench: replayed aggregate unbalanced: %v", rcons.Mismatches)
+		}
+		if bad := fleet.CheckMapReplication(r.Senders, r.Replayed); len(bad) > 0 {
+			return res, fmt.Errorf("fleetbench: map replication violated: %v", bad)
+		}
+	}
+	if !crash && r.Integrity.Degraded() {
+		return res, fmt.Errorf("fleetbench: fault-free run degraded")
+	}
+	res = fleetBenchResult{
+		Samples:       r.Collector.Aggregate().Total(),
+		JournalFrames: r.Replay.Deltas + r.Replay.Maps + r.Replay.Duplicates,
+		Restarts:      r.Collector.Stats().Restarts,
+	}
+	if crash && res.Restarts == 0 {
+		return res, fmt.Errorf("fleetbench: crash cell survived without a restart")
+	}
+	return res, nil
+}
+
+// TestFleetBenchConserves runs every (hosts, cores, clean/crash) cell
+// through fleetBenchRun's checks and pins each cell's sample and
+// journal-frame counts and the crash cells' restarts. A sender draws
+// its retry backoffs from the random stream that also fills its
+// deltas, so a crash cell's sample count follows where the failovers
+// fall and differs between one core and four; a clean cell's does
+// not. The 4-host cells run in
+// short mode too, so the race run covers one- and four-core
+// collectors; the 8- and 16-host cells skip there.
 func TestFleetBenchConserves(t *testing.T) {
-	for _, cores := range []int{1, 4} {
-		for _, crash := range []bool{false, true} {
-			r, err := FleetBenchRun(4, cores, crash)
+	for _, cell := range []struct {
+		hosts  int
+		frames int
+		// samples is the clean cells' count; crash is the crash
+		// cells' count on one core and on four.
+		samples uint64
+		crash   [2]uint64
+	}{
+		{4, 172, 1600, [2]uint64{1583, 1597}},
+		{8, 344, 3169, [2]uint64{3182, 3192}},
+		{16, 688, 6351, [2]uint64{6366, 6361}},
+	} {
+		if cell.hosts > 4 && testing.Short() {
+			continue
+		}
+		for i, cores := range []int{1, 4} {
+			clean, err := fleetBenchRun(cell.hosts, cores, false)
 			if err != nil {
-				t.Fatalf("cores=%d crash=%v: %v", cores, crash, err)
+				t.Fatalf("hosts=%d cores=%d clean: %v", cell.hosts, cores, err)
 			}
-			if r.Samples == 0 || r.JournalFrames == 0 {
-				t.Fatalf("cores=%d crash=%v: empty run: %+v", cores, crash, r)
+			if clean.Samples != cell.samples || clean.JournalFrames != cell.frames {
+				t.Errorf("hosts=%d cores=%d clean: %d samples, %d journal frames; want %d, %d",
+					cell.hosts, cores, clean.Samples, clean.JournalFrames, cell.samples, cell.frames)
 			}
-			if crash && r.Restarts == 0 {
-				t.Fatalf("cores=%d: crash cell did not restart: %+v", cores, r)
+			crashed, err := fleetBenchRun(cell.hosts, cores, true)
+			if err != nil {
+				t.Fatalf("hosts=%d cores=%d crash: %v", cell.hosts, cores, err)
+			}
+			if crashed.Samples != cell.crash[i] || crashed.JournalFrames != cell.frames || crashed.Restarts != 2 {
+				t.Errorf("hosts=%d cores=%d crash: %d samples, %d journal frames, %d restarts; want %d, %d, 2",
+					cell.hosts, cores, crashed.Samples, crashed.JournalFrames, crashed.Restarts, cell.crash[i], cell.frames)
 			}
 		}
 	}
@@ -118,19 +226,5 @@ func TestFleetArchiveRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(diff, "+0.00%") && !strings.Contains(diff, "0.00%") {
 		t.Fatalf("self-diff should be all zeros:\n%s", diff)
-	}
-}
-
-// BenchmarkFleetIngest is the bench-smoke entry: one full fleet
-// ingestion (8 hosts on 2 cores) per iteration, conservation-checked.
-func BenchmarkFleetIngest(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := FleetBenchRun(8, 2, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Samples == 0 {
-			b.Fatal("empty run")
-		}
 	}
 }

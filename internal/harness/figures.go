@@ -77,7 +77,7 @@ func (f *Fig3) Format(w io.Writer) error {
 // relative to base per benchmark per configuration.
 type Fig2 struct {
 	Scale    float64
-	Runs     int
+	Runs     int // runs made per cell
 	Configs  []RunConfig
 	Benches  []string
 	Base     map[string]float64            // bench -> base seconds
@@ -106,7 +106,6 @@ func Figure2Subset(names []string, scale float64, runs int, seed int64) (*Fig2, 
 func figure2(specs []workload.Spec, scale float64, runs int, seed int64) (*Fig2, error) {
 	fig := &Fig2{
 		Scale:    scale,
-		Runs:     runs,
 		Configs:  Figure2Configs(),
 		Base:     make(map[string]float64),
 		Slowdown: make(map[string]map[string]float64),
@@ -118,6 +117,7 @@ func figure2(specs []workload.Spec, scale float64, runs int, seed int64) (*Fig2,
 		if err != nil {
 			return nil, err
 		}
+		fig.Runs = len(base.Seconds) // Repeat runs at least once
 		fig.Base[spec.Name] = base.Mean
 		fig.Slowdown[spec.Name] = make(map[string]float64)
 		for _, rc := range fig.Configs {

@@ -209,6 +209,18 @@ func TestFigure2SubsetShape(t *testing.T) {
 	}
 }
 
+// Figure 2's header reports the runs per cell that actually ran, not
+// the count asked for: Repeat runs a cell at least once.
+func TestFigure2ReportsRunsMade(t *testing.T) {
+	fig, err := Figure2Subset([]string{"fop"}, testScale, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fig.Runs != 1 {
+		t.Errorf("Runs = %d after asking for 0, want 1", fig.Runs)
+	}
+}
+
 func TestFigure3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")

@@ -511,13 +511,6 @@ func CLRPersonality() *PersonalityConfig { return jvm.CLR() }
 // through BenchmarkSpec/ProfileBenchmark by short name.
 func JVM98Members() []Spec { return workload.JVM98Members() }
 
-// StartVMForBench launches a program unprofiled with an explicit OSR
-// setting; the OSR ablation benchmark uses it. Most callers want
-// ProfileBenchmark or Session.LaunchJVM instead.
-func StartVMForBench(m *Machine, prog *Program, disableOSR bool) (*VM, *Process, error) {
-	return jvm.Launch(m, prog, jvm.Config{DisableOSR: disableOSR})
-}
-
 // Annotate produces an opannotate-style per-bytecode sample listing for
 // a method of a profiled run (by fully qualified signature). It needs a
 // live VIProf session (the body layout does not persist in archives).
