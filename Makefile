@@ -73,20 +73,26 @@ chaos-smoke:
 # and proves the store rereads identically, plus the windowed-query
 # oracle over compacted generations, the store scan checked against
 # the readers it replaced on crash-built stores and at every fault
-# point, and the damaged-manifest path.
+# point, and the damaged-manifest path. The third leg renders 200+
+# windows of a 16-host crash cell through the fleet view and checks
+# each against the per-render scan that the view's fold replaced.
 fleet-smoke:
 	$(GO) test -race -run 'TestFleetChaos$$' -count=1 ./internal/harness/
 	$(GO) test -race -run 'TestCompactionFaultPointSweep|TestWindowedQueryOracle|TestFleetMapReplication|TestStoreScanMatchesReference|TestDamagedManifest' -count=1 ./internal/fleet/
+	$(GO) test -race -run 'TestFleetRenderMatchesScan$$' -count=1 .
 
 # Wide sweeps (hundreds of seeds or programs, minutes). Out of
 # `make check` by design: run them nightly or before cutting a release.
 # Covers the per-host persistence chaos suite, the fleet network-fault
-# suite, and the fused trace-replay oracle over 500 random programs
-# (`make check` runs 25).
+# suite, the fused trace-replay oracle over 500 random programs
+# (`make check` runs 25), and the code-map line reader against the
+# fmt.Sscanf reader it replaced over 20000 generated entries and their
+# mutated lines (`make check` runs 100).
 chaos-nightly:
 	VIPROF_CHAOS_SEEDS=500 $(GO) test -race -run 'TestChaosNightly' -count=1 -timeout 30m ./internal/core/
 	VIPROF_FLEET_SEEDS=300 $(GO) test -race -run 'TestFleetChaosNightly' -count=1 -timeout 30m ./internal/harness/
 	$(GO) test -race -run 'TestTraceReplayMatchesPerOpQuick$$' -count=1 -timeout 30m ./internal/jvm/ -args -quickchecks=2000
+	$(GO) test -race -run 'TestMapLineCodecMatchesSscanf$$' -count=1 -timeout 30m ./internal/core/ -args -quickchecks=20000
 
 # One race-enabled iteration of each engine microbenchmark. Each fails
 # when its fast path and its reference path disagree: batched vs per-op

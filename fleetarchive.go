@@ -22,41 +22,123 @@ import (
 )
 
 // FleetView is a loaded fleet archive, ready for rendering or diffing.
-// It is a read-only snapshot: the first render caches every host's
-// code-map chain and seq-sorted records, so the Aggregate must not
-// change after that, and a view is not safe for concurrent use.
+// It is a read-only snapshot: the first render folds every record and
+// formats the text no window changes, so neither the Aggregate nor the
+// Integrity may change after that, and a view is not safe for
+// concurrent use.
 type FleetView struct {
 	Aggregate *fleet.Aggregate
 	Replay    fleet.JournalReplay
 	Integrity *fleet.FleetIntegrity
 
-	// hosts is the per-host render state, filled on first render
-	// (callers build views as literals).
-	hosts []fleetHost
+	// fold is the render state, built on first render (callers build
+	// views as literals).
+	fold *fleetFold
 }
 
-// fleetHost is one host's render state: its applied records in seq
-// order and the chain over its replicated code maps (nil if it
-// replicated none).
-type fleetHost struct {
-	id    int
-	recs  []*fleet.DeltaRec
-	chain *core.MapChain
+// fleetFold is a view's delta records read once: each record's samples
+// summed per (event, label) cell, records in (At, host, seq) order, so
+// that a window is a contiguous run of items; and the text that is the
+// same for every window.
+type fleetFold struct {
+	recs  []foldRec
+	items []foldItem
+	// cells names each cell id; their samples stay 0.
+	cells []fleetRow
+	hosts int
+	// bounds is " of [min, max]" over every applied record ("" when
+	// there is none); tail is the per-host block and the integrity
+	// block.
+	bounds, tail string
 }
 
-// hostState returns the per-host render state, building it on first
-// use.
-func (v *FleetView) hostState() []fleetHost {
-	if v.hosts == nil {
-		for _, h := range v.Aggregate.Hosts() {
-			fh := fleetHost{id: h, recs: v.Aggregate.Records(h)}
-			if maps := v.Aggregate.Maps(h); maps != nil {
-				fh.chain = core.NewMapChain(maps)
-			}
-			v.hosts = append(v.hosts, fh)
-		}
+// foldRec is one delta record: its generation cycle, the end of its
+// items (they start where the previous record's end), and the samples
+// of its JIT keys that the host's replicated maps do not resolve.
+type foldRec struct {
+	at         uint64
+	end        int
+	unresolved uint64
+}
+
+// foldItem is one record's samples in one cell.
+type foldItem struct {
+	cell    int
+	samples uint64
+}
+
+// folded returns the view's render state, building it on first use.
+// JIT keys are symbolized through the host's replicated epoch code-map
+// chain — the whole point of shipping maps over the wire: a fleet
+// report names the compiled method, not an anonymous JIT bucket. Keys
+// no chain resolves fold under the JIT image name and count as
+// unresolved.
+func (v *FleetView) folded() *fleetFold {
+	if v.fold != nil {
+		return v.fold
 	}
-	return v.hosts
+	agg := v.Aggregate
+	f := &fleetFold{}
+	hosts := agg.Hosts()
+	chains := make(map[int]*core.MapChain, len(hosts))
+	var tail strings.Builder
+	tail.WriteString("\nper-host:\n")
+	for _, h := range hosts {
+		if maps := agg.Maps(h); maps != nil {
+			chains[h] = core.NewMapChain(maps)
+		}
+		fmt.Fprintf(&tail, "  host%02d  %8d samples  (max seq %d, %d map epoch(s))\n",
+			h, agg.HostTotal(h), agg.MaxSeq(h), agg.MapEpochs(h))
+	}
+	tail.WriteString("\n")
+	tail.WriteString(fleet.FormatFleetIntegrity(v.Integrity))
+	f.hosts, f.tail = len(hosts), tail.String()
+	if min, max, ok := agg.TimeBounds(); ok {
+		f.bounds = fmt.Sprintf(" of [%d, %d]", min, max)
+	}
+
+	ids := make(map[[2]string]int)
+	// slot[cell] is the cell's item in the record being folded, when it
+	// is at or past that record's first item.
+	var slot []int
+	for _, rec := range agg.Window(0, ^uint64(0)) {
+		if rec.Kind != fleet.KindDelta {
+			continue
+		}
+		first := len(f.items)
+		fr := foldRec{at: rec.At}
+		chain := chains[rec.Host]
+		for k, c := range rec.Counts {
+			label := k.Image
+			if k.JIT {
+				label = oprofile.JITImageName
+				if chain == nil {
+					fr.unresolved += c
+				} else if entry, _, ok := chain.Resolve(k.Epoch, k.Off); ok {
+					label = entry.Sig
+				} else {
+					fr.unresolved += c
+				}
+			}
+			name := [2]string{k.Event.String(), label}
+			id, ok := ids[name]
+			if !ok {
+				id = len(f.cells)
+				ids[name] = id
+				f.cells = append(f.cells, fleetRow{event: name[0], image: name[1]})
+				slot = append(slot, -1)
+			}
+			if slot[id] < first {
+				slot[id] = len(f.items)
+				f.items = append(f.items, foldItem{cell: id})
+			}
+			f.items[slot[id]].samples += c
+		}
+		fr.end = len(f.items)
+		f.recs = append(f.recs, fr)
+	}
+	v.fold = f
+	return f
 }
 
 // LoadFleetArchive replays the durable fleet store (the compacted
@@ -85,39 +167,37 @@ type fleetRow struct {
 
 // fleetRows folds the aggregate per (event, label) over the sample
 // deltas generated in [from, to) on the sender cycle clock
-// (0, ^uint64(0) = everything). JIT keys are symbolized through the
-// host's replicated epoch code-map chain — the whole point of shipping
-// maps over the wire: a fleet report names the compiled method, not an
-// anonymous JIT bucket. Keys no chain resolves fold under the JIT
-// image name and are counted in unresolved.
+// (0, ^uint64(0) = everything): a binary search for the window's
+// records and a sum over their items. A cell any in-window key touched
+// is a row, even at 0 samples.
 func (v *FleetView) fleetRows(from, to uint64) (rows []fleetRow, unresolved uint64) {
-	cells := make(map[[2]string]uint64)
-	for _, host := range v.hostState() {
-		for _, rec := range host.recs {
-			if rec.Kind != fleet.KindDelta || rec.At < from || rec.At >= to {
-				continue
-			}
-			for k, c := range rec.Counts {
-				label := k.Image
-				if k.JIT {
-					label = oprofile.JITImageName
-					if host.chain != nil {
-						if entry, _, ok := host.chain.Resolve(k.Epoch, k.Off); ok {
-							label = entry.Sig
-						} else {
-							unresolved += c
-						}
-					} else {
-						unresolved += c
-					}
-				}
-				cells[[2]string{k.Event.String(), label}] += c
-			}
+	f := v.folded()
+	lo := sort.Search(len(f.recs), func(i int) bool { return f.recs[i].at >= from })
+	hi := lo + sort.Search(len(f.recs)-lo, func(i int) bool { return f.recs[lo+i].at >= to })
+	start := func(r int) int {
+		if r == 0 {
+			return 0
 		}
+		return f.recs[r-1].end
 	}
-	rows = make([]fleetRow, 0, len(cells))
-	for cell, c := range cells {
-		rows = append(rows, fleetRow{event: cell[0], image: cell[1], samples: c})
+	for _, r := range f.recs[lo:hi] {
+		unresolved += r.unresolved
+	}
+	sums := make([]uint64, len(f.cells))
+	seen := make([]bool, len(f.cells))
+	var touched []int
+	for _, it := range f.items[start(lo):start(hi)] {
+		if !seen[it.cell] {
+			seen[it.cell] = true
+			touched = append(touched, it.cell)
+		}
+		sums[it.cell] += it.samples
+	}
+	rows = make([]fleetRow, 0, len(touched))
+	for _, id := range touched {
+		row := f.cells[id]
+		row.samples = sums[id]
+		rows = append(rows, row)
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].samples != rows[j].samples {
@@ -142,22 +222,19 @@ func (v *FleetView) Render(maxRows int) string {
 // restricted to sample deltas generated in [from, to) cycles.
 func (v *FleetView) RenderWindow(maxRows int, from, to uint64) string {
 	var sb strings.Builder
-	windowed := from != 0 || to != ^uint64(0)
+	f := v.folded()
 	rows, unresolved := v.fleetRows(from, to)
 	var total uint64
 	for _, r := range rows {
 		total += r.samples
 	}
 	fmt.Fprintf(&sb, "fleet aggregate: %d samples from %d host(s), %d store frame(s)",
-		total, len(v.hostState()), v.Replay.Deltas+v.Replay.Maps+v.Replay.Duplicates)
+		total, f.hosts, v.Replay.Deltas+v.Replay.Maps+v.Replay.Duplicates)
 	if v.Replay.ManifestGen > 0 {
 		fmt.Fprintf(&sb, ", generation %d", v.Replay.ManifestGen)
 	}
-	if windowed {
-		fmt.Fprintf(&sb, "\nwindow: [%d, %d) cycles", from, to)
-		if min, max, ok := v.Aggregate.TimeBounds(); ok {
-			fmt.Fprintf(&sb, " of [%d, %d]", min, max)
-		}
+	if from != 0 || to != ^uint64(0) {
+		fmt.Fprintf(&sb, "\nwindow: [%d, %d) cycles%s", from, to, f.bounds)
 	}
 	sb.WriteString("\n\n")
 	fmt.Fprintf(&sb, "%-10s %7s  %-24s %s\n", "samples", "%", "image/method", "event")
@@ -175,13 +252,7 @@ func (v *FleetView) RenderWindow(maxRows int, from, to uint64) string {
 	if unresolved > 0 {
 		fmt.Fprintf(&sb, "  (%d JIT samples unresolved by the replicated maps)\n", unresolved)
 	}
-	sb.WriteString("\nper-host:\n")
-	for _, h := range v.hostState() {
-		fmt.Fprintf(&sb, "  host%02d  %8d samples  (max seq %d, %d map epoch(s))\n",
-			h.id, v.Aggregate.HostTotal(h.id), v.Aggregate.MaxSeq(h.id), v.Aggregate.MapEpochs(h.id))
-	}
-	sb.WriteString("\n")
-	sb.WriteString(fleet.FormatFleetIntegrity(v.Integrity))
+	sb.WriteString(f.tail)
 	return sb.String()
 }
 

@@ -6,11 +6,14 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"viprof/internal/addr"
 	"viprof/internal/kernel"
@@ -67,11 +70,7 @@ func WriteMapFile(w io.Writer, entries []MapEntry) error {
 // ReadMapFile parses map entries and verifies the trailer; any damage
 // is a hard error here. Use salvageMapData to recover what survives a
 // torn file.
-func ReadMapFile(r io.Reader) ([]MapEntry, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
+func ReadMapFile(data []byte) ([]MapEntry, error) {
 	entries, sal, trailerOK, err := salvageMapData(data)
 	if err != nil {
 		return nil, err
@@ -90,36 +89,144 @@ func ReadMapFile(r io.Reader) ([]MapEntry, error) {
 // file. trailerOK reports whether the end-trailer was found and its
 // count matches the recovered entries (i.e. the file is provably
 // complete). A checksum-valid record that fails to parse is a writer
-// bug, not disk damage, and errors hard.
+// bug, not disk damage, and errors hard. No entry aliases data.
 func salvageMapData(data []byte) (entries []MapEntry, sal record.Salvage, trailerOK bool, err error) {
 	recs, sal := record.Scan(data)
 	trailer := -1
 	for _, payload := range recs {
-		text := strings.TrimSpace(string(payload))
-		if text == "" {
+		text := bytes.TrimSpace(payload)
+		if len(text) == 0 {
 			continue
 		}
-		if strings.HasPrefix(text, "#end ") {
-			var n int
-			if c, serr := fmt.Sscanf(text, "#end %d", &n); c != 1 || serr != nil {
+		if rest, ok := bytes.CutPrefix(text, []byte("#end ")); ok {
+			n, perr := strconv.Atoi(string(mapTrailerCount(rest)))
+			if perr != nil {
 				return nil, sal, false, fmt.Errorf("code map: bad trailer %q", text)
 			}
 			trailer = n
 			continue
 		}
-		var start uint64
-		var size uint32
-		var epoch int
-		var level, sig string
-		if _, serr := fmt.Sscanf(text, "%x %d %d %s %s", &start, &size, &epoch, &level, &sig); serr != nil {
-			return nil, sal, false, fmt.Errorf("code map entry %q: %v", text, serr)
+		e, perr := parseMapEntry(text)
+		if perr != nil {
+			return nil, sal, false, fmt.Errorf("code map entry %q: %v", text, perr)
 		}
-		entries = append(entries, MapEntry{
-			Start: addr.Address(start), Size: size, Epoch: epoch, Level: level, Sig: sig,
-		})
+		if entries == nil {
+			// Every record but the trailer is an entry.
+			entries = make([]MapEntry, 0, len(recs)-1)
+		}
+		entries = append(entries, e)
 	}
 	trailerOK = trailer == len(entries)
 	return entries, sal, trailerOK, nil
+}
+
+// parseMapEntry parses one trimmed, non-empty entry line in place with
+// strconv. It accepts exactly the lines fmt.Sscanf(text,
+// "%x %d %d %s %s") accepts, and returns the same fields:
+//
+//   - fields are split on runs of white space (unicode.IsSpace, the set
+//     fmt's scanner splits on), and no separator may hold a newline;
+//   - start is hex digits, size decimal digits below 2^32, and epoch a
+//     decimal with an optional sign: what strconv reads, so no sign on
+//     start or size and no base prefix anywhere;
+//   - level and signature are runs of non-space runes;
+//   - anything after the signature is ignored.
+func parseMapEntry(text []byte) (MapEntry, error) {
+	var f [5][]byte
+	for i := range f {
+		if f[i], text = mapField(text); len(f[i]) == 0 {
+			return MapEntry{}, fmt.Errorf("%d fields, want 5", i)
+		}
+	}
+	// string(field) of a short numeric field stays on the stack:
+	// strconv copies whatever text it keeps in an error.
+	start, err := strconv.ParseUint(string(f[0]), 16, 64)
+	var size uint64
+	var epoch int
+	if err == nil {
+		size, err = strconv.ParseUint(string(f[1]), 10, 32)
+	}
+	if err == nil {
+		epoch, err = strconv.Atoi(string(f[2]))
+	}
+	if err != nil {
+		return MapEntry{}, err
+	}
+	return MapEntry{
+		Start: addr.Address(start), Size: uint32(size), Epoch: epoch,
+		Level: mapLevel(f[3]), Sig: mapText(f[4]),
+	}, nil
+}
+
+// mapTrailerCount returns the optionally signed run of digits that
+// leads the text after a trailer's "#end " (empty if there is none),
+// which is what fmt.Sscanf(text, "#end %d") reads: anything after the
+// digits is ignored.
+func mapTrailerCount(rest []byte) []byte {
+	field, _ := mapField(rest)
+	n := 0
+	if n < len(field) && (field[0] == '+' || field[0] == '-') {
+		n++
+	}
+	for n < len(field) && '0' <= field[n] && field[n] <= '9' {
+		n++
+	}
+	return field[:n]
+}
+
+// mapField skips white space other than a newline and splits the run
+// of non-space bytes after it off text. The field is empty when text
+// ends or a newline comes first.
+func mapField(text []byte) (field, rest []byte) {
+	for len(text) > 0 && text[0] != '\n' {
+		w := mapSpace(text)
+		if w == 0 {
+			break
+		}
+		text = text[w:]
+	}
+	n := 0
+	for n < len(text) {
+		// Stepping byte by byte finds the spaces that decoding rune by
+		// rune would: a continuation byte never starts one.
+		c := text[n]
+		if c == ' ' || c-'\t' <= '\r'-'\t' || c >= utf8.RuneSelf && mapSpace(text[n:]) > 0 {
+			break
+		}
+		n++
+	}
+	return text[:n], text[n:]
+}
+
+// mapSpace returns the width of the white-space rune that starts b, or
+// 0.
+func mapSpace(b []byte) int {
+	if r, w := utf8.DecodeRune(b); unicode.IsSpace(r) {
+		return w
+	}
+	return 0
+}
+
+// mapLevel returns the compiler tier field: a constant for the two
+// tiers the agent writes, a copy for anything else.
+func mapLevel(b []byte) string {
+	switch string(b) {
+	case "base":
+		return "base"
+	case "opt":
+		return "opt"
+	}
+	return mapText(b)
+}
+
+// mapText copies a text field out of the input. Like fmt's %s, which
+// re-encodes what it reads rune by rune, it turns each byte of invalid
+// UTF-8 into U+FFFD.
+func mapText(b []byte) string {
+	if utf8.Valid(b) {
+		return string(b)
+	}
+	return string([]rune(string(b)))
 }
 
 // ChainIntegrity sums the damage found while loading one process's map

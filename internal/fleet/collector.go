@@ -78,10 +78,15 @@ type DeltaRec struct {
 // counts for cheap queries, plus the per-(host, seq) record set that
 // makes ingestion idempotent, merging duplicate-suppressed, and
 // windowed queries exact. It has no I/O and no clock, so the quickcheck
-// property tests drive it directly against an oracle.
+// property tests drive it directly against an oracle. Reads build
+// state too (the window index), so an Aggregate is not safe for
+// concurrent readers.
 type Aggregate struct {
 	shards []map[oprofile.Key]uint64
 	byHost map[int]map[uint64]*DeltaRec
+	// byAt is every applied record ordered by (At, Host, Seq): built
+	// on the first windowed read, dropped by every apply.
+	byAt []*DeltaRec
 	// hostTotals is samples applied per host; maxSeq the highest seq
 	// applied per host (gaps below it are loud).
 	hostTotals map[int]uint64
@@ -167,6 +172,7 @@ func (a *Aggregate) applyRec(rec *DeltaRec) bool {
 	}
 	a.lastSeq[rec.Host] = rec.Seq
 	set[rec.Seq] = rec
+	a.byAt = nil
 	if rec.Seq > a.maxSeq[rec.Host] {
 		a.maxSeq[rec.Host] = rec.Seq
 	}
@@ -230,20 +236,56 @@ func (a *Aggregate) Counts() map[oprofile.Key]uint64 {
 	return out
 }
 
+// index returns every applied record ordered by (At, Host, Seq),
+// building the slice on first use after an apply.
+func (a *Aggregate) index() []*DeltaRec {
+	if a.byAt == nil {
+		n := 0
+		for _, recs := range a.byHost {
+			n += len(recs)
+		}
+		idx := make([]*DeltaRec, 0, n)
+		for _, recs := range a.byHost {
+			for _, rec := range recs {
+				idx = append(idx, rec)
+			}
+		}
+		sort.Slice(idx, func(i, j int) bool {
+			x, y := idx[i], idx[j]
+			if x.At != y.At {
+				return x.At < y.At
+			}
+			if x.Host != y.Host {
+				return x.Host < y.Host
+			}
+			return x.Seq < y.Seq
+		})
+		a.byAt = idx
+	}
+	return a.byAt
+}
+
+// Window returns the applied records (deltas and maps) generated in
+// [from, to) on the sender-side cycle clock, ordered by (At, Host,
+// Seq): two binary searches over the index. The slice is shared;
+// callers must not mutate it.
+func (a *Aggregate) Window(from, to uint64) []*DeltaRec {
+	idx := a.index()
+	lo := sort.Search(len(idx), func(i int) bool { return idx[i].At >= from })
+	hi := lo + sort.Search(len(idx)-lo, func(i int) bool { return idx[lo+i].At >= to })
+	return idx[lo:hi]
+}
+
 // QueryWindow folds only the sample deltas generated in [from, to) on
 // the sender-side cycle clock — the time-windowed query over the
 // compacted store. QueryWindow(0, ^0) == Counts() by construction, and
-// any boundary t partitions: Window(0,t) + Window(t,^0) == Counts().
+// any boundary t partitions: QueryWindow(0,t) + QueryWindow(t,^0) ==
+// Counts().
 func (a *Aggregate) QueryWindow(from, to uint64) map[oprofile.Key]uint64 {
 	out := make(map[oprofile.Key]uint64)
-	for _, recs := range a.byHost {
-		for _, rec := range recs {
-			if rec.At < from || rec.At >= to {
-				continue
-			}
-			for k, c := range rec.Counts {
-				out[k] += c
-			}
+	for _, rec := range a.Window(from, to) {
+		for k, c := range rec.Counts {
+			out[k] += c
 		}
 	}
 	return out
@@ -252,18 +294,11 @@ func (a *Aggregate) QueryWindow(from, to uint64) map[oprofile.Key]uint64 {
 // TimeBounds returns the [min, max] At over applied records (ok=false
 // when empty) — the axis vipreport's -window flag cuts on.
 func (a *Aggregate) TimeBounds() (min, max uint64, ok bool) {
-	for _, recs := range a.byHost {
-		for _, rec := range recs {
-			if !ok || rec.At < min {
-				min = rec.At
-			}
-			if !ok || rec.At > max {
-				max = rec.At
-			}
-			ok = true
-		}
+	idx := a.index()
+	if len(idx) == 0 {
+		return 0, 0, false
 	}
-	return min, max, ok
+	return idx[0].At, idx[len(idx)-1].At, true
 }
 
 // Maps returns the host's replicated code maps as a per-epoch entry

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"viprof/internal/kernel"
@@ -76,11 +77,58 @@ func sameCounts(a, b map[oprofile.Key]uint64) bool {
 	return true
 }
 
+// windowRecsOracle is the record-level reference for Window: a scan of
+// every applied record, filtered by generation time and sorted by
+// (At, Host, Seq).
+func windowRecsOracle(agg *Aggregate, from, to uint64) []*DeltaRec {
+	var out []*DeltaRec
+	for _, h := range agg.Hosts() {
+		for _, rec := range agg.Records(h) {
+			if rec.At >= from && rec.At < to {
+				out = append(out, rec)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		x, y := out[i], out[j]
+		if x.At != y.At {
+			return x.At < y.At
+		}
+		if x.Host != y.Host {
+			return x.Host < y.Host
+		}
+		return x.Seq < y.Seq
+	})
+	return out
+}
+
+// checkWindow compares one window of agg against the scans: the
+// records Window returns (same pointers, same order) and the counts
+// QueryWindow folds, the latter also against the pre-compaction store.
+func checkWindow(t *testing.T, label string, agg, before *Aggregate, from, to uint64) {
+	t.Helper()
+	got, want := agg.Window(from, to), windowRecsOracle(agg, from, to)
+	if len(got) != len(want) {
+		t.Fatalf("%s window [%d,%d): %d records, scan %d", label, from, to, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s window [%d,%d): record %d is host %d seq %d at %d, scan has host %d seq %d at %d",
+				label, from, to, i, got[i].Host, got[i].Seq, got[i].At, want[i].Host, want[i].Seq, want[i].At)
+		}
+	}
+	if q, o := agg.QueryWindow(from, to), windowOracle(before, from, to); !sameCounts(q, o) {
+		t.Fatalf("%s window [%d,%d): query %d samples, oracle %d", label, from, to, sumCounts(q), sumCounts(o))
+	}
+}
+
 // TestWindowedQueryOracle is the compaction quickcheck: for random
 // windows, a windowed query over the compacted generations must equal
 // the same filter run as a full scan over the pre-compaction store —
 // compaction changes layout, never meaning. The two halves of any cut
-// must also partition the whole.
+// must also partition the whole. Windows whose bounds sit on record
+// timestamps, empty windows, and an apply after a query (which must
+// drop the At index) pin the index behind Window.
 func TestWindowedQueryOracle(t *testing.T) {
 	for _, seed := range []int64{101, 202, 303} {
 		m := buildStore(t, seed, 3, 7, seed == 202)
@@ -129,6 +177,40 @@ func TestWindowedQueryOracle(t *testing.T) {
 				t.Fatalf("seed %d cut %d: %d + %d != %d", seed, cut, lo, hi, after.Total())
 			}
 		}
+		label := fmt.Sprintf("seed %d", seed)
+		all := windowRecsOracle(after, 0, ^uint64(0))
+		for i := 0; i < 40; i++ {
+			a, b := all[rng.Intn(len(all))].At, all[rng.Intn(len(all))].At
+			checkWindow(t, label, after, before, a, b)
+			checkWindow(t, label, after, before, b, a)
+			checkWindow(t, label, after, before, a, a+1)
+			checkWindow(t, label, after, before, a+1, b+1)
+		}
+		for _, w := range [][2]uint64{
+			{0, ^uint64(0)}, {0, min}, {0, min + 1}, {min, min}, {min, max}, {min, max + 1},
+			{max, max + 1}, {max + 1, ^uint64(0)}, {max + 1, max}, {^uint64(0), 0},
+		} {
+			checkWindow(t, label, after, before, w[0], w[1])
+		}
+
+		// An apply after a query must reach the next query and bounds.
+		late := &WireMsg{Kind: KindDelta, Host: 99, Seq: 1, At: max + 10,
+			Counts: map[oprofile.Key]uint64{{Image: "late.so", Proc: "late"}: 3}}
+		early := &WireMsg{Kind: KindDelta, Host: 99, Seq: 2, At: min - 1,
+			Counts: map[oprofile.Key]uint64{{Image: "early.so", Proc: "early"}: 5}}
+		for _, msg := range []*WireMsg{late, early} {
+			if !after.Apply(msg) || !before.Apply(msg) {
+				t.Fatalf("seed %d: fresh record at %d not applied", seed, msg.At)
+			}
+			if got := sumCounts(after.QueryWindow(msg.At, msg.At+1)); got != msg.Total() {
+				t.Fatalf("seed %d: query at %d sees %d samples after apply, want %d", seed, msg.At, got, msg.Total())
+			}
+		}
+		if lo, hi, ok := after.TimeBounds(); !ok || lo != min-1 || hi != max+10 {
+			t.Fatalf("seed %d: bounds after apply [%d, %d] ok=%v, want [%d, %d]", seed, lo, hi, ok, min-1, max+10)
+		}
+		checkWindow(t, label+" after apply", after, before, 0, ^uint64(0))
+		checkWindow(t, label+" after apply", after, before, min-1, max+10)
 	}
 }
 

@@ -197,7 +197,7 @@ func DecodePayload(payload []byte) (*WireMsg, error) {
 	case KindMap:
 		// The outer CRC already passed, so a body that will not parse is
 		// a writer bug, not wire damage — strict read, loud error.
-		entries, err := core.ReadMapFile(bytes.NewReader(body))
+		entries, err := core.ReadMapFile(body)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: map body: %v", err)
 		}
