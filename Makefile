@@ -85,14 +85,17 @@ fleet-smoke:
 # `make check` by design: run them nightly or before cutting a release.
 # Covers the per-host persistence chaos suite, the fleet network-fault
 # suite, the fused trace-replay oracle over 500 random programs
-# (`make check` runs 25), and the code-map line reader against the
+# (`make check` runs 25), the code-map line reader against the
 # fmt.Sscanf reader it replaced over 20000 generated entries and their
-# mutated lines (`make check` runs 100).
+# mutated lines (`make check` runs 100), and the recycling heap against
+# the non-recycling reference collector over 5000 random alloc/churn/
+# collect schedules (`make check` runs 100).
 chaos-nightly:
 	VIPROF_CHAOS_SEEDS=500 $(GO) test -race -run 'TestChaosNightly' -count=1 -timeout 30m ./internal/core/
 	VIPROF_FLEET_SEEDS=300 $(GO) test -race -run 'TestFleetChaosNightly' -count=1 -timeout 30m ./internal/harness/
 	$(GO) test -race -run 'TestTraceReplayMatchesPerOpQuick$$' -count=1 -timeout 30m ./internal/jvm/ -args -quickchecks=2000
 	$(GO) test -race -run 'TestMapLineCodecMatchesSscanf$$' -count=1 -timeout 30m ./internal/core/ -args -quickchecks=20000
+	$(GO) test -race -run 'TestHeapMatchesReferenceQuick$$' -count=1 -timeout 30m ./internal/jvm/gc/ -args -quickchecks=5000
 
 # One race-enabled iteration of each engine microbenchmark. Each fails
 # when its fast path and its reference path disagree: batched vs per-op

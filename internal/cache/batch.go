@@ -70,9 +70,8 @@ func (ls *levelScratch) step(c *Cache, a addr.Address, i int) (bool, int) {
 	set := int32(line & c.setMask)
 	if p := ls.prev[i]; p >= 0 && ls.epoch[p] == ls.fills[set] {
 		slot := ls.slot[p]
-		c.clock++
 		c.accesses++
-		c.lru[slot] = c.clock
+		c.lru[slot] = c.tick()
 		ls.slot[i] = slot
 		ls.epoch[i] = ls.fills[set]
 		return true, int(slot)

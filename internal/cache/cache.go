@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"viprof/internal/addr"
@@ -46,7 +47,9 @@ type Cache struct {
 	setMask  uint64
 	lineBits uint
 	tags     []uint64 // Sets*Ways entries; tags[set*Ways+way]
-	// lru[set*Ways+way] is a recency stamp; larger = more recent.
+	// lru[set*Ways+way] is a recency stamp; larger = more recent. The
+	// clock is 32 bits wide and renumbers the stamps before it wraps
+	// (see tick).
 	lru   []uint32
 	clock uint32
 
@@ -89,14 +92,14 @@ func (c *Cache) probe(a addr.Address) (bool, int) {
 	line := uint64(a) >> c.lineBits
 	set := int(line & c.setMask)
 	base := set * c.cfg.Ways
-	c.clock++
+	stamp := c.tick()
 	c.accesses++
 	victim := base
 	oldest := c.lru[base]
 	for w := 0; w < c.cfg.Ways; w++ {
 		i := base + w
 		if c.tags[i] == line {
-			c.lru[i] = c.clock
+			c.lru[i] = stamp
 			return true, i
 		}
 		if c.lru[i] < oldest {
@@ -106,8 +109,68 @@ func (c *Cache) probe(a addr.Address) (bool, int) {
 	}
 	c.misses++
 	c.tags[victim] = line
-	c.lru[victim] = c.clock
+	c.lru[victim] = stamp
 	return false, victim
+}
+
+// tick advances the recency clock by one access and returns the new
+// stamp. Before the clock would wrap, renormalize renumbers every set's
+// stamps by rank, so no number of accesses can invert LRU order.
+func (c *Cache) tick() uint32 {
+	if c.clock == math.MaxUint32 {
+		c.renormalize()
+	}
+	c.clock++
+	return c.clock
+}
+
+// advance is k ticks whose accesses all stamp slot (none if slot < 0):
+// one addition, unless the clock wraps inside the k, when it takes them
+// one at a time so the renumbering lands exactly where k per-op
+// accesses would put it.
+func (c *Cache) advance(k uint32, slot int) {
+	if c.clock <= math.MaxUint32-k {
+		c.clock += k
+		if slot >= 0 {
+			c.lru[slot] = c.clock
+		}
+		return
+	}
+	for ; k > 0; k-- {
+		stamp := c.tick()
+		if slot >= 0 {
+			c.lru[slot] = stamp
+		}
+	}
+}
+
+// renormalize renumbers each set's recency stamps by rank: a nonzero
+// stamp becomes 1 plus the number of nonzero stamps below it in its set,
+// and 0 (a slot never filled since the last Flush) stays 0. Every
+// comparison LRU replacement makes within a set, ties included, comes
+// out as before, and the clock restarts at Ways, at or above every rank,
+// whatever the stamps were — so where it restarts depends only on how
+// many accesses came before.
+func (c *Cache) renormalize() {
+	ways := c.cfg.Ways
+	rank := make([]uint32, ways)
+	for base := 0; base < len(c.lru); base += ways {
+		set := c.lru[base : base+ways]
+		for w, s := range set {
+			rank[w] = 0
+			if s == 0 {
+				continue
+			}
+			rank[w] = 1
+			for _, t := range set {
+				if t != 0 && t < s {
+					rank[w]++
+				}
+			}
+		}
+		copy(set, rank)
+	}
+	c.clock = uint32(ways)
 }
 
 // Contains reports whether the line holding a is currently resident,
@@ -167,25 +230,24 @@ func (c *Cache) touch(a addr.Address, k uint32) {
 	if k == 0 {
 		return
 	}
-	c.clock += k
 	c.accesses += uint64(k)
 	line := uint64(a) >> c.lineBits
 	base := int(line&c.setMask) * c.cfg.Ways
 	for w := 0; w < c.cfg.Ways; w++ {
 		if c.tags[base+w] == line {
-			c.lru[base+w] = c.clock
+			c.advance(k, base+w)
 			return
 		}
 	}
+	c.advance(k, -1)
 }
 
 // touchSlot is touch for a caller that just probed the line and knows
 // its slot — valid only while no Flush can have intervened (inside one
 // bulk run), where the scan in touch would find exactly this slot.
 func (c *Cache) touchSlot(slot int, k uint32) {
-	c.clock += k
 	c.accesses += uint64(k)
-	c.lru[slot] = c.clock
+	c.advance(k, slot)
 }
 
 // AccessRun replays n strided accesses (a, a+stride, ...) and appends

@@ -109,6 +109,9 @@ func (vm *VM) shutdown() {
 	if vm.cfg.Registry != nil {
 		vm.cfg.Registry.UnregisterJIT(vm.proc.PID)
 	}
+	// A finished VM pins no dead objects through its host-side buffers.
+	vm.heap.Release()
+	vm.rootBuf = nil
 }
 
 // runtimeError builds a VM runtime error with source context.
@@ -507,7 +510,26 @@ func (vm *VM) doCall(th *vmThread, f *frame, in bytecode.Instr, cost uint32) err
 	if len(f.stack) < callee.NArgs {
 		return vm.runtimeError(f, "operand stack underflow calling %s", callee.Signature())
 	}
-	locals := make([]Value, callee.MaxLocals)
+	// The slot above the top frame still holds the arrays of the frame
+	// last popped from it; nothing else refers to them, so the callee
+	// takes them over, cleared, when they are large enough.
+	var old frame
+	if n := len(th.frames); n < cap(th.frames) {
+		old = th.frames[:n+1][n]
+	}
+	locals := old.locals[:0]
+	if cap(locals) >= callee.MaxLocals {
+		locals = locals[:callee.MaxLocals]
+		clear(locals)
+	} else {
+		locals = make([]Value, callee.MaxLocals)
+	}
+	stack := old.stack[:0]
+	if cap(stack) >= 16 {
+		clear(stack[:cap(stack)])
+	} else {
+		stack = make([]Value, 0, 16)
+	}
 	base := len(f.stack) - callee.NArgs
 	copy(locals, f.stack[base:])
 	f.stack = f.stack[:base]
@@ -520,7 +542,7 @@ func (vm *VM) doCall(th *vmThread, f *frame, in bytecode.Instr, cost uint32) err
 	th.frames = append(th.frames, frame{
 		body:   body,
 		locals: locals,
-		stack:  make([]Value, 0, 16),
+		stack:  stack,
 	})
 	return nil
 }

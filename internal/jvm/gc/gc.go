@@ -122,7 +122,18 @@ type Heap struct {
 	allocated   uint64 // lifetime bytes allocated
 	promoted    int    // lifetime objects tenured
 	lastStats   CollectStats
+
+	// Host-side buffers, reused so that a steady alloc/collect cycle
+	// makes no Go allocations (DESIGN §6, "Host memory"): the latest
+	// collection's dead payload objects by exact shape (see Alloc), the
+	// lists it filled, and the mark stack.
+	free      map[uint64]*freeList
+	freeDirty []*freeList
+	markStack []*Object
 }
+
+// freeList holds dead objects of one payload shape.
+type freeList struct{ objs []*Object }
 
 // NewHeap creates a heap over [base, base+size): the first half is the
 // mature space, the second half holds the two nursery semispaces.
@@ -184,6 +195,15 @@ func (h *Heap) Used() uint64 { return uint64(h.next - h.fromBase) }
 // is added internally and the total rounded up to 16 bytes. If the
 // semispace is exhausted a collection runs first; if space is still
 // insufficient, Alloc fails (OutOfMemoryError).
+//
+// Every Refs slot of the returned object is nil and every Scalars slot
+// zero, but for a KindData or KindArray request it may be a Go object
+// that the latest collection found dead, handed back with the same
+// payload shape (len(Refs), len(Scalars)). The caller contract that
+// makes this safe: no caller holds a reference it took off the roots (a
+// popped operand, an overwritten field) across an Alloc call, since a
+// collection inside the call may find that object dead and this call
+// may return it.
 func (h *Heap) Alloc(kind Kind, sizeBytes uint32, nrefs, nscalars int) (*Object, error) {
 	total := uint64(sizeBytes) + HeaderBytes
 	total = (total + 15) &^ 15
@@ -194,17 +214,17 @@ func (h *Heap) Alloc(kind Kind, sizeBytes uint32, nrefs, nscalars int) (*Object,
 				total, h.half-h.Used(), h.half)
 		}
 	}
-	o := &Object{
-		Addr: h.next,
-		Size: uint32(total),
-		Kind: kind,
+	o := h.reuse(kind, nrefs, nscalars)
+	if o == nil {
+		o = &Object{}
+		if nrefs > 0 {
+			o.Refs = make([]*Object, nrefs)
+		}
+		if nscalars > 0 {
+			o.Scalars = make([]int64, nscalars)
+		}
 	}
-	if nrefs > 0 {
-		o.Refs = make([]*Object, nrefs)
-	}
-	if nscalars > 0 {
-		o.Scalars = make([]int64, nscalars)
-	}
+	o.Addr, o.Size, o.Kind = h.next, uint32(total), kind
 	h.next += addr.Address(total)
 	h.allocated += total
 	h.objects = append(h.objects, o)
@@ -212,6 +232,74 @@ func (h *Heap) Alloc(kind Kind, sizeBytes uint32, nrefs, nscalars int) (*Object,
 		h.hooks.Work("alloc", 1)
 	}
 	return o, nil
+}
+
+// shapeKey packs a payload shape into a free-list key; ok is false for
+// a shape too large to pack, which is then never recycled.
+func shapeKey(nrefs, nscalars int) (key uint64, ok bool) {
+	if uint64(nrefs) > 1<<32-1 || uint64(nscalars) > 1<<32-1 {
+		return 0, false
+	}
+	return uint64(nrefs)<<32 | uint64(nscalars), true
+}
+
+// reuse pops a dead object of exactly the requested payload shape from
+// the latest collection's free lists, its Scalars zeroed and its age
+// reset (Collect cleared its Refs), or returns nil. Code objects are
+// never recycled.
+func (h *Heap) reuse(kind Kind, nrefs, nscalars int) *Object {
+	if kind == KindCode {
+		return nil
+	}
+	key, ok := shapeKey(nrefs, nscalars)
+	if !ok {
+		return nil
+	}
+	l := h.free[key]
+	if l == nil || len(l.objs) == 0 {
+		return nil
+	}
+	n := len(l.objs) - 1
+	o := l.objs[n]
+	l.objs[n] = nil
+	l.objs = l.objs[:n]
+	clear(o.Scalars)
+	o.age = 0
+	return o
+}
+
+// recycle files a dead object for reuse by Alloc, its Refs cleared so
+// it pins nothing. Code objects and anything carrying Meta are left to
+// the Go collector: a code object's descriptor (jit.CodeBody) outlives
+// it in the VM agent.
+func (h *Heap) recycle(o *Object) {
+	if o.Kind == KindCode || o.Meta != nil {
+		return
+	}
+	key, ok := shapeKey(len(o.Refs), len(o.Scalars))
+	if !ok {
+		return
+	}
+	l := h.free[key]
+	if l == nil {
+		if h.free == nil {
+			h.free = make(map[uint64]*freeList)
+		}
+		l = &freeList{}
+		h.free[key] = l
+	}
+	if len(l.objs) == 0 {
+		h.freeDirty = append(h.freeDirty, l)
+	}
+	clear(o.Refs)
+	l.objs = append(l.objs, o)
+}
+
+// Release drops the heap's host-side buffers (the free lists and the
+// mark stack) so that a heap kept after its VM finished pins no dead
+// objects. The heap stays usable; the buffers regrow on demand.
+func (h *Heap) Release() {
+	h.free, h.freeDirty, h.markStack = nil, nil, nil
 }
 
 // Collect performs a full semispace collection: trace from roots, copy
@@ -224,7 +312,7 @@ func (h *Heap) Collect() CollectStats {
 	var stats CollectStats
 
 	// Mark phase: trace from roots.
-	var stack []*Object
+	stack := h.markStack[:0]
 	if h.roots != nil {
 		for _, r := range h.roots() {
 			if r != nil && !r.marked {
@@ -245,9 +333,18 @@ func (h *Heap) Collect() CollectStats {
 			}
 		}
 	}
+	h.markStack = stack
 	if h.hooks.Work != nil {
 		h.hooks.Work("trace", traced+1)
 	}
+
+	// The previous collection's dead objects that Alloc did not take
+	// back go to the Go collector; this collection's take their place.
+	for _, l := range h.freeDirty {
+		clear(l.objs)
+		l.objs = l.objs[:0]
+	}
+	h.freeDirty = h.freeDirty[:0]
 
 	// Copy phase: survivors either tenure into the mature space (at
 	// MatureAge, if it has room) or copy to the to-space in allocation
@@ -259,6 +356,7 @@ func (h *Heap) Collect() CollectStats {
 		if !o.marked {
 			stats.Freed++
 			stats.FreedBytes += uint64(o.Size)
+			h.recycle(o)
 			continue
 		}
 		o.marked = false

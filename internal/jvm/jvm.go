@@ -171,10 +171,14 @@ type VM struct {
 	copyTick  uint64 // sequential cursor for the GC copy phase's heap walk
 	payload   []byte // reusable buffer for simulated writes
 
-	// touchedPages tracks which heap pages have been demand-faulted in
-	// (page number -> true); allocation into a fresh page costs a minor
-	// fault, putting do_page_fault rows into profiles.
-	touchedPages map[addr.Address]bool
+	// touchedPages has one bit per heap page, set once the page has
+	// been demand-faulted in (bit i is page heapPage0+i); allocation into
+	// a fresh page costs a minor fault, putting do_page_fault rows into
+	// profiles.
+	touchedPages []uint64
+	heapPage0    addr.Address
+
+	rootBuf []*gc.Object // the collector's root set, refilled per collection
 
 	started  bool
 	finished bool
@@ -193,14 +197,13 @@ func Launch(m *kernel.Machine, prog *classes.Program, cfg Config) (*VM, *kernel.
 	}
 	cfg.fillDefaults()
 	vm := &VM{
-		prog:         prog,
-		cfg:          cfg,
-		m:            m,
-		aosSys:       aos.New(cfg.AOSThreshold),
-		bodies:       make([]*jit.CodeBody, len(prog.Methods)),
-		loaded:       make(map[string]bool),
-		touchedPages: make(map[addr.Address]bool),
-		traceAt:      make([]*methodTraces, len(prog.Methods)),
+		prog:    prog,
+		cfg:     cfg,
+		m:       m,
+		aosSys:  aos.New(cfg.AOSThreshold),
+		bodies:  make([]*jit.CodeBody, len(prog.Methods)),
+		loaded:  make(map[string]bool),
+		traceAt: make([]*methodTraces, len(prog.Methods)),
 	}
 	proc, err := m.Kern.NewProcess(cfg.Personality.ProcName, vm)
 	if err != nil {
@@ -271,6 +274,9 @@ func Launch(m *kernel.Machine, prog *classes.Program, cfg Config) (*VM, *kernel.
 	if err != nil {
 		return nil, nil, err
 	}
+	vm.heapPage0 = heapBase >> 12
+	heapPages := (heapBase+addr.Address(cfg.HeapBytes)-1)>>12 - vm.heapPage0 + 1
+	vm.touchedPages = make([]uint64, (heapPages+63)/64)
 	vm.heap, err = gc.NewHeap(heapBase, cfg.HeapBytes, vm.roots, gc.Hooks{
 		PreGC: func(epoch int) {
 			if vm.cfg.Agent != nil {
@@ -363,9 +369,10 @@ func (vm *VM) NativeImages() []*image.Image {
 }
 
 // roots provides the collector's root set: statics, every frame's
-// locals/stack/code body, and the compiled-method table.
+// locals/stack/code body, and the compiled-method table. The slice is
+// the VM's reused buffer, valid until the next call.
 func (vm *VM) roots() []*gc.Object {
-	var out []*gc.Object
+	out := vm.rootBuf[:0]
 	for i := range vm.statics {
 		if r := vm.statics[i].R; r != nil {
 			out = append(out, r)
@@ -392,6 +399,7 @@ func (vm *VM) roots() []*gc.Object {
 			out = append(out, b.Obj)
 		}
 	}
+	vm.rootBuf = out
 	return out
 }
 
@@ -497,12 +505,14 @@ func (vm *VM) gcWork(phase string, units int) {
 	}
 }
 
-// faultIn demand-pages the span [start, start+size): each page touched
-// for the first time costs a minor fault.
+// faultIn demand-pages the span [start, start+size), which lies inside
+// the heap mapping: each page touched for the first time costs a minor
+// fault.
 func (vm *VM) faultIn(start addr.Address, size uint32) {
 	for page := start >> 12; page <= (start+addr.Address(size)-1)>>12; page++ {
-		if !vm.touchedPages[page] {
-			vm.touchedPages[page] = true
+		i := page - vm.heapPage0
+		if w, bit := i/64, uint64(1)<<(i%64); vm.touchedPages[w]&bit == 0 {
+			vm.touchedPages[w] |= bit
 			vm.m.Kern.PageFault(vm.proc)
 		}
 	}

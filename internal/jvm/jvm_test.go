@@ -1,6 +1,7 @@
 package jvm
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -445,6 +446,43 @@ func TestDemandPagingFaults(t *testing.T) {
 	maxPages := uint64(512<<10)/4096 + 16
 	if faults > maxPages {
 		t.Errorf("%d faults for at most %d heap pages", faults, maxPages)
+	}
+}
+
+// faultIn's page bitmap must fault exactly the pages a set of faulted
+// page numbers would: random spans anywhere in a 1 MiB heap (256 pages,
+// so every bitmap word and bit position is used), including single
+// bytes at both ends and spans crossing word boundaries.
+func TestFaultInMatchesPageSet(t *testing.T) {
+	m := newMachine(1)
+	vm, _, err := Launch(m, buildLoopProgram(1, 1), Config{HeapBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := vm.heap.Bounds()
+	rng := rand.New(rand.NewSource(5))
+	seen := map[addr.Address]bool{}
+	spans := [][2]uint64{{0, 1}, {uint64(hi-lo) - 1, 1}, {63 << 12, 2 << 12}, {4095, 2}}
+	for i := 0; i < 400; i++ {
+		size := uint64(1 + rng.Intn(3*4096))
+		spans = append(spans, [2]uint64{uint64(rng.Int63n(int64(uint64(hi-lo) - size))), size})
+	}
+	for _, sp := range spans {
+		start := lo + addr.Address(sp[0])
+		want := m.Kern.PageFaults()
+		for page := start >> 12; page <= (start+addr.Address(sp[1])-1)>>12; page++ {
+			if !seen[page] {
+				seen[page] = true
+				want++
+			}
+		}
+		vm.faultIn(start, uint32(sp[1]))
+		if got := m.Kern.PageFaults(); got != want {
+			t.Fatalf("span %s+%d: %d faults, want %d", start, sp[1], got, want)
+		}
+	}
+	if len(seen) < 200 {
+		t.Errorf("only %d of 256 pages touched", len(seen))
 	}
 }
 
