@@ -32,12 +32,14 @@ lint:
 # Focused race gate on the concurrency-bearing subsystems: the fleet
 # collector (networked delta ingestion, supervisor restarts), the chaos
 # harness, the daemon's concurrent per-CPU shard drain (internal/core
-# drives it end to end; internal/cpu holds the cores whose banks the
+# drives it end to end; internal/oprofile holds the daemon, its drain
+# buffers and shard aggregates kept across drains, and the tests that
+# drive them directly; internal/cpu holds the cores whose banks the
 # shards are fed from), re-run under the race detector with caching
 # defeated, so `make check` exercises them fresh even when the cached
 # `test` target is a no-op.
 race-smoke:
-	$(GO) test -race -short -count=1 ./internal/fleet/ ./internal/harness/ ./internal/core/ ./internal/cpu/
+	$(GO) test -race -short -count=1 ./internal/fleet/ ./internal/harness/ ./internal/core/ ./internal/oprofile/ ./internal/cpu/
 
 vet:
 	$(GO) vet ./...

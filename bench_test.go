@@ -220,7 +220,7 @@ func BenchmarkProfileBenchmark(b *testing.B) {
 // worth of instructions: the micro-op volume of a paper-scale fop run,
 // shaped like the JVM's dispatch stream (short straight-line basic
 // blocks discovered one op at a time, page jumps at calls) plus the
-// kernel's longer ExecRange runs, with GLOBAL_POWER_EVENTS sampled at
+// kernel's longer ExecBatch runs, with GLOBAL_POWER_EVENTS sampled at
 // the paper's most aggressive 45K period and the NMI handler charging a
 // driver-sized cost. Both sides execute the identical stream through
 // the same entry points; the per-op side only has batching disabled, so
@@ -234,7 +234,7 @@ func BenchmarkExecBatch(b *testing.B) {
 			bank.Program(hpc.GlobalPowerEvents, 45_000)
 			c := cpu.New(bank, cache.DefaultHierarchy())
 			c.SetNMIHandler(func(core *cpu.Core, _ cpu.Snapshot, _ hpc.Event) {
-				core.ExecRange(addr.KernelBase+0x80, 120, 4, 1)
+				core.ExecBatch(addr.KernelBase+0x80, 120, 4, 1)
 			})
 			c.SetBatching(batched)
 			r := rand.New(rand.NewSource(1))

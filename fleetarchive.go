@@ -11,7 +11,9 @@ package viprof
 // replay.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -50,6 +52,14 @@ type fleetFold struct {
 	// there is none); tail is the per-host block and the integrity
 	// block.
 	bounds, tail string
+
+	// fleetRows' scratch, reused across windows: sums and seen are
+	// indexed by cell and zero between calls (only the touched cells
+	// are reset); rows backs the returned slice.
+	sums    []uint64
+	seen    []bool
+	touched []int
+	rows    []fleetRow
 }
 
 // foldRec is one delta record: its generation cycle, the end of its
@@ -137,6 +147,8 @@ func (v *FleetView) folded() *fleetFold {
 		fr.end = len(f.items)
 		f.recs = append(f.recs, fr)
 	}
+	f.sums = make([]uint64, len(f.cells))
+	f.seen = make([]bool, len(f.cells))
 	v.fold = f
 	return f
 }
@@ -169,7 +181,8 @@ type fleetRow struct {
 // deltas generated in [from, to) on the sender cycle clock
 // (0, ^uint64(0) = everything): a binary search for the window's
 // records and a sum over their items. A cell any in-window key touched
-// is a row, even at 0 samples.
+// is a row, even at 0 samples. The rows live in the view's scratch and
+// are valid until the next fleetRows on the same view.
 func (v *FleetView) fleetRows(from, to uint64) (rows []fleetRow, unresolved uint64) {
 	f := v.folded()
 	lo := sort.Search(len(f.recs), func(i int) bool { return f.recs[i].at >= from })
@@ -183,30 +196,30 @@ func (v *FleetView) fleetRows(from, to uint64) (rows []fleetRow, unresolved uint
 	for _, r := range f.recs[lo:hi] {
 		unresolved += r.unresolved
 	}
-	sums := make([]uint64, len(f.cells))
-	seen := make([]bool, len(f.cells))
-	var touched []int
+	touched := f.touched[:0]
 	for _, it := range f.items[start(lo):start(hi)] {
-		if !seen[it.cell] {
-			seen[it.cell] = true
+		if !f.seen[it.cell] {
+			f.seen[it.cell] = true
 			touched = append(touched, it.cell)
 		}
-		sums[it.cell] += it.samples
+		f.sums[it.cell] += it.samples
 	}
-	rows = make([]fleetRow, 0, len(touched))
+	rows = f.rows[:0]
 	for _, id := range touched {
 		row := f.cells[id]
-		row.samples = sums[id]
+		row.samples = f.sums[id]
 		rows = append(rows, row)
+		f.sums[id], f.seen[id] = 0, false
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].samples != rows[j].samples {
-			return rows[i].samples > rows[j].samples
+	f.touched, f.rows = touched, rows
+	slices.SortFunc(rows, func(a, b fleetRow) int {
+		if a.samples != b.samples {
+			return cmp.Compare(b.samples, a.samples)
 		}
-		if rows[i].event != rows[j].event {
-			return rows[i].event < rows[j].event
+		if a.event != b.event {
+			return strings.Compare(a.event, b.event)
 		}
-		return rows[i].image < rows[j].image
+		return strings.Compare(a.image, b.image)
 	})
 	return rows, unresolved
 }
@@ -221,9 +234,15 @@ func (v *FleetView) Render(maxRows int) string {
 // maps) totals with shares, per-host totals, the integrity block —
 // restricted to sample deltas generated in [from, to) cycles.
 func (v *FleetView) RenderWindow(maxRows int, from, to uint64) string {
-	var sb strings.Builder
 	f := v.folded()
 	rows, unresolved := v.fleetRows(from, to)
+	var sb strings.Builder
+	shown := len(rows)
+	if maxRows > 0 && shown > maxRows {
+		shown = maxRows + 1
+	}
+	// About 64 bytes per row line, 200 for the banner and header lines.
+	sb.Grow(200 + 64*shown + len(f.tail))
 	var total uint64
 	for _, r := range rows {
 		total += r.samples

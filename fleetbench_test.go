@@ -3,6 +3,7 @@ package viprof
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -518,6 +519,45 @@ func TestFleetRenderMatchesScan(t *testing.T) {
 			if want := refDiffFleetViews(load(dirs[0]), load(dirs[1]), rows); got != want {
 				t.Fatalf("diff rows %d:\n%s\nscan diff:\n%s", rows, got, want)
 			}
+		}
+	}
+}
+
+// TestFleetRowsWarmAllocsNothing: fleetRows keeps its per-cell sums,
+// touched list and rows in the view's fold, so once a view has folded
+// its widest window, a window's rows cost no allocation.
+func TestFleetRowsWarmAllocsNothing(t *testing.T) {
+	res, err := fleetBenchRun(4, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := res.disk.DumpTo(dir); err != nil {
+		t.Fatal(err)
+	}
+	v, err := LoadFleetArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	min, max, ok := v.Aggregate.TimeBounds()
+	if !ok || max <= min {
+		t.Fatalf("no time spread: [%d, %d]", min, max)
+	}
+	all, _ := v.fleetRows(0, ^uint64(0))
+	if len(all) == 0 {
+		t.Fatal("no rows")
+	}
+	mid := min + (max-min)/2
+	if n := testing.AllocsPerRun(50, func() { v.fleetRows(min, mid) }); n != 0 {
+		t.Fatalf("warm fleetRows allocated %v times per call", n)
+	}
+	// The scratch must come back clean: a window after others renders
+	// as the scan does.
+	for _, w := range [][2]uint64{{mid, max + 1}, {min, mid}, {0, ^uint64(0)}} {
+		got, _ := v.fleetRows(w[0], w[1])
+		want, _ := refFleetRows(v, w[0], w[1])
+		if !slices.Equal(got, want) {
+			t.Fatalf("window [%d, %d): rows %v, scan %v", w[0], w[1], got, want)
 		}
 	}
 }

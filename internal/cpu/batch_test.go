@@ -22,7 +22,7 @@ func (tr *nmiTrace) handler(burn int) NMIHandler {
 		tr.evs = append(tr.evs, ev)
 		tr.snaps = append(tr.snaps, s)
 		if burn > 0 {
-			core.ExecRange(addr.KernelBase+0x40, burn, 4, 1)
+			core.ExecBatch(addr.KernelBase+0x40, burn, 4, 1)
 		}
 	}
 }
@@ -30,7 +30,7 @@ func (tr *nmiTrace) handler(burn int) NMIHandler {
 // driveStream replays one seeded instruction stream — straight-line
 // batches, streaming BatchOps, memory ops, slice grants, idle gaps —
 // against a core. The stream mixes every call site the batched engine
-// has: ExecBatch/ExecRange (kernel, agent), BatchOp (JVM dispatch), and
+// has: ExecBatch (kernel, agent), BatchOp (JVM dispatch), and
 // precise Exec for memory operands.
 func driveStream(c *Core, seed int64) {
 	r := rand.New(rand.NewSource(seed))

@@ -141,9 +141,6 @@ func NewWithID(id int, bank *hpc.Bank, mem *cache.Hierarchy) *Core {
 	return c
 }
 
-// ID returns the CPU number.
-func (c *Core) ID() int { return c.id }
-
 // SetID assigns the CPU number; the kernel numbers cores at machine
 // construction.
 func (c *Core) SetID(id int) { c.id = id }
@@ -223,14 +220,6 @@ func (c *Core) SetBatching(enabled bool) {
 
 // Batching reports whether the event-horizon fast path is enabled.
 func (c *Core) Batching() bool { return !c.noBatch }
-
-// ExecRange executes n sequential micro-ops walking PCs through
-// [start, start+n*stride) at the given per-op cost, with no memory
-// operands. It models straight-line native code cheaply and retires the
-// run through the batched engine (see ExecBatch).
-func (c *Core) ExecRange(start addr.Address, n int, stride uint32, cost uint32) {
-	c.ExecBatch(start, n, stride, cost)
-}
 
 // ExecBatch is the event-horizon fast path for a uniform straight-line
 // run: n micro-ops at PCs start, start+stride, ... each costing `cost`

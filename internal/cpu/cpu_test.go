@@ -96,7 +96,7 @@ func TestNestedNMILatched(t *testing.T) {
 		count++
 		if count == 1 {
 			// Handler burns 25 cycles -> 2 more overflows while in NMI.
-			core.ExecRange(addr.KernelBase+0x100, 25, 4, 1)
+			core.ExecBatch(addr.KernelBase+0x100, 25, 4, 1)
 		}
 		depth--
 	})
@@ -118,7 +118,7 @@ func TestHandlerCostIsEndogenous(t *testing.T) {
 		bank.Program(hpc.GlobalPowerEvents, period)
 		c := New(bank, nil)
 		c.SetNMIHandler(func(core *Core, s Snapshot, ev hpc.Event) {
-			core.ExecRange(addr.KernelBase, handlerCost, 4, 1)
+			core.ExecBatch(addr.KernelBase, handlerCost, 4, 1)
 		})
 		for i := 0; i < 1000; i++ {
 			c.Exec(Op{PC: 0x1000, Cost: 1})

@@ -74,19 +74,19 @@ type DeltaRec struct {
 	Entries []core.MapEntry
 }
 
-// Aggregate is a collector shard's pure in-memory state: hash-sharded
-// counts for cheap queries, plus the per-(host, seq) record set that
-// makes ingestion idempotent, merging duplicate-suppressed, and
-// windowed queries exact. It has no I/O and no clock, so the quickcheck
-// property tests drive it directly against an oracle. Reads build
-// state too (the window index), so an Aggregate is not safe for
-// concurrent readers.
+// Aggregate is a collector shard's pure in-memory state: the
+// per-(host, seq) record set that makes ingestion idempotent, merging
+// duplicate-suppressed, and windowed queries exact. It has no I/O and
+// no clock, so the quickcheck property tests drive it directly against
+// an oracle. Reads build state too (the window index and the window
+// result), so an Aggregate is not safe for concurrent readers.
 type Aggregate struct {
-	shards []map[oprofile.Key]uint64
 	byHost map[int]map[uint64]*DeltaRec
 	// byAt is every applied record ordered by (At, Host, Seq): built
 	// on the first windowed read, dropped by every apply.
 	byAt []*DeltaRec
+	// window is QueryWindow's result, cleared and refilled by each call.
+	window map[oprofile.Key]uint64
 	// hostTotals is samples applied per host; maxSeq the highest seq
 	// applied per host (gaps below it are loud).
 	hostTotals map[int]uint64
@@ -100,40 +100,15 @@ type Aggregate struct {
 	Ingested, Duplicates, OutOfOrder, MapsApplied uint64
 }
 
-// NewAggregate builds an empty aggregate with the given hash-shard
-// count.
-func NewAggregate(shards int) *Aggregate {
-	if shards <= 0 {
-		shards = 8
-	}
-	a := &Aggregate{
-		shards:     make([]map[oprofile.Key]uint64, shards),
+// NewAggregate builds an empty aggregate.
+func NewAggregate() *Aggregate {
+	return &Aggregate{
 		byHost:     make(map[int]map[uint64]*DeltaRec),
+		window:     make(map[oprofile.Key]uint64),
 		hostTotals: make(map[int]uint64),
 		maxSeq:     make(map[int]uint64),
 		lastSeq:    make(map[int]uint64),
 	}
-	for i := range a.shards {
-		a.shards[i] = make(map[oprofile.Key]uint64)
-	}
-	return a
-}
-
-// shardOf picks the hash shard for a key (FNV-1a over the identifying
-// fields; any stable hash works, determinism is what matters).
-func (a *Aggregate) shardOf(k oprofile.Key) int {
-	h := uint64(14695981039346656037)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-	}
-	mix(k.Image)
-	mix(k.Proc)
-	h ^= uint64(k.Off) ^ uint64(k.Event)<<32 ^ uint64(k.Epoch)<<16
-	h *= 1099511628211
-	return int(h % uint64(len(a.shards)))
 }
 
 // Applied reports whether (host, seq) has been applied.
@@ -176,10 +151,7 @@ func (a *Aggregate) applyRec(rec *DeltaRec) bool {
 	if rec.Seq > a.maxSeq[rec.Host] {
 		a.maxSeq[rec.Host] = rec.Seq
 	}
-	for k, c := range rec.Counts {
-		a.shards[a.shardOf(k)][k] += c
-		a.hostTotals[rec.Host] += c
-	}
+	a.hostTotals[rec.Host] += rec.Total
 	if rec.Kind == KindMap {
 		a.MapsApplied++
 	}
@@ -193,8 +165,8 @@ func (a *Aggregate) applyRec(rec *DeltaRec) bool {
 // assembled — a record a crashed shard applied and a failover peer (or
 // a restart replay) re-applied counts exactly once, no matter how many
 // shards saw it.
-func MergeAggregates(shards int, parts ...*Aggregate) *Aggregate {
-	out := NewAggregate(shards)
+func MergeAggregates(parts ...*Aggregate) *Aggregate {
+	out := NewAggregate()
 	for _, p := range parts {
 		if p == nil {
 			continue
@@ -225,12 +197,15 @@ func MergeAggregates(shards int, parts ...*Aggregate) *Aggregate {
 	return out
 }
 
-// Counts merges the hash shards into one map (the queryable view).
+// Counts folds every applied record into a fresh map: the same fold
+// QueryWindow(0, ^0) does, so the two agree by construction.
 func (a *Aggregate) Counts() map[oprofile.Key]uint64 {
 	out := make(map[oprofile.Key]uint64)
-	for _, sh := range a.shards {
-		for k, c := range sh {
-			out[k] += c
+	for _, recs := range a.byHost {
+		for _, rec := range recs {
+			for k, c := range rec.Counts {
+				out[k] += c
+			}
 		}
 	}
 	return out
@@ -278,17 +253,20 @@ func (a *Aggregate) Window(from, to uint64) []*DeltaRec {
 
 // QueryWindow folds only the sample deltas generated in [from, to) on
 // the sender-side cycle clock — the time-windowed query over the
-// compacted store. QueryWindow(0, ^0) == Counts() by construction, and
-// any boundary t partitions: QueryWindow(0,t) + QueryWindow(t,^0) ==
-// Counts().
+// compacted store. QueryWindow(0, ^0) == Counts(), and any boundary t
+// partitions: QueryWindow(0,t) + QueryWindow(t,^0) == Counts().
+//
+// The result is a map the Aggregate owns: each call clears and refills
+// it, so it is valid only until the next QueryWindow on the same
+// Aggregate. Callers that keep a window past that must copy it.
 func (a *Aggregate) QueryWindow(from, to uint64) map[oprofile.Key]uint64 {
-	out := make(map[oprofile.Key]uint64)
+	clear(a.window)
 	for _, rec := range a.Window(from, to) {
 		for k, c := range rec.Counts {
-			out[k] += c
+			a.window[k] += c
 		}
 	}
-	return out
+	return a.window
 }
 
 // TimeBounds returns the [min, max] At over applied records (ok=false
@@ -389,8 +367,6 @@ func (a *Aggregate) Gaps(host int) []uint64 {
 type CollectorConfig struct {
 	// WakeCycles is each shard's ingest poll period (default 8_000).
 	WakeCycles uint64
-	// Shards is the per-aggregate hash-shard count (default 8).
-	Shards int
 	// Procs is the number of collector shard processes, each pinned to
 	// a core (default: one per machine core, capped at 8).
 	Procs int
@@ -413,9 +389,6 @@ type CollectorConfig struct {
 func (c *CollectorConfig) fill(cores int) {
 	if c.WakeCycles == 0 {
 		c.WakeCycles = 8_000
-	}
-	if c.Shards <= 0 {
-		c.Shards = 8
 	}
 	if c.Procs <= 0 {
 		c.Procs = cores
@@ -505,13 +478,14 @@ type JournalReplay struct {
 // journal frames not yet pruned by compaction dedup against the
 // generation via seq burning. Returns an error only if a store file
 // exists but cannot be read (injected EIO) — the caller retries or
-// degrades loudly.
-func LoadStore(disk *kernel.Disk, shards int) (*Aggregate, JournalReplay, error) {
+// degrades loudly. The second argument is unused; it remains so that
+// existing callers, which pass 0, keep compiling.
+func LoadStore(disk *kernel.Disk, _ int) (*Aggregate, JournalReplay, error) {
 	sc, err := scanStore(disk, storeJournals)
 	if err != nil {
 		return nil, JournalReplay{}, err
 	}
-	agg, rep := sc.replay(shards)
+	agg, rep := sc.replay()
 	return agg, rep, nil
 }
 

@@ -239,7 +239,7 @@ func compactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
 	if len(sc.journals) == 0 {
 		return res, nil // nothing new since the last pass
 	}
-	agg, rep := sc.replay(1)
+	agg, rep := sc.replay()
 	var recs []*DeltaRec
 	for _, h := range agg.Hosts() {
 		recs = append(recs, agg.Records(h)...)

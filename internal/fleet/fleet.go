@@ -178,7 +178,7 @@ func RunFleet(m *kernel.Machine, cfg FleetConfig) (*FleetResult, error) {
 	for i := range hosts {
 		hosts[i] = i + 1
 	}
-	replayed, rep, rerr := LoadStore(m.Kern.Disk(), ccfg.Shards)
+	replayed, rep, rerr := LoadStore(m.Kern.Disk(), 0)
 	res.Replay = rep
 	if rerr != nil {
 		// Store unreadable offline: fall back to the live aggregate

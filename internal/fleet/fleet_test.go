@@ -180,7 +180,7 @@ func TestAggregateIdempotentOrderInsensitive(t *testing.T) {
 			schedule[i], schedule[j] = schedule[j], schedule[i]
 		})
 
-		agg := NewAggregate(1 + rng.Intn(8))
+		agg := NewAggregate()
 		for _, m := range schedule {
 			agg.Apply(m)
 		}
@@ -208,7 +208,7 @@ func TestAggregateIdempotentOrderInsensitive(t *testing.T) {
 }
 
 func TestAggregateGapsPoison(t *testing.T) {
-	agg := NewAggregate(4)
+	agg := NewAggregate()
 	counts := map[oprofile.Key]uint64{{Proc: "host01", Image: "x", Off: 8}: 2}
 	for _, seq := range []uint64{1, 2, 5} {
 		agg.Apply(&WireMsg{Kind: KindDelta, Host: 1, Seq: seq, Counts: counts})

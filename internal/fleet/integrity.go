@@ -170,15 +170,6 @@ func (fi *FleetIntegrity) Degraded() bool {
 	return false
 }
 
-// MissingTotal counts unexplained gaps across all hosts.
-func (fi *FleetIntegrity) MissingTotal() int {
-	n := 0
-	for _, h := range fi.Hosts {
-		n += len(h.MissingDeltas)
-	}
-	return n
-}
-
 // AssembleIntegrity builds the fleet integrity report from disk. The
 // aggregate passed in is the replayed journal truth (the caller usually
 // has it already); hosts lists the endpoint ids to audit.

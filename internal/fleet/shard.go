@@ -66,9 +66,6 @@ func (sh *Shard) Alive() bool {
 	return sh.proc != nil && !sh.proc.Killed() && !sh.proc.Done()
 }
 
-// Serving reports whether the rendezvous hash includes this shard.
-func (sh *Shard) Serving() bool { return sh.serving }
-
 // Restarts returns the supervisor attempts consumed by this shard.
 func (sh *Shard) Restarts() int { return sh.restarts }
 
@@ -173,7 +170,7 @@ func (sh *Shard) restart(m *kernel.Machine) error {
 		c.stats.ReplayErrors++
 		return err
 	}
-	agg, rep := own.replay(c.cfg.Shards)
+	agg, rep := own.replay()
 	// Handoff burn: every (host, seq) anywhere in the durable store —
 	// peers' journals included — is re-ack-only here. An unreadable
 	// peer journal aborts the rejoin; serving blind would risk
@@ -238,7 +235,7 @@ func NewCollector(m *kernel.Machine, net *Network, cfg CollectorConfig) (*Collec
 	for i := 0; i < cfg.Procs; i++ {
 		sh := &Shard{
 			c: c, idx: i,
-			agg:     NewAggregate(cfg.Shards),
+			agg:     NewAggregate(),
 			handoff: make(map[int]map[uint64]bool),
 			serving: true,
 		}
@@ -264,10 +261,6 @@ func (c *Collector) Shards() []*Shard { return c.shards }
 
 // Config returns the filled collector config.
 func (c *Collector) Config() CollectorConfig { return c.cfg }
-
-// CompactorState returns the compactor (nil when compaction is
-// disabled).
-func (c *Collector) CompactorState() *Compactor { return c.compactor }
 
 // rendezvousScore mixes (host, shard) into a deterministic weight.
 func rendezvousScore(host, shard int) uint64 {
@@ -421,7 +414,7 @@ func (c *Collector) Aggregate() *Aggregate {
 	for i, sh := range c.shards {
 		parts[i] = sh.agg
 	}
-	return MergeAggregates(c.cfg.Shards, parts...)
+	return MergeAggregates(parts...)
 }
 
 // Stats snapshots the self-counters (shard ingest counters folded in).

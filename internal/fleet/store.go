@@ -113,10 +113,10 @@ func (sc *storeScan) scanFile(disk *kernel.Disk, path string) (int, error) {
 	return len(recs), nil
 }
 
-// replay applies the scanned records to a fresh aggregate with the
-// given hash-shard count and classifies them.
-func (sc *storeScan) replay(shards int) (*Aggregate, JournalReplay) {
-	agg := NewAggregate(shards)
+// replay applies the scanned records to a fresh aggregate and
+// classifies them.
+func (sc *storeScan) replay() (*Aggregate, JournalReplay) {
+	agg := NewAggregate()
 	rep := JournalReplay{
 		Salvage:         sc.sal,
 		Markers:         len(sc.markers),

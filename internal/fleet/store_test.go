@@ -63,8 +63,8 @@ func (rep *JournalReplay) refApplyDecoded(agg *Aggregate, msg *WireMsg) {
 }
 
 // refLoadStore is the reference offline replay.
-func refLoadStore(disk *kernel.Disk, shards int) (*Aggregate, JournalReplay, error) {
-	agg := NewAggregate(shards)
+func refLoadStore(disk *kernel.Disk) (*Aggregate, JournalReplay, error) {
+	agg := NewAggregate()
 	var rep JournalReplay
 	if err := refLoadManifestInto(disk, agg, &rep); err != nil {
 		return nil, rep, err
@@ -172,7 +172,7 @@ func refLoadJournalInto(disk *kernel.Disk, path string, agg *Aggregate, rep *Jou
 
 // refLoadBurnSet is the reference handoff burn set.
 func refLoadBurnSet(disk *kernel.Disk) (map[int]map[uint64]bool, error) {
-	agg, _, err := refLoadStore(disk, 1)
+	agg, _, err := refLoadStore(disk)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +199,7 @@ type refStoreContents struct {
 // refCollectStore is the reference compaction read.
 func refCollectStore(disk *kernel.Disk) (*refStoreContents, error) {
 	st := &refStoreContents{}
-	agg := NewAggregate(1)
+	agg := NewAggregate()
 	markerSeen := make(map[[2]int]bool)
 	absorb := func(data []byte, countLoss bool) error {
 		recs, sal := record.Scan(data)
@@ -330,7 +330,7 @@ func checkStoreAgainstReference(t *testing.T, disk *kernel.Disk) (doubled bool) 
 
 	// Offline replay: same aggregate, same replay apart from markers,
 	// which now count each (shard, attempt) once.
-	oagg, orep, oerr := refLoadStore(disk, 0)
+	oagg, orep, oerr := refLoadStore(disk)
 	nagg, nrep, nerr := LoadStore(disk, 0)
 	if oerr != nil || nerr != nil {
 		t.Fatalf("load: reference %v, scan %v", oerr, nerr)
@@ -356,7 +356,7 @@ func checkStoreAgainstReference(t *testing.T, disk *kernel.Disk) (doubled bool) 
 		if !disk.Exists(path) {
 			continue
 		}
-		oagg := NewAggregate(8)
+		oagg := NewAggregate()
 		var orep JournalReplay
 		if err := refLoadManifestInto(disk, oagg, &orep); err != nil {
 			t.Fatal(err)
@@ -368,7 +368,7 @@ func checkStoreAgainstReference(t *testing.T, disk *kernel.Disk) (doubled bool) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		nagg, nrep := sc.replay(8)
+		nagg, nrep := sc.replay()
 		if err := sameAggregate(oagg, nagg); err != nil {
 			t.Fatalf("restart replay of %s: %v", path, err)
 		}
@@ -442,7 +442,7 @@ func checkStoreAgainstReference(t *testing.T, disk *kernel.Disk) (doubled bool) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, _ := after.replay(1)
+	agg, _ := after.replay()
 	var recs []*DeltaRec
 	for _, h := range agg.Hosts() {
 		recs = append(recs, agg.Records(h)...)
@@ -603,11 +603,11 @@ func TestReadSpill(t *testing.T) {
 	if msgs, _, bad, err := readSpill(disk, 5); msgs != nil || bad != 0 || err != nil {
 		t.Fatalf("missing spill file read as %v, %d bad, %v", msgs, bad, err)
 	}
-	ri := ReingestSpills(disk, NewAggregate(1), []int{3})[0]
+	ri := ReingestSpills(disk, NewAggregate(), []int{3})[0]
 	if ri.Applied != 2 || ri.ParseErrors != 3 || ri.Salvage != sal || ri.ReadError {
 		t.Fatalf("reingest %+v", ri)
 	}
-	hr := AssembleIntegrity(disk, NewAggregate(1), JournalReplay{}, []int{3}, NetFaultStats{}).Hosts[0]
+	hr := AssembleIntegrity(disk, NewAggregate(), JournalReplay{}, []int{3}, NetFaultStats{}).Hosts[0]
 	if !reflect.DeepEqual(hr.SpillSeqs, []uint64{1, 3}) || hr.SpillSamples != 5 || hr.SpillParse != 3 || hr.SpillSalvage != sal {
 		t.Fatalf("integrity host report %+v", hr)
 	}

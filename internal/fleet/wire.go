@@ -73,8 +73,8 @@ func (m *WireMsg) Total() uint64 {
 }
 
 // sortedKeys returns the counts' keys in a deterministic total order
-// (keyLess plus the proc/jit fields it does not compare), so the same
-// delta always serializes to the same bytes.
+// over every Key field, so the same delta always serializes to the
+// same bytes.
 func sortedKeys(counts map[oprofile.Key]uint64) []oprofile.Key {
 	order := make([]oprofile.Key, 0, len(counts))
 	for k := range counts {
@@ -97,7 +97,10 @@ func sortedKeys(counts map[oprofile.Key]uint64) []oprofile.Key {
 		if a.Epoch != b.Epoch {
 			return a.Epoch < b.Epoch
 		}
-		return a.Off < b.Off
+		if a.Off != b.Off {
+			return a.Off < b.Off
+		}
+		return a.CPU < b.CPU
 	})
 	return order
 }

@@ -94,16 +94,6 @@ func ScenarioOf(seed int64) ChaosScenario {
 	return ChaosScenario(s)
 }
 
-// ChaosPlan derives the deterministic fault schedule for a seed: the
-// scenario picks the target path prefix and failure mix, the seed's
-// private RNG picks the intensities. (ScenarioDirDamage attacks
-// listings and ScenarioReadFault attacks offline reads, not writes, so
-// their write-side plans are inert — use ScheduleOf for the full
-// composed schedule.)
-func ChaosPlan(seed int64) kernel.FaultPlan {
-	return scenarioPlan(ScenarioOf(seed), seed)
-}
-
 func scenarioPlan(sc ChaosScenario, seed int64) kernel.FaultPlan {
 	rng := rand.New(rand.NewSource(seed*0x9E3779B9 + 1))
 	plan := kernel.FaultPlan{Seed: seed}

@@ -79,7 +79,7 @@ func (vm *VM) startup() {
 	// Bootstrap: the small C loader mmaps the boot image.
 	if sym, ok := vm.bootstrapImg.Lookup("loadBootImage"); ok {
 		pc := vm.bootstrapBase + sym.Off
-		vm.m.CPU().ExecRange(pc, 1500, 4, 1)
+		vm.m.CPU().ExecBatch(pc, 1500, 4, 1)
 	}
 	// VM.boot: scheduler and runtime initialization.
 	vm.work(SvcStartup, 12_000)

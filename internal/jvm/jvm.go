@@ -351,10 +351,6 @@ func (vm *VM) Body(m *classes.Method) (*jit.CodeBody, bool) {
 	return b, b != nil
 }
 
-// BootImage returns the boot image (post-processing tools resolve
-// RVM.map symbols against it).
-func (vm *VM) BootImage() *image.Image { return vm.bootImg }
-
 // Personality returns the runtime personality this VM instance runs as.
 func (vm *VM) Personality() *Personality { return vm.cfg.Personality }
 

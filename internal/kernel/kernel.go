@@ -108,9 +108,6 @@ func (p *Process) CPUTime() uint64 { return p.cpuTime }
 // CPU returns the core whose run queue currently holds this process.
 func (p *Process) CPU() int { return p.cpu }
 
-// Pinned reports whether the process is affinity-pinned to its core.
-func (p *Process) Pinned() bool { return p.pinned }
-
 // Done reports whether the process has exited.
 func (p *Process) Done() bool { return p.state == stateDone }
 

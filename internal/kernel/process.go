@@ -87,9 +87,6 @@ func (k *Kernel) Process(pid int) (*Process, bool) {
 	return nil, false
 }
 
-// Current returns the currently scheduled process (nil between slices).
-func (k *Kernel) Current() *Process { return k.current }
-
 // Processes returns all processes.
 func (k *Kernel) Processes() []*Process { return k.procs }
 

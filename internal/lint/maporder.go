@@ -617,15 +617,24 @@ func (st *moState) reportTaintedIn(arg ast.Expr, sink, via string, reportSrc boo
 	})
 }
 
-// isSortCall reports a call to any function in package sort (the
-// sanitizer: sort.Slice, sort.Strings, sort.Sort, ...).
+// sortFuncs are the sanitizers: the package functions that reorder
+// their first argument in place. sort.Search*, sort.Find and the
+// IsSorted checks only read it.
+var sortFuncs = map[[2]string]bool{
+	{"sort", "Sort"}: true, {"sort", "Stable"}: true,
+	{"sort", "Slice"}: true, {"sort", "SliceStable"}: true,
+	{"sort", "Strings"}: true, {"sort", "Ints"}: true, {"sort", "Float64s"}: true,
+	{"slices", "Sort"}: true, {"slices", "SortFunc"}: true, {"slices", "SortStableFunc"}: true,
+}
+
+// isSortCall reports a call to one of sortFuncs.
 func (st *moState) isSortCall(call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	pkg, _, ok := importedRef(st.info(), sel)
-	return ok && pkg == "sort"
+	pkg, name, ok := importedRef(st.info(), sel)
+	return ok && sortFuncs[[2]string{pkg, name}]
 }
 
 // isFieldVar reports whether e names a struct field.

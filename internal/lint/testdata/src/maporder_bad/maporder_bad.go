@@ -5,6 +5,7 @@ package maporder_bad
 import (
 	"fmt"
 	"io"
+	"sort"
 )
 
 // Sink lexically inside the map range: each write lands in map order.
@@ -43,5 +44,28 @@ func waived(w io.Writer, counts map[string]int) {
 	for k := range counts {
 		//viplint:allow maporder fixture: output order irrelevant for this debug dump
 		fmt.Fprintln(w, k)
+	}
+}
+
+// Functions of package sort that only read the slice are not sorts:
+// the keys reach the sink in map order. (sort.Find and sort.IsSorted
+// take a length or an Interface, never the slice itself, so they could
+// not sanitize it either way.)
+func searchIsNotSort(w io.Writer, counts map[string]int) {
+	var keys []string
+	for k := range counts { // want `keys is ordered by map iteration and reaches Fprintln`
+		keys = append(keys, k)
+	}
+	_ = sort.SearchStrings(keys, "x")
+	fmt.Fprintln(w, keys)
+}
+
+func areSortedIsNotSort(w io.Writer, counts map[string]int) {
+	var keys []string
+	for k := range counts { // want `keys is ordered by map iteration and reaches Fprintln`
+		keys = append(keys, k)
+	}
+	if !sort.StringsAreSorted(keys) {
+		fmt.Fprintln(w, keys)
 	}
 }

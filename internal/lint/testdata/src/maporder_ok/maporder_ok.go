@@ -5,7 +5,9 @@ package maporder_ok
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 )
 
 func sortedKeys(w io.Writer, counts map[string]int) {
@@ -39,4 +41,32 @@ func sliceOrder(w io.Writer, rows []string) {
 	for _, r := range rows {
 		fmt.Fprintln(w, r)
 	}
+}
+
+// The slices package's sorts reorder in place, like sort's.
+func slicesSort(w io.Writer, counts map[string]int) {
+	keys := make([]string, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	fmt.Fprintln(w, keys)
+}
+
+func slicesSortFunc(w io.Writer, counts map[string]int) {
+	keys := make([]string, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, strings.Compare)
+	fmt.Fprintln(w, keys)
+}
+
+func slicesSortStableFunc(w io.Writer, counts map[string]int) {
+	keys := make([]string, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	slices.SortStableFunc(keys, func(a, b string) int { return len(a) - len(b) })
+	fmt.Fprintln(w, keys)
 }

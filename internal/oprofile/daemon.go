@@ -2,8 +2,10 @@ package oprofile
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"viprof/internal/kernel"
@@ -66,11 +68,16 @@ type Daemon struct {
 	// samplesLoggedCPU splits samplesLogged by the CPU the sample was
 	// taken on; the per-CPU entries always sum to the aggregate.
 	samplesLoggedCPU []uint64
-	// horizons tracks, per process, the highest GC epoch each CPU has
-	// observed in that process's JIT samples. An epoch is closed for
-	// attribution only when every observing CPU has passed it — the
-	// cross-core horizon rule (see EpochHorizons).
-	horizons map[string]map[int]int
+
+	// Drain and flush state kept across wakes, cleared instead of
+	// remade: aggs holds one shard aggregate per CPU (wg joins their
+	// workers); order, groups (indexed by CPU) and payload are flush's
+	// key order, per-CPU key groups and record body.
+	aggs    []*shardAgg
+	wg      sync.WaitGroup
+	order   []Key
+	groups  [][]Key
+	payload bytes.Buffer
 
 	flushes     uint64
 	flushErrors uint64
@@ -110,7 +117,6 @@ func StartDaemon(m *kernel.Machine, drv *Driver, cfg DaemonConfig) (*Daemon, err
 		cfg:                cfg,
 		counts:             make(map[Key]uint64),
 		dirty:              make(map[Key]uint64),
-		horizons:           make(map[string]map[int]int),
 		perSampleOps:       420,
 		spilledLostByEvent: make(map[string]uint64),
 		spilledLostCPU:     make(map[int]uint64),
@@ -161,27 +167,23 @@ func (d *Daemon) processBatch(m *kernel.Machine, max int) {
 	}
 }
 
-// shardAgg is one drain worker's private accumulation: a shard-local
-// count map plus the shard's epoch horizon. Workers share nothing; the
-// merge below is the only point their results meet.
+// shardAgg is one CPU's drain worker state: the shard drained this
+// time and its shard-local counts. Workers share nothing; the merge
+// below is the only point their results meet. The daemon keeps one per
+// CPU across drains and clears it before each fold.
 type shardAgg struct {
-	counts  map[Key]uint64
-	n       uint64
-	horizon map[string]int // proc -> max epoch seen in this shard
+	in     []Sample
+	counts map[Key]uint64
+	// run folds in and signals wg: built once, so starting a worker
+	// allocates nothing.
+	run func()
 }
 
-func aggregateShard(shard []Sample) *shardAgg {
-	a := &shardAgg{counts: make(map[Key]uint64), horizon: make(map[string]int)}
-	for _, s := range shard {
+func (a *shardAgg) fold() {
+	clear(a.counts)
+	for _, s := range a.in {
 		a.counts[KeyOf(s)]++
-		a.n++
-		if s.JIT {
-			if ep, ok := a.horizon[s.Proc]; !ok || s.Epoch > ep {
-				a.horizon[s.Proc] = s.Epoch
-			}
-		}
 	}
-	return a
 }
 
 // aggregateShards folds drained per-CPU shards into the daemon's
@@ -189,58 +191,50 @@ func aggregateShard(shard []Sample) *shardAgg {
 // aggregation runs on one goroutine per shard — the profiler's first
 // genuinely parallel hot path under GOMAXPROCS>1. Determinism holds
 // because each worker touches only its own shard and its own local
-// maps, and the merge always walks shards in ascending CPU order.
+// map, and the merge walks the shards drained this time in ascending
+// CPU order.
 func (d *Daemon) aggregateShards(shards [][]Sample) {
-	aggs := make([]*shardAgg, len(shards))
 	nonEmpty := 0
-	for _, shard := range shards {
-		if len(shard) > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty > 1 {
-		var wg sync.WaitGroup
-		for ci, shard := range shards {
-			if len(shard) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(ci int, shard []Sample) {
-				defer wg.Done()
-				aggs[ci] = aggregateShard(shard)
-			}(ci, shard)
-		}
-		wg.Wait()
-	} else {
-		for ci, shard := range shards {
-			if len(shard) > 0 {
-				aggs[ci] = aggregateShard(shard)
-			}
-		}
-	}
-	for ci, a := range aggs {
-		if a == nil {
+	for ci, shard := range shards {
+		if len(shard) == 0 {
 			continue
 		}
-		for k, c := range a.counts {
+		nonEmpty++
+		for len(d.aggs) <= ci {
+			a := &shardAgg{counts: make(map[Key]uint64)}
+			a.run = func() {
+				a.fold()
+				d.wg.Done()
+			}
+			d.aggs = append(d.aggs, a)
+		}
+		d.aggs[ci].in = shard
+	}
+	for ci, shard := range shards {
+		switch {
+		case len(shard) == 0:
+		case nonEmpty > 1:
+			d.wg.Add(1)
+			go d.aggs[ci].run()
+		default:
+			d.aggs[ci].fold()
+		}
+	}
+	d.wg.Wait()
+	for ci, shard := range shards {
+		if len(shard) == 0 {
+			continue
+		}
+		for k, c := range d.aggs[ci].counts {
 			d.counts[k] += c
 			d.dirty[k] += c
 		}
-		d.samplesLogged += a.n
+		n := uint64(len(shard))
+		d.samplesLogged += n
 		for len(d.samplesLoggedCPU) <= ci {
 			d.samplesLoggedCPU = append(d.samplesLoggedCPU, 0)
 		}
-		d.samplesLoggedCPU[ci] += a.n
-		for proc, ep := range a.horizon {
-			hm := d.horizons[proc]
-			if hm == nil {
-				hm = make(map[int]int)
-				d.horizons[proc] = hm
-			}
-			if cur, ok := hm[ci]; !ok || ep > cur {
-				hm[ci] = ep
-			}
-		}
+		d.samplesLoggedCPU[ci] += n
 	}
 }
 
@@ -253,30 +247,33 @@ func (d *Daemon) aggregateShards(shards [][]Sample) {
 // On failure the remaining groups stay dirty for retry (the torn
 // record on disk fails its checksum) and are bounded by spillExcess.
 func (d *Daemon) flush(m *kernel.Machine) {
-	order := make([]Key, 0, len(d.dirty))
+	order := d.order[:0]
 	for k := range d.dirty {
 		order = append(order, k)
 	}
-	sort.Slice(order, func(i, j int) bool { return keyLess(order[i], order[j]) })
-	var cpus []int
-	groups := make(map[int][]Key)
-	for _, k := range order {
-		if _, ok := groups[k.CPU]; !ok {
-			cpus = append(cpus, k.CPU)
-		}
-		groups[k.CPU] = append(groups[k.CPU], k)
+	slices.SortFunc(order, compareKeys)
+	d.order = order
+	for ci := range d.groups {
+		d.groups[ci] = d.groups[ci][:0]
 	}
-	sort.Ints(cpus)
-	for _, ci := range cpus {
-		g := groups[ci]
-		var buf bytes.Buffer
-		if err := WriteCounts(&buf, d.dirty, g); err != nil {
+	for _, k := range order {
+		for len(d.groups) <= k.CPU {
+			d.groups = append(d.groups, nil)
+		}
+		d.groups[k.CPU] = append(d.groups[k.CPU], k)
+	}
+	for _, g := range d.groups {
+		if len(g) == 0 {
+			continue
+		}
+		d.payload.Reset()
+		if err := WriteCounts(&d.payload, d.dirty, g); err != nil {
 			// Serialization into memory cannot fail; treat it as a flush
 			// error anyway so a future bug is loud rather than silent.
 			d.flushErrors++
 			return
 		}
-		err := m.Kern.SysWrite(d.proc, SampleFile, record.Frame(buf.Bytes()))
+		err := m.Kern.SysWrite(d.proc, SampleFile, record.Frame(d.payload.Bytes()))
 		switch {
 		case err == nil:
 			for _, k := range g {
@@ -476,29 +473,6 @@ func (d *Daemon) SamplesLoggedCPU() []uint64 {
 	return out
 }
 
-// EpochHorizons returns, per process, the closed epoch horizon: the
-// highest GC epoch that every CPU which has observed that process's
-// JIT samples has reached. Attribution for epochs at or below the
-// horizon is final — no core can still deliver samples tagged with an
-// older epoch mapping — while epochs above it may still be in flight
-// on some core. This is the cross-core generalization of the
-// single-core rule "the current epoch is still open".
-func (d *Daemon) EpochHorizons() map[string]int {
-	out := make(map[string]int, len(d.horizons))
-	for proc, hm := range d.horizons {
-		first := true
-		min := 0
-		for _, ep := range hm {
-			if first || ep < min {
-				min = ep
-				first = false
-			}
-		}
-		out[proc] = min
-	}
-	return out
-}
-
 // Flushes returns the number of successful disk flushes.
 func (d *Daemon) Flushes() uint64 { return d.flushes }
 
@@ -559,18 +533,33 @@ func (d *Daemon) UnflushedCPU() map[int]uint64 {
 	return out
 }
 
-func keyLess(a, b Key) bool {
+// compareKeys is the daemon's total order on sample keys: the flush
+// order within a CPU group and the spill order. Proc and JIT come last,
+// so keys that differ only there still sort the same way every run.
+func compareKeys(a, b Key) int {
 	if a.Event != b.Event {
-		return a.Event < b.Event
+		return cmp.Compare(a.Event, b.Event)
 	}
 	if a.Image != b.Image {
-		return a.Image < b.Image
+		return strings.Compare(a.Image, b.Image)
 	}
 	if a.Epoch != b.Epoch {
-		return a.Epoch < b.Epoch
+		return cmp.Compare(a.Epoch, b.Epoch)
 	}
 	if a.Off != b.Off {
-		return a.Off < b.Off
+		return cmp.Compare(a.Off, b.Off)
 	}
-	return a.CPU < b.CPU
+	if a.CPU != b.CPU {
+		return cmp.Compare(a.CPU, b.CPU)
+	}
+	if a.Proc != b.Proc {
+		return strings.Compare(a.Proc, b.Proc)
+	}
+	if a.JIT != b.JIT {
+		if a.JIT {
+			return 1
+		}
+		return -1
+	}
+	return 0
 }

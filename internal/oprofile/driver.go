@@ -64,6 +64,7 @@ type Driver struct {
 	// shard; a 1-core machine behaves exactly like the pre-SMP single
 	// buffer. wmLatched and percpu are indexed the same way.
 	bufs      [][]Sample
+	drained   [][]Sample // DrainShards' per-CPU result, refilled each drain
 	capacity  int
 	wmLatched []bool // watermark fired; reset when a drain brings the shard below half
 	stats     DriverStats
@@ -149,6 +150,7 @@ func NewDriver(m *kernel.Machine, events []EventConfig, bufCap int, reg Registry
 		module:     lm,
 		reg:        reg,
 		bufs:       make([][]Sample, ncpu),
+		drained:    make([][]Sample, ncpu),
 		capacity:   bufCap,
 		wmLatched:  make([]bool, ncpu),
 		percpu:     make([]DriverStats, ncpu),
@@ -341,25 +343,21 @@ func (d *Driver) Drain(max int) []Sample {
 
 // DrainShards removes and returns up to maxPerShard samples from every
 // CPU shard (FIFO within each). The result is indexed by CPU id; empty
-// shards yield nil slices. This is the entry point the daemon's
+// shards yield empty slices. This is the entry point the daemon's
 // concurrent drain uses — each returned shard can be aggregated by a
-// separate goroutine because the slices share no backing store.
+// separate goroutine because each CPU has its own backing array. The
+// driver keeps those arrays and refills them on every call, so the
+// result is valid only until the next DrainShards.
 func (d *Driver) DrainShards(maxPerShard int) [][]Sample {
-	out := make([][]Sample, len(d.bufs))
 	for ci := range d.bufs {
 		take := len(d.bufs[ci])
 		if maxPerShard > 0 && take > maxPerShard {
 			take = maxPerShard
 		}
-		if take == 0 {
-			continue
-		}
-		shard := make([]Sample, take)
-		copy(shard, d.bufs[ci][:take])
-		out[ci] = shard
+		d.drained[ci] = append(d.drained[ci][:0], d.bufs[ci][:take]...)
 		d.shrinkShard(ci, take)
 	}
-	return out
+	return d.drained
 }
 
 // shrinkShard drops the first take samples from a shard and re-arms

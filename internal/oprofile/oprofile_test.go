@@ -382,7 +382,7 @@ func TestOpreportEndToEnd(t *testing.T) {
 	p, _ := m.Kern.NewProcess("app", kernel.ExecFunc(func(mm *kernel.Machine, pp *kernel.Process) kernel.StepResult {
 		for remaining > 0 && !mm.Core.Expired() {
 			// Stay inside main's 4 KiB symbol: wrap every 1000 ops.
-			mm.Core.ExecRange(base+mainOff, 1000, 4, 1)
+			mm.Core.ExecBatch(base+mainOff, 1000, 4, 1)
 			remaining -= 1000
 		}
 		if remaining <= 0 {

@@ -47,10 +47,9 @@ type Report struct {
 	// Precomputed views, built once (BuildReport, or lazily on first
 	// use for hand-assembled reports) instead of re-scanning and
 	// re-sorting the row set per lookup/view:
-	symIdx  map[string]int        // symbol -> index of its first row in Rows order
-	imgIdx  map[string]int        // image -> index into imgRows
-	imgRows []Row                 // per-image aggregates, primary-event order
-	byEvent map[hpc.Event][]int32 // Rows order per event column, as index slices
+	symIdx  map[string]int // symbol -> index of its first row in Rows order
+	imgIdx  map[string]int // image -> index into imgRows
+	imgRows []Row          // per-image aggregates, primary-event order
 }
 
 // ensureIndex builds the precomputed views. Rows must not be mutated
@@ -88,41 +87,6 @@ func (r *Report) ensureIndex() {
 	for j, row := range r.imgRows {
 		r.imgIdx[row.Image] = j
 	}
-	r.byEvent = make(map[hpc.Event][]int32, len(r.Events))
-	for _, ev := range r.Events {
-		order := make([]int32, len(r.Rows))
-		for i := range order {
-			order[i] = int32(i)
-		}
-		sort.Slice(order, func(a, b int) bool {
-			x, y := &r.Rows[order[a]], &r.Rows[order[b]]
-			if x.Counts[ev] != y.Counts[ev] {
-				return x.Counts[ev] > y.Counts[ev]
-			}
-			if x.Image != y.Image {
-				return x.Image < y.Image
-			}
-			return x.Symbol < y.Symbol
-		})
-		r.byEvent[ev] = order
-	}
-}
-
-// ViewRows returns the report rows ordered by the given event column
-// (descending, ties by image then symbol) — opreport's per-event view,
-// served from the sort orders precomputed as index slices. Events
-// outside the report's column set fall back to the primary order.
-func (r *Report) ViewRows(ev hpc.Event) []Row {
-	r.ensureIndex()
-	order, ok := r.byEvent[ev]
-	if !ok {
-		return r.Rows
-	}
-	out := make([]Row, len(order))
-	for i, j := range order {
-		out[i] = r.Rows[j]
-	}
-	return out
 }
 
 // Percent returns the row's share of the report total for an event.

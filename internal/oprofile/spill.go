@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -219,7 +219,7 @@ func RecoverSpill(m *kernel.Machine, proc *kernel.Process) (SpillRecovery, error
 	for k := range st.OnDisk {
 		order = append(order, k)
 	}
-	sort.Slice(order, func(i, j int) bool { return keyLess(order[i], order[j]) })
+	slices.SortFunc(order, compareKeys)
 	var buf bytes.Buffer
 	if err := WriteCounts(&buf, st.OnDisk, order); err != nil {
 		sr.MergeErrors++

@@ -37,7 +37,7 @@ func memBenchCore(batched bool) *cpu.Core {
 	bank.Program(hpc.BSQCacheReference, 90_000)
 	c := cpu.New(bank, cache.DefaultHierarchy())
 	c.SetNMIHandler(func(core *cpu.Core, _ cpu.Snapshot, _ hpc.Event) {
-		core.ExecRange(addr.KernelBase+0x80, 120, 4, 1)
+		core.ExecBatch(addr.KernelBase+0x80, 120, 4, 1)
 	})
 	c.SetBatching(batched)
 	return c
