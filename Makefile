@@ -29,15 +29,16 @@ fmt:
 lint:
 	$(GO) run ./cmd/viplint -stats ./...
 
-# Focused race gate on the concurrency-bearing subsystems: the fleet
-# collector (networked delta ingestion, supervisor restarts), the chaos
-# harness, the daemon's concurrent per-CPU shard drain (internal/core
-# drives it end to end; internal/oprofile holds the daemon, its drain
-# buffers and shard aggregates kept across drains, and the tests that
-# drive them directly; internal/cpu holds the cores whose banks the
-# shards are fed from), re-run under the race detector with caching
-# defeated, so `make check` exercises them fresh even when the cached
-# `test` target is a no-op.
+# Focused race gate on the packages whose tests run simulations side by
+# side: the chaos harness (parallel fleet and SMP seeds, and Repeat's
+# per-seed workers), internal/core's parallel chaos subtests, and the
+# fleet store, whose reference reader decodes journals on goroutines. Any
+# state two simulated machines share by accident shows up here as a
+# race, whichever package holds it. internal/oprofile (the per-CPU
+# driver shards and the daemon that folds them on its own thread) and
+# internal/cpu (the cores whose banks feed the shards) ride along.
+# Caching is defeated, so `make check` exercises them fresh even when
+# the cached `test` target is a no-op.
 race-smoke:
 	$(GO) test -race -short -count=1 ./internal/fleet/ ./internal/harness/ ./internal/core/ ./internal/oprofile/ ./internal/cpu/
 

@@ -57,6 +57,52 @@ func (o *Outcome) DumpProfile(dir string) error {
 	return disk.DumpTo(dir)
 }
 
+// archiveManifest is what an archive's manifest names: the sampled
+// events, and the VM processes by name, in manifest order, with their
+// pids.
+type archiveManifest struct {
+	events []Event
+	vms    []string
+	vmPIDs map[string]int
+}
+
+// readManifest parses the manifest DumpProfile writes: `event <n>` and
+// `vm <pid> <name>` lines. A malformed event or vm line fails the load;
+// lines with any other keyword are skipped.
+func readManifest(disk *kernel.Disk) (*archiveManifest, error) {
+	//viplint:allow record-frame manifest is line-oriented plain text validated field-by-field by this parser
+	data, err := disk.Read(manifestPath)
+	if err != nil {
+		return nil, fmt.Errorf("viprof: archive has no manifest: %v", err)
+	}
+	man := &archiveManifest{vmPIDs: make(map[string]int)}
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 || fields[0] != "event" && fields[0] != "vm" {
+			continue
+		}
+		vm := fields[0] == "vm"
+		if vm && len(fields) < 3 || !vm && len(fields) != 2 {
+			return nil, fmt.Errorf("viprof: bad manifest line %q", sc.Text())
+		}
+		n, err := strconv.Atoi(fields[1])
+		if err != nil {
+			return nil, fmt.Errorf("viprof: bad manifest line %q: %v", sc.Text(), err)
+		}
+		if !vm {
+			man.events = append(man.events, hpc.Event(n))
+			continue
+		}
+		name := strings.Join(fields[2:], " ")
+		if _, seen := man.vmPIDs[name]; !seen {
+			man.vms = append(man.vms, name)
+		}
+		man.vmPIDs[name] = n
+	}
+	return man, nil
+}
+
 // LoadArchivedReport rebuilds the vertically integrated report from a
 // directory written by DumpProfile.
 func LoadArchivedReport(dir string) (*Report, error) {
@@ -64,30 +110,9 @@ func LoadArchivedReport(dir string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	//viplint:allow record-frame manifest is line-oriented plain text validated field-by-field by this parser
-	manData, err := disk.Read(manifestPath)
+	man, err := readManifest(disk)
 	if err != nil {
-		return nil, fmt.Errorf("viprof: archive has no manifest: %v", err)
-	}
-	var events []Event
-	vmPIDs := make(map[string]int)
-	sc := bufio.NewScanner(bytes.NewReader(manData))
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		switch {
-		case len(fields) == 2 && fields[0] == "event":
-			n, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("viprof: bad manifest event: %v", err)
-			}
-			events = append(events, hpc.Event(n))
-		case len(fields) >= 3 && fields[0] == "vm":
-			pid, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("viprof: bad manifest vm line: %v", err)
-			}
-			vmPIDs[strings.Join(fields[2:], " ")] = pid
-		}
+		return nil, err
 	}
 	images := make(map[string]*image.Image)
 	for _, p := range disk.List() {
@@ -106,7 +131,7 @@ func LoadArchivedReport(dir string) (*Report, error) {
 		}
 		images[name] = im
 	}
-	rep, _, err := core.Vipreport(disk, images, vmPIDs, events)
+	rep, _, err := core.Vipreport(disk, images, man.vmPIDs, man.events)
 	return rep, err
 }
 
@@ -119,38 +144,14 @@ func LoadArchivedPhases(dir string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	//viplint:allow record-frame manifest is line-oriented plain text validated field-by-field by this parser
-	manData, err := disk.Read(manifestPath)
+	man, err := readManifest(disk)
 	if err != nil {
-		return "", fmt.Errorf("viprof: archive has no manifest: %v", err)
+		return "", err
 	}
-	var proc string
-	var events []Event
-	vmPIDs := make(map[string]int)
-	sc := bufio.NewScanner(bytes.NewReader(manData))
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		switch {
-		case len(fields) == 2 && fields[0] == "event":
-			if n, err := strconv.Atoi(fields[1]); err == nil {
-				events = append(events, hpc.Event(n))
-			}
-		case len(fields) >= 3 && fields[0] == "vm":
-			pid, err := strconv.Atoi(fields[1])
-			if err != nil {
-				continue
-			}
-			name := strings.Join(fields[2:], " ")
-			vmPIDs[name] = pid
-			if proc == "" {
-				proc = name
-			}
-		}
-	}
-	if proc == "" {
+	if len(man.vms) == 0 {
 		return "", fmt.Errorf("viprof: archive manifest names no VM process")
 	}
-	data, err := disk.Read("var/lib/oprofile/samples.log")
+	data, err := disk.Read(oprofile.SampleFile)
 	if err != nil {
 		return "", err
 	}
@@ -158,15 +159,15 @@ func LoadArchivedPhases(dir string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	res, err := core.NewResolver(disk, nil, vmPIDs)
+	res, err := core.NewResolver(disk, nil, man.vmPIDs)
 	if err != nil {
 		return "", err
 	}
 	primary := EventCycles
-	if len(events) > 0 {
-		primary = events[0]
+	if len(man.events) > 0 {
+		primary = man.events[0]
 	}
-	rows := core.PhaseBreakdown(counts, res, proc, primary)
+	rows := core.PhaseBreakdown(counts, res, man.vms[0], primary)
 	var buf bytes.Buffer
 	if sal.Lossy() {
 		fmt.Fprintf(&buf, "WARNING: sample file damaged — %d records dropped (%d bytes); timeline built from the %d that survived\n",

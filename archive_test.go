@@ -75,3 +75,40 @@ func TestLoadArchivedReportErrors(t *testing.T) {
 		t.Errorf("%d rows conjured from no sample data", len(rep.Rows))
 	}
 }
+
+// TestArchiveManifestMalformedLine: both loaders read the manifest
+// through one strict parser, so a malformed event or vm line fails
+// each of them (the phase view used to skip such a line).
+func TestArchiveManifestMalformedLine(t *testing.T) {
+	out, err := ProfileBenchmark("fop", Options{Scale: 0.2, MissPeriod: 12_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := out.DumpProfile(dir); err != nil {
+		t.Fatal(err)
+	}
+	manPath := filepath.Join(dir, "viprof-manifest.txt")
+	intact, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadArchivedReport(dir); err != nil {
+		t.Fatalf("intact archive: %v", err)
+	}
+	if _, err := LoadArchivedPhases(dir); err != nil {
+		t.Fatalf("intact archive phases: %v", err)
+	}
+	for _, line := range []string{"event x", "event", "event 1 2", "vm x jikesrvm", "vm 3"} {
+		man := append(append([]byte(nil), intact...), line+"\n"...)
+		if err := os.WriteFile(manPath, man, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadArchivedReport(dir); err == nil {
+			t.Errorf("LoadArchivedReport accepted manifest line %q", line)
+		}
+		if _, err := LoadArchivedPhases(dir); err == nil {
+			t.Errorf("LoadArchivedPhases accepted manifest line %q", line)
+		}
+	}
+}

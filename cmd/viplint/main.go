@@ -1,6 +1,6 @@
 // viplint is the repository's invariant checker: a multichecker running
-// the internal/lint pass suite (detrand, maporder, syswrite-err,
-// epoch-resolve, record-frame, errflow) over the module. It prints
+// the internal/lint pass suite (detrand, maporder, epoch-resolve,
+// record-frame, errflow) over the module. It prints
 // every unsuppressed diagnostic and exits 1 when any exist, 2 on
 // operational errors — so `make lint` gates exactly like `go vet`.
 //

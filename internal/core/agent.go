@@ -173,7 +173,7 @@ func (a *VMAgent) OnMove(body *jit.CodeBody, old addr.Address) {
 			uint64(old), uint64(body.Start()), body.Size, body.Method.Signature())
 		// The move log is ablation-only instrumentation for the rejected
 		// eager design; a lost record only understates that design's cost.
-		//viplint:allow syswrite-err ablation-only move log, loss is benign
+		//viplint:allow errflow ablation-only move log, loss is benign
 		a.m.Kern.SysWrite(a.proc, MapPath(a.proc.PID, -1)+".moves", []byte(rec)) //viplint:allow record-frame ablation-only text log, nothing resolves through it
 	} else {
 		a.exec("viprof_flag_move", 5)
@@ -342,7 +342,7 @@ func (a *VMAgent) writeStats() {
 	// protocol — a failed (or torn) stats write reads back as "the VM did
 	// not shut down cleanly", which is the correct degraded verdict, and
 	// there is no later point in the VM's life to retry or report it.
-	//viplint:allow syswrite-err stats absence IS the crash signal; no retry point exists
+	//viplint:allow errflow stats absence IS the crash signal; no retry point exists
 	_ = a.m.Kern.SysWrite(a.proc, AgentStatsPath(a.proc.PID), record.Frame(oprofile.AppendStats(nil, ap.table())))
 }
 

@@ -26,10 +26,6 @@ type FleetConfig struct {
 	Sender    SenderConfig
 	// MaxCycles bounds the run (default 2_000_000_000).
 	MaxCycles uint64
-	// MaxCollectorRestarts bounds the supervisor's per-shard restart
-	// budget (default 8, the core.RunRecovery shape: bounded attempts,
-	// then give up loudly). Copied into Collector.MaxRestarts.
-	MaxCollectorRestarts int
 	// SupervisorPeriodCycles is the crash-check period (default 50_000).
 	SupervisorPeriodCycles uint64
 }
@@ -43,9 +39,6 @@ func (c *FleetConfig) fill() {
 	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 2_000_000_000
-	}
-	if c.MaxCollectorRestarts == 0 {
-		c.MaxCollectorRestarts = 8
 	}
 	if c.SupervisorPeriodCycles == 0 {
 		c.SupervisorPeriodCycles = 50_000
@@ -87,9 +80,6 @@ func RunFleet(m *kernel.Machine, cfg FleetConfig) (*FleetResult, error) {
 	ccfg := cfg.Collector
 	if ccfg.Seed == 0 {
 		ccfg.Seed = cfg.Seed
-	}
-	if ccfg.MaxRestarts == 0 {
-		ccfg.MaxRestarts = cfg.MaxCollectorRestarts
 	}
 	collector, err := NewCollector(m, net, ccfg)
 	if err != nil {

@@ -496,6 +496,6 @@ func (c *Collector) Finalize(m *kernel.Machine) {
 	}
 	stats := c.Stats()
 	stats.Clean = c.Alive()
-	//viplint:allow syswrite-err the stats record is the clean-shutdown signal itself: if this write fails the file is absent or torn and integrity reports the crash
+	//viplint:allow errflow the stats record is the clean-shutdown signal itself: if this write fails the file is absent or torn and integrity reports the crash
 	m.Kern.SysWriteSync(proc, CollectorStatsFile, record.Frame(oprofile.AppendStats(nil, stats.table())))
 }

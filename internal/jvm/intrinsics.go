@@ -174,7 +174,7 @@ func (vm *VM) intrinsic(f *frame, in bytecode.Instr) error {
 		// Simulated guest stdout: the workload's own write(2) failing
 		// models a full disk for the guest, not for the profiler — no
 		// profile artifact depends on jikesrvm.out landing.
-		//viplint:allow syswrite-err guest stdout, not a profile artifact
+		//viplint:allow errflow guest stdout, not a profile artifact
 		vm.m.Kern.SysWrite(vm.proc, "jikesrvm.out", vm.ioPayload(int(n))) //viplint:allow record-frame guest stdout, not a profiler artifact
 
 	case bytecode.IntrCurrentTime:

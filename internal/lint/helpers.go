@@ -10,6 +10,15 @@ import (
 
 // Shared resolution helpers for the viplint passes.
 
+const kernelPkgPath = "viprof/internal/kernel"
+
+// kernelWriteMethods are the kernel's write-path syscalls: each returns
+// only an error, the durability signal errflow tracks and whose payload
+// record-frame checks.
+var kernelWriteMethods = map[string]bool{
+	"SysWrite": true, "SysWriteSync": true, "SysRename": true,
+}
+
 // importedRef resolves a qualified identifier (pkg.Name) to the
 // imported package path and selected name. ok is false for field and
 // method selections.

@@ -3,12 +3,15 @@
 // record-frame, detrand, errflow) need, built on nothing but
 // go/ast + go/types. It deliberately stops far short of real SSA —
 // there is no phi placement and no control-flow graph — and instead
-// provides the three things a summary-based taint walk actually
+// provides the four things a summary-based taint walk actually
 // consumes:
 //
 //   - per-function def-use chains in *evaluation* order (an
 //     assignment's RHS references precede its LHS definitions, so
 //     `err = wrap(err)` reads as use-then-def, not textual order);
+//   - per-function capture records: which variables the function's
+//     nested literals capture, so a walk that treats each literal as
+//     its own body still sees what crosses the literal boundary;
 //   - a repo-wide static call graph (callee resolved through
 //     go/types; dynamic calls through function values stay opaque);
 //   - a memoized slot per program for pass summaries, plus a
@@ -64,6 +67,12 @@ type Func struct {
 	// Refs are the def-use chains: for each object referenced in this
 	// body, its references in evaluation order.
 	Refs map[types.Object][]Ref
+	// Captures holds the variables that function literals nested in
+	// this body, at any depth, reference but do not declare: what the
+	// literals capture from here or from further out. A literal's own
+	// parameters and locals are not captures. Nil when no literal
+	// captures anything.
+	Captures map[types.Object]bool
 }
 
 // Name returns a printable name for diagnostics.

@@ -142,6 +142,53 @@ func TestLiteralsAreSeparateFuncs(t *testing.T) {
 	}
 }
 
+// TestCaptures pins the capture record: a variable referenced two
+// literals deep is captured by every body it is declared outside of,
+// while a literal's own parameters and locals are captured by no one.
+func TestCaptures(t *testing.T) {
+	p := buildSrc(t, `package p
+func outer() int {
+	x, y := 1, 2
+	func() {
+		z := y
+		func(w int) {
+			x = w + z
+		}(3)
+	}()
+	return x
+}
+`)
+	f := funcNamed(t, p, "outer")
+	names := func(caps map[types.Object]bool) map[string]bool {
+		out := make(map[string]bool)
+		for obj := range caps {
+			out[obj.Name()] = true
+		}
+		return out
+	}
+	if got := names(f.Captures); len(got) != 2 || !got["x"] || !got["y"] {
+		t.Errorf("outer captures %v, want exactly x (two literals deep) and y", got)
+	}
+	var mid *Func
+	for _, g := range p.Funcs {
+		if g.Lit != nil && g.Parent == f {
+			mid = g
+		}
+	}
+	if mid == nil {
+		t.Fatal("no literal nested in outer")
+	}
+	// The inner literal captures x from outer and z from mid; its
+	// parameter w is its own.
+	if got := names(mid.Captures); len(got) != 2 || !got["x"] || !got["z"] {
+		t.Errorf("middle literal captures %v, want exactly x and z", got)
+	}
+	// lits' literal reads only its own parameter n.
+	if lits := funcNamed(t, buildSrc(t, src), "lits"); lits.Captures != nil {
+		t.Errorf("lits captures %v, want nothing", names(lits.Captures))
+	}
+}
+
 func TestFieldRefs(t *testing.T) {
 	p := buildSrc(t, src)
 	f := funcNamed(t, p, "fields")

@@ -173,10 +173,12 @@ func (w *refWalker) expr(e ast.Expr) {
 	case *ast.FuncLit:
 		// A literal is its own body with its own chains; references to
 		// captured variables inside it do not participate in the
-		// enclosing function's source-order reasoning.
+		// enclosing function's source-order reasoning, which sees them
+		// only through its capture record.
 		lit := w.p.newFunc(w.f.Pkg, nil, nil, x, x.Body)
 		lit.Parent = w.f
 		w.p.collect(lit)
+		w.capture(lit)
 	case *ast.BinaryExpr:
 		w.expr(x.X)
 		w.expr(x.Y)
@@ -208,6 +210,28 @@ func (w *refWalker) expr(e ast.Expr) {
 	}
 	// Type expressions (ArrayType, MapType, ...) reference no data
 	// objects and are skipped.
+}
+
+// capture adds to f.Captures what the nested literal lit captures:
+// every variable lit, or a literal inside it, references but lit does
+// not declare. lit.Captures is complete here (collect has walked lit),
+// so a capture two literals deep reaches every enclosing body.
+func (w *refWalker) capture(lit *Func) {
+	add := func(obj types.Object) {
+		if lit.Lit.Pos() <= obj.Pos() && obj.Pos() < lit.Lit.End() {
+			return // lit's own parameter or local
+		}
+		if w.f.Captures == nil {
+			w.f.Captures = make(map[types.Object]bool)
+		}
+		w.f.Captures[obj] = true
+	}
+	for obj := range lit.Refs {
+		add(obj)
+	}
+	for obj := range lit.Captures {
+		add(obj)
+	}
 }
 
 // addCall records one call site and its caller edge.

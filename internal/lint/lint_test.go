@@ -168,9 +168,12 @@ func TestErrFlow(t *testing.T) {
 	t.Run("ok", func(t *testing.T) { checkFixture(t, "errflow_ok", ErrFlow) })
 }
 
+// TestSysWriteErr checks errflow's direct kernel-write rule on its own
+// fixtures: bare, blank, go and defer drops of SysWrite, SysWriteSync
+// and SysRename.
 func TestSysWriteErr(t *testing.T) {
-	t.Run("bad", func(t *testing.T) { checkFixture(t, "syswriteerr_bad", SysWriteErr) })
-	t.Run("ok", func(t *testing.T) { checkFixture(t, "syswriteerr_ok", SysWriteErr) })
+	t.Run("bad", func(t *testing.T) { checkFixture(t, "syswriteerr_bad", ErrFlow) })
+	t.Run("ok", func(t *testing.T) { checkFixture(t, "syswriteerr_ok", ErrFlow) })
 }
 
 func TestRecordFrame(t *testing.T) {
@@ -413,9 +416,13 @@ func TestAnalyzerMetadata(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	for _, want := range []string{"detrand", "maporder", "syswrite-err", "epoch-resolve", "record-frame", "errflow"} {
-		if !names[want] {
-			t.Errorf("missing analyzer %q", want)
+	want := []string{"detrand", "maporder", "epoch-resolve", "record-frame", "errflow"}
+	for _, name := range want {
+		if !names[name] {
+			t.Errorf("missing analyzer %q", name)
 		}
+	}
+	if len(names) != len(want) {
+		t.Errorf("got %d analyzers, want exactly %v", len(names), want)
 	}
 }

@@ -20,9 +20,10 @@ import (
 //  1. a sink — or a call that transitively reaches a sink — executed
 //     inside a range over a map (each write lands in map order);
 //  2. a slice populated in map order (locally, via a helper's return,
-//     or through a struct field) that reaches a sink with no
-//     intervening sort.* call, including sinks buried one or more
-//     helper calls deep.
+//     through a struct field, or by a `go`, `defer` or immediately
+//     called literal into a variable it captures) that reaches a sink
+//     with no intervening sort.* call, including sinks buried one or
+//     more helper calls deep.
 //
 // Within one function the walk is still linear in source order (no
 // branch joins) — precise enough for this codebase, and
@@ -81,7 +82,8 @@ type moSum struct {
 }
 
 // moFacts is the program-wide maporder state: summaries per function
-// plus the set of struct fields that carry map order.
+// plus the set of struct fields, and of variables a running literal
+// writes for its enclosing function, that carry map order.
 type moFacts struct {
 	sums   map[*ir.Func]*moSum
 	fields map[types.Object]token.Pos
@@ -133,11 +135,12 @@ type moState struct {
 	inRange   int                   // > 0 while inside an ordered range
 	changed   bool
 
-	// pendingFields holds struct fields assigned map order during this
-	// walk. They are published to facts.fields only at the end of the
-	// walk, so a later sort.* over the field in the same function
-	// (populate-then-sort, the idiomatic shape) retracts the taint
-	// before any other function can observe it.
+	// pendingFields holds struct fields (and captured variables, see
+	// writesCapture) assigned map order during this walk. They are
+	// published to facts.fields only at the end of the walk, so a later
+	// sort.* over the field in the same function (populate-then-sort,
+	// the idiomatic shape) retracts the taint before any other function
+	// can observe it.
 	pendingFields map[types.Object]token.Pos
 }
 
@@ -294,7 +297,8 @@ func (st *moState) walkRange(s *ast.RangeStmt) {
 // walkAssign propagates taint across an assignment: slice-like targets
 // inherit the taint of their right-hand side; a clean right-hand side
 // clears a previously tainted target; tainted stores into struct
-// fields publish the field program-wide.
+// fields, or into captured variables a running literal hands back to
+// its enclosing function, publish the target program-wide.
 func (st *moState) walkAssign(lhs, rhs []ast.Expr) {
 	var taints []moTaint
 	if len(rhs) == 1 && len(lhs) > 1 {
@@ -328,12 +332,29 @@ func (st *moState) walkAssign(lhs, rhs []ast.Expr) {
 		}
 		st.tainted[obj] = t.merge(st.tainted[obj])
 		delete(st.sanitized, obj)
-		if st.sum != nil && t.src && isFieldVar(st.info(), l) {
+		if st.sum != nil && t.src && (isFieldVar(st.info(), l) || st.writesCapture(obj)) {
 			if _, ok := st.pendingFields[obj]; !ok {
 				st.pendingFields[obj] = t.origin
 			}
 		}
 	}
+}
+
+// writesCapture reports whether a write to obj here is one the
+// enclosing function sees once this literal has run: the body is a
+// literal started by `go`, `defer` or an immediate call, and obj is a
+// variable it captures. A literal stored or passed as a callback runs
+// at no point the walk can place, so its writes stay local.
+func (st *moState) writesCapture(obj types.Object) bool {
+	if st.f.Lit == nil || !st.f.Parent.Captures[obj] {
+		return false
+	}
+	for _, cs := range st.f.Parent.Calls {
+		if ast.Unparen(cs.Call.Fun) == st.f.Lit {
+			return true
+		}
+	}
+	return false
 }
 
 // walkReturn records which results carry map order or parameter taint.

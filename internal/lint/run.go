@@ -23,7 +23,7 @@ import (
 
 // Analyzers returns the full viplint pass suite, in reporting order.
 func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{DetRand, MapOrder, SysWriteErr, EpochResolve, RecordFrame, ErrFlow}
+	return []*analysis.Analyzer{DetRand, MapOrder, EpochResolve, RecordFrame, ErrFlow}
 }
 
 // Finding is one unsuppressed diagnostic, positioned for printing.

@@ -63,3 +63,11 @@ func waived(d *kernel.Disk) {
 	//viplint:allow errflow fixture: demonstrating an explained waiver
 	readSpill(d, "spill")
 }
+
+// Kernel-write drops one helper level up (the direct ones are in
+// syswriteerr_bad), and a bare read whose fault goes with its data.
+func helperDrops(k *kernel.Kernel, p *kernel.Process, d *kernel.Disk) {
+	go persist(k, p, nil)    // want `fault-injected error from persist is discarded`
+	defer persist(k, p, nil) // want `fault-injected error from persist is discarded`
+	d.Read("spill")          // want `fault-injected error from Disk.Read is discarded`
+}

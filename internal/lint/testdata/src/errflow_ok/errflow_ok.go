@@ -1,6 +1,8 @@
 // Package errflow_ok: every fault-injected error reaches a read —
 // checked branches, wrapping reassignments, loop-head checks, and
-// closure captures must all stay silent.
+// closure captures must all stay silent, as must a disk append, which
+// has no fault point. Kernel writes handled directly are in
+// syswriteerr_ok.
 package errflow_ok
 
 import (
@@ -55,4 +57,10 @@ func deferredCheck(d *kernel.Disk) func() error {
 	var err error
 	_, err = readSpill(d, "spill")
 	return func() error { return err }
+}
+
+// Disk.Append returns nothing and injects no fault: a bare call drops
+// nothing.
+func appendOnly(d *kernel.Disk, data []byte) {
+	d.Append("var/log/out", data)
 }

@@ -59,23 +59,49 @@ func mergeInRangeOrder(w io.Writer, shards []map[key]uint64) {
 	}
 }
 
-// KNOWN MISS, pinned deliberately: the worker goroutine collects keys
-// in range order into a slice captured from the parent, and the parent
-// emits after the join. The pass walks the func literal as its own
-// function and does not propagate taint written to captured locals
-// back to the enclosing scope, so this escape is invisible today. No
-// want comment: if a future summary improvement starts catching it,
-// this fixture fails loudly and the want should be added.
+// The worker goroutine collects keys in range order into a slice
+// captured from the parent, and the parent emits after the join. The
+// literal runs (go), so its write to the captured slice reaches the
+// parent's read as map order, the way a struct field would.
 func goroutineCollectedKeys(w io.Writer, merged map[key]uint64) {
 	var keys []key
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for k := range merged {
+		for k := range merged { // want `keys is ordered by map iteration and reaches Fprintln without an intervening sort`
 			keys = append(keys, k)
 		}
 	}()
 	wg.Wait()
+	fmt.Fprintln(w, keys)
+}
+
+// The same escape through an immediately called literal, two literals
+// deep.
+func nestedLiteralKeys(w io.Writer, merged map[key]uint64) {
+	var keys []key
+	func() {
+		func() {
+			for k := range merged { // want `keys is ordered by map iteration and reaches Fprintln without an intervening sort`
+				keys = append(keys, k)
+			}
+		}()
+	}()
+	fmt.Fprintln(w, keys)
+}
+
+// KNOWN MISS, pinned deliberately: a literal handed to a helper as a
+// callback runs at no point the walk can place, so its writes to
+// captured variables stay local even when the helper calls it at once.
+// No want comment: if the pass learns to follow callbacks, this fixture
+// fails loudly and the want should be added.
+func callbackCollectedKeys(w io.Writer, merged map[key]uint64, each func(func())) {
+	var keys []key
+	each(func() {
+		for k := range merged {
+			keys = append(keys, k)
+		}
+	})
 	fmt.Fprintln(w, keys)
 }

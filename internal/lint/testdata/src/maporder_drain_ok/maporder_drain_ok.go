@@ -62,7 +62,8 @@ func drainSorted(w io.Writer, shards []map[key]uint64) {
 }
 
 // A goroutine may collect captured keys in range order as long as the
-// parent sorts after the join, before anything persists.
+// parent sorts after the join, before anything persists: the
+// sort-after-join twin of maporder_drain_bad's goroutineCollectedKeys.
 func goroutineCollectedThenSorted(w io.Writer, merged map[key]uint64) {
 	var keys []key
 	var wg sync.WaitGroup
@@ -76,4 +77,30 @@ func goroutineCollectedThenSorted(w io.Writer, merged map[key]uint64) {
 	wg.Wait()
 	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
 	fmt.Fprintln(w, keys)
+}
+
+// The literal sorts what it collected before it returns: nothing
+// ordered by the map reaches the parent.
+func calledLiteralSortsFirst(w io.Writer, merged map[key]uint64) {
+	var keys []key
+	func() {
+		for k := range merged {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+	}()
+	fmt.Fprintln(w, keys)
+}
+
+// A running literal's own locals are not captures: map order it
+// collects into one and then drops stays inside the literal.
+func literalLocalDropped(w io.Writer, merged map[key]uint64) {
+	go func() {
+		var keys []key
+		for k := range merged {
+			keys = append(keys, k)
+		}
+		keys = nil
+		fmt.Fprintln(w, keys)
+	}()
 }

@@ -1,5 +1,5 @@
 // Package syswriteerr_ok is a viplint fixture: kernel write errors
-// handled properly. syswrite-err must stay silent here.
+// handled properly. errflow must stay silent here.
 package syswriteerr_ok
 
 import "viprof/internal/kernel"
@@ -15,7 +15,9 @@ func checked(k *kernel.Kernel, p *kernel.Process, data []byte) bool {
 	return k.SysRename(p, "var/tmp/a", "var/lib/a") == nil
 }
 
-func captured(k *kernel.Kernel, p *kernel.Process, data []byte) {
+// Bound to a named variable first: the blank read is an explicit,
+// visible discard.
+func namedDiscard(k *kernel.Kernel, p *kernel.Process, data []byte) {
 	err := k.SysWrite(p, "var/log/out", data)
-	_ = err // assigned to a named variable first; the discard is explicit
+	_ = err
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"slices"
 	"strings"
-	"sync"
 
 	"viprof/internal/kernel"
 	"viprof/internal/record"
@@ -69,12 +68,9 @@ type Daemon struct {
 	// taken on; the per-CPU entries always sum to the aggregate.
 	samplesLoggedCPU []uint64
 
-	// Drain and flush state kept across wakes, cleared instead of
-	// remade: aggs holds one shard aggregate per CPU (wg joins their
-	// workers); order, groups (indexed by CPU) and payload are flush's
-	// key order, per-CPU key groups and record body.
-	aggs    []*shardAgg
-	wg      sync.WaitGroup
+	// Flush state kept across wakes, cleared instead of remade: the
+	// key order, the per-CPU key groups (indexed by CPU) and the
+	// record body.
 	order   []Key
 	groups  [][]Key
 	payload bytes.Buffer
@@ -167,67 +163,19 @@ func (d *Daemon) processBatch(m *kernel.Machine, max int) {
 	}
 }
 
-// shardAgg is one CPU's drain worker state: the shard drained this
-// time and its shard-local counts. Workers share nothing; the merge
-// below is the only point their results meet. The daemon keeps one per
-// CPU across drains and clears it before each fold.
-type shardAgg struct {
-	in     []Sample
-	counts map[Key]uint64
-	// run folds in and signals wg: built once, so starting a worker
-	// allocates nothing.
-	run func()
-}
-
-func (a *shardAgg) fold() {
-	clear(a.counts)
-	for _, s := range a.in {
-		a.counts[KeyOf(s)]++
-	}
-}
-
-// aggregateShards folds drained per-CPU shards into the daemon's
-// aggregate maps. With more than one non-empty shard the per-shard
-// aggregation runs on one goroutine per shard — the profiler's first
-// genuinely parallel hot path under GOMAXPROCS>1. Determinism holds
-// because each worker touches only its own shard and its own local
-// map, and the merge walks the shards drained this time in ascending
-// CPU order.
+// aggregateShards folds the drained per-CPU shards into the daemon's
+// aggregate maps, one CPU after another in ascending order. A wake
+// drains a handful of samples per CPU, far too few to pay for a worker
+// per shard, so the fold runs on the daemon's own thread.
 func (d *Daemon) aggregateShards(shards [][]Sample) {
-	nonEmpty := 0
 	for ci, shard := range shards {
 		if len(shard) == 0 {
 			continue
 		}
-		nonEmpty++
-		for len(d.aggs) <= ci {
-			a := &shardAgg{counts: make(map[Key]uint64)}
-			a.run = func() {
-				a.fold()
-				d.wg.Done()
-			}
-			d.aggs = append(d.aggs, a)
-		}
-		d.aggs[ci].in = shard
-	}
-	for ci, shard := range shards {
-		switch {
-		case len(shard) == 0:
-		case nonEmpty > 1:
-			d.wg.Add(1)
-			go d.aggs[ci].run()
-		default:
-			d.aggs[ci].fold()
-		}
-	}
-	d.wg.Wait()
-	for ci, shard := range shards {
-		if len(shard) == 0 {
-			continue
-		}
-		for k, c := range d.aggs[ci].counts {
-			d.counts[k] += c
-			d.dirty[k] += c
+		for _, s := range shard {
+			k := KeyOf(s)
+			d.counts[k]++
+			d.dirty[k]++
 		}
 		n := uint64(len(shard))
 		d.samplesLogged += n
@@ -447,7 +395,7 @@ func (d *Daemon) writeStats(m *kernel.Machine) {
 	// absence protocol — the reader treats a missing or torn stats file
 	// as an unclean shutdown, which is exactly the verdict a failed
 	// stats write deserves, and there is no meta-meta-file to escalate to.
-	//viplint:allow syswrite-err stats absence IS the degradation signal; nowhere to escalate
+	//viplint:allow errflow stats absence IS the degradation signal; nowhere to escalate
 	_ = m.Kern.SysWrite(d.proc, DaemonStatsFile, record.Frame(ps.payload(cpus)))
 }
 

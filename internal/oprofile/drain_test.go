@@ -92,7 +92,7 @@ func refFlushBytes(t *testing.T, delta map[Key]uint64) []byte {
 
 // TestDaemonDrainStateAcrossDrains runs a 4-core daemon through drains
 // in which each shard goes empty, full and empty again — a stale
-// per-CPU aggregate or drain buffer would be merged twice — and partial
+// drain buffer would be folded twice — and partial
 // drains (BatchMax) that leave residue behind. After every drain the
 // lifetime counts, the per-CPU sample tallies and the sample file's
 // bytes must equal a fold of exactly the samples drained so far.
@@ -251,8 +251,8 @@ func warmCycleAllocs(t *testing.T, ncpu, keys int) float64 {
 }
 
 // TestDaemonWarmCycleAllocs pins a warm drain → aggregate → flush
-// cycle: the per-CPU drain buffers, shard aggregates and workers, and
-// flush's order, groups and payload are kept, so what allocates is the
+// cycle: the per-CPU drain buffers and flush's order, groups and
+// payload are kept, so what allocates is the
 // record each CPU's group is written as (WriteCounts' line buffer and
 // record.Frame's copy) plus the sample file's growth — a constant per
 // flushed CPU, whatever the number of keys.

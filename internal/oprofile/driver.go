@@ -295,7 +295,7 @@ func (d *Driver) handleNMI(m *kernel.Machine, s cpu.Snapshot, ev hpc.Event) {
 	// Level-triggered with a latch: `== capacity/2` would never fire for
 	// capacity < 2 and is skipped whenever a partial drain leaves the
 	// buffer above half. The latch keeps one crossing from waking the
-	// daemon on every subsequent sample; Drain re-arms it. Each CPU
+	// daemon on every subsequent sample; a drain re-arms it. Each CPU
 	// shard latches independently.
 	if d.OnWatermark != nil && !d.wmLatched[ci] && len(d.bufs[ci]) >= (d.capacity+1)/2 {
 		d.wmLatched[ci] = true
@@ -318,36 +318,12 @@ func (d *Driver) handleNMI(m *kernel.Machine, s cpu.Snapshot, ev hpc.Event) {
 	}
 }
 
-// Drain hands at most max buffered samples to the daemon and removes
-// them from the buffers, walking shards in CPU order (FIFO within a
-// shard). On a 1-core machine this is exactly the pre-SMP FIFO drain.
-func (d *Driver) Drain(max int) []Sample {
-	total := d.BufferLen()
-	if max <= 0 || max > total {
-		max = total
-	}
-	out := make([]Sample, 0, max)
-	for ci := range d.bufs {
-		if len(out) == max {
-			break
-		}
-		take := max - len(out)
-		if take > len(d.bufs[ci]) {
-			take = len(d.bufs[ci])
-		}
-		out = append(out, d.bufs[ci][:take]...)
-		d.shrinkShard(ci, take)
-	}
-	return out
-}
-
 // DrainShards removes and returns up to maxPerShard samples from every
 // CPU shard (FIFO within each). The result is indexed by CPU id; empty
-// shards yield empty slices. This is the entry point the daemon's
-// concurrent drain uses — each returned shard can be aggregated by a
-// separate goroutine because each CPU has its own backing array. The
-// driver keeps those arrays and refills them on every call, so the
-// result is valid only until the next DrainShards.
+// shards yield empty slices. On a 1-core machine shard 0 is exactly
+// the pre-SMP FIFO drain. The driver keeps one backing array per CPU
+// and refills it on every call, so the result is valid only until the
+// next DrainShards.
 func (d *Driver) DrainShards(maxPerShard int) [][]Sample {
 	for ci := range d.bufs {
 		take := len(d.bufs[ci])

@@ -160,7 +160,7 @@ func TestDriverAttributesSamples(t *testing.T) {
 	if drv.Stats().NMIs == 0 || drv.BufferLen() == 0 {
 		t.Fatalf("no samples: %+v", drv.Stats())
 	}
-	samples := drv.Drain(0)
+	samples := drv.DrainShards(0)[0]
 	var inMain int
 	for _, s := range samples {
 		if s.Image == "app.bin" {
@@ -206,7 +206,7 @@ func TestTwoCountersSampleHandler(t *testing.T) {
 	}
 	m.Kern.Run(10_000_000)
 	kern := 0
-	for _, s := range drv.Drain(0) {
+	for _, s := range drv.DrainShards(0)[0] {
 		if s.Kernel {
 			kern++
 		}
@@ -244,7 +244,7 @@ func TestDriverAnonymousAndJITPaths(t *testing.T) {
 	if st.AnonSamples == 0 || st.JITSamples != 0 {
 		t.Fatalf("plain driver stats: %+v", st)
 	}
-	for _, s := range drv.Drain(0) {
+	for _, s := range drv.DrainShards(0)[0] {
 		if s.Image == "" && !s.JIT {
 			if s.AnonStart != anonBase {
 				t.Errorf("anon range start %s, want %s", s.AnonStart, anonBase)
@@ -297,7 +297,7 @@ func TestDriverJITRegistry(t *testing.T) {
 		t.Fatalf("registry never matched: %+v", st)
 	}
 	found := false
-	for _, s := range drv.Drain(0) {
+	for _, s := range drv.DrainShards(0)[0] {
 		if s.JIT {
 			found = true
 			if s.Epoch != 7 {

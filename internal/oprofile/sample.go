@@ -45,7 +45,7 @@ type Sample struct {
 	Epoch int
 
 	// CPU is the core the overflow fired on. The driver shards its ring
-	// buffer by this id so the daemon can drain shards concurrently.
+	// buffer by this id, and the daemon tallies and flushes per CPU.
 	CPU int
 }
 
