@@ -9,10 +9,10 @@ import (
 )
 
 // scatterBatch generates a random scattered address batch with the
-// shapes the sorted multi-run replay must survive: exact duplicates,
-// same-line and same-page neighbours, page-crossers, and cold far
-// jumps — interleaved so repeated keys are separated by arbitrary
-// other traffic (the case the per-set fill epochs exist for).
+// shapes DataBatch sees: exact duplicates, same-line and same-page
+// neighbours, page-crossers, and cold far jumps — interleaved so
+// repeated lines are separated by arbitrary other traffic that may
+// evict them or push them down their sets.
 func scatterBatch(r *rand.Rand, n int) []addr.Address {
 	hot := make([]addr.Address, 1+r.Intn(8))
 	for i := range hot {
@@ -42,7 +42,7 @@ func scatterBatch(r *rand.Rand, n int) []addr.Address {
 // every level, and identical residency tracking (DataFree answers) —
 // including batches full of duplicates, conflict-evicting sets, and
 // mid-batch L1 flushes between batches.
-func TestSortedRunMatchesPerOpQuick(t *testing.T) {
+func TestDataBatchMatchesPerOpQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		bulk := DefaultHierarchy()
@@ -114,8 +114,9 @@ func TestSortedRunMatchesPerOpQuick(t *testing.T) {
 	}
 }
 
-// A batch of eight touches to one line costs one probe: statistics
-// count every op and the final recency stamp equals the per-op clock.
+// A batch of eight touches to one line misses once and then hits the
+// front slot seven times: statistics count every op and the line stays
+// in front of its set.
 func TestDataBatchSingleProbeCounts(t *testing.T) {
 	h := DefaultHierarchy()
 	mems := make([]addr.Address, 8)
@@ -131,8 +132,9 @@ func TestDataBatchSingleProbeCounts(t *testing.T) {
 	if acc != 8 || misses != 1 {
 		t.Fatalf("L1 stats = %d/%d, want 8 accesses, 1 miss", acc, misses)
 	}
-	if h.L1.clock != 8 {
-		t.Fatalf("L1 clock = %d, want 8", h.L1.clock)
+	line := uint64(mems[0]) >> h.L1.lineBits
+	if set := h.L1.set(line); set[0] != line {
+		t.Fatalf("L1 set = %x, want line %x in front", set, line)
 	}
 	if !h.DataFree(mems[7]) {
 		t.Fatal("DataFree should hold on the batch's final line")

@@ -8,7 +8,6 @@ package cache
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"viprof/internal/addr"
@@ -46,12 +45,12 @@ type Cache struct {
 	cfg      Config
 	setMask  uint64
 	lineBits uint
-	tags     []uint64 // Sets*Ways entries; tags[set*Ways+way]
-	// lru[set*Ways+way] is a recency stamp; larger = more recent. The
-	// clock is 32 bits wide and renumbers the stamps before it wraps
-	// (see tick).
-	lru   []uint32
-	clock uint32
+	// tags[set*Ways : (set+1)*Ways] holds the set's lines in recency
+	// order, most recently used first. Lines enter at the front, so the
+	// empty (zero) slots always trail the valid ones and the last slot
+	// is the one a fill evicts: empty while the set has room, else the
+	// least recently used line.
+	tags []uint64
 
 	accesses uint64
 	misses   uint64
@@ -68,118 +67,53 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Valid(); err != nil {
 		return nil, err
 	}
-	n := cfg.Sets * cfg.Ways
 	return &Cache{
 		cfg:      cfg,
 		setMask:  uint64(cfg.Sets - 1),
 		lineBits: cfg.LineBits,
-		tags:     make([]uint64, n),
-		lru:      make([]uint32, n),
+		tags:     make([]uint64, cfg.Sets*cfg.Ways),
 	}, nil
 }
 
-// Access probes the cache for the line containing a, filling it on a
-// miss, and reports whether the access hit.
-func (c *Cache) Access(a addr.Address) bool {
-	hit, _ := c.probe(a)
-	return hit
+// set returns the recency-ordered tags of the set holding line.
+func (c *Cache) set(line uint64) []uint64 {
+	base := int(line&c.setMask) * c.cfg.Ways
+	return c.tags[base : base+c.cfg.Ways]
 }
 
-// probe is Access returning also the slot the line ended up in, so bulk
-// callers can apply deferred recency updates without re-scanning the set
-// (see touchSlot).
-func (c *Cache) probe(a addr.Address) (bool, int) {
+// Access probes the cache for the line containing a, filling it on a
+// miss, and reports whether the access hit. Either way the line ends in
+// front of its set: a hit at way w moves ways 0..w-1 down by one, a
+// miss moves the whole set down and drops its last slot.
+func (c *Cache) Access(a addr.Address) bool {
 	line := uint64(a) >> c.lineBits
-	set := int(line & c.setMask)
-	base := set * c.cfg.Ways
-	stamp := c.tick()
+	set := c.set(line)
 	c.accesses++
-	victim := base
-	oldest := c.lru[base]
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.tags[i] == line {
-			c.lru[i] = stamp
-			return true, i
+	if set[0] == line {
+		return true
+	}
+	// Carry each slot one way down until the line turns up; the slot
+	// carried off the end of a set without it is the victim.
+	prev := set[0]
+	set[0] = line
+	for w := 1; w < len(set); w++ {
+		cur := set[w]
+		set[w] = prev
+		if cur == line {
+			return true
 		}
-		if c.lru[i] < oldest {
-			oldest = c.lru[i]
-			victim = i
-		}
+		prev = cur
 	}
 	c.misses++
-	c.tags[victim] = line
-	c.lru[victim] = stamp
-	return false, victim
-}
-
-// tick advances the recency clock by one access and returns the new
-// stamp. Before the clock would wrap, renormalize renumbers every set's
-// stamps by rank, so no number of accesses can invert LRU order.
-func (c *Cache) tick() uint32 {
-	if c.clock == math.MaxUint32 {
-		c.renormalize()
-	}
-	c.clock++
-	return c.clock
-}
-
-// advance is k ticks whose accesses all stamp slot (none if slot < 0):
-// one addition, unless the clock wraps inside the k, when it takes them
-// one at a time so the renumbering lands exactly where k per-op
-// accesses would put it.
-func (c *Cache) advance(k uint32, slot int) {
-	if c.clock <= math.MaxUint32-k {
-		c.clock += k
-		if slot >= 0 {
-			c.lru[slot] = c.clock
-		}
-		return
-	}
-	for ; k > 0; k-- {
-		stamp := c.tick()
-		if slot >= 0 {
-			c.lru[slot] = stamp
-		}
-	}
-}
-
-// renormalize renumbers each set's recency stamps by rank: a nonzero
-// stamp becomes 1 plus the number of nonzero stamps below it in its set,
-// and 0 (a slot never filled since the last Flush) stays 0. Every
-// comparison LRU replacement makes within a set, ties included, comes
-// out as before, and the clock restarts at Ways, at or above every rank,
-// whatever the stamps were — so where it restarts depends only on how
-// many accesses came before.
-func (c *Cache) renormalize() {
-	ways := c.cfg.Ways
-	rank := make([]uint32, ways)
-	for base := 0; base < len(c.lru); base += ways {
-		set := c.lru[base : base+ways]
-		for w, s := range set {
-			rank[w] = 0
-			if s == 0 {
-				continue
-			}
-			rank[w] = 1
-			for _, t := range set {
-				if t != 0 && t < s {
-					rank[w]++
-				}
-			}
-		}
-		copy(set, rank)
-	}
-	c.clock = uint32(ways)
+	return false
 }
 
 // Contains reports whether the line holding a is currently resident,
-// without touching recency state. It exists for tests and invariants.
+// without touching recency state or statistics.
 func (c *Cache) Contains(a addr.Address) bool {
 	line := uint64(a) >> c.lineBits
-	base := int(line&c.setMask) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.tags[base+w] == line {
+	for _, t := range c.set(line) {
+		if t == line {
 			return true
 		}
 	}
@@ -188,10 +122,7 @@ func (c *Cache) Contains(a addr.Address) bool {
 
 // Flush invalidates all lines. Statistics are preserved.
 func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.lru[i] = 0
-	}
+	clear(c.tags)
 	c.gen++
 }
 
@@ -218,60 +149,21 @@ func (c *Cache) lineRun(a addr.Address, stride uint32, max int) int {
 	return int(n)
 }
 
-// touch applies k deferred recency updates for accesses that were
-// guaranteed hits on the line holding a: the line was resident and
-// most-recently-used when they retired, so replaying them later needs
-// no probe — the net state change of k per-op hits is clock+k,
-// accesses+k, and the line's stamp moving to the final clock value.
-// If the line is gone (an intervening Flush, which per-op ordering
-// places after the hits), only the clock and access counts survive,
-// exactly as they would have.
+// touch applies k deferred accesses that were guaranteed hits on the
+// line holding a: the line was resident and most-recently-used when
+// they retired, so they net to one hit that leaves the line in front
+// of its set plus k-1 counted accesses. If the line is gone (an
+// intervening Flush, which per-op ordering places after the hits),
+// only the count survives, exactly as it would have.
 func (c *Cache) touch(a addr.Address, k uint32) {
 	if k == 0 {
 		return
 	}
-	c.accesses += uint64(k)
-	line := uint64(a) >> c.lineBits
-	base := int(line&c.setMask) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.tags[base+w] == line {
-			c.advance(k, base+w)
-			return
-		}
+	if c.Contains(a) {
+		c.Access(a)
+		k--
 	}
-	c.advance(k, -1)
-}
-
-// touchSlot is touch for a caller that just probed the line and knows
-// its slot — valid only while no Flush can have intervened (inside one
-// bulk run), where the scan in touch would find exactly this slot.
-func (c *Cache) touchSlot(slot int, k uint32) {
 	c.accesses += uint64(k)
-	c.advance(k, slot)
-}
-
-// AccessRun replays n strided accesses (a, a+stride, ...) and appends
-// the indices of the ones that missed to miss, returning it. It is
-// bit-for-bit equivalent to n sequential Access calls — same final
-// tags, recency stamps, clock, and statistics, same miss sequence —
-// but exploits line locality: within one cache line only the first
-// access can miss (the probe leaves the line resident and
-// most-recently-used, and nothing else touches this cache during the
-// run), so each line segment costs one probe plus arithmetic.
-func (c *Cache) AccessRun(start addr.Address, stride uint32, n int, miss []int) []int {
-	for i := 0; i < n; {
-		a := start + addr.Address(uint64(i)*uint64(stride))
-		k := c.lineRun(a, stride, n-i)
-		hit, slot := c.probe(a)
-		if !hit {
-			miss = append(miss, i)
-		}
-		if k > 1 {
-			c.touchSlot(slot, uint32(k-1))
-		}
-		i += k
-	}
-	return miss
 }
 
 // Stats returns cumulative accesses and misses.
@@ -319,38 +211,37 @@ type Hierarchy struct {
 	lastDPage    uint64
 	lastDPageGen uint64
 	haveDPage    bool
-
-	// scatter holds the reusable working buffers of DataBatch (the
-	// sorted multi-run replay for non-strided address batches).
-	scatter scatterScratch
 }
 
-// newTLB builds a Pentium-4-like TLB: 64 entries, 4-way, 4 KiB pages.
-func newTLB() *Cache {
-	t, err := New(Config{Sets: 16, Ways: 4, LineBits: 12})
+// mustBuild builds a cache from one of the fixed default geometries.
+func mustBuild(cfg Config) *Cache {
+	c, err := New(cfg)
 	if err != nil {
 		panic(err)
 	}
-	return t
+	return c
 }
 
-// DefaultHierarchy models a Pentium 4-like memory system scaled for the
-// simulated clock: 16 KiB 8-way L1 with 64-byte lines, 512 KiB 8-way L2
-// with 128-byte lines (Northwood/Prescott-era geometry).
-func DefaultHierarchy() *Hierarchy {
-	l1, err := New(Config{Sets: 32, Ways: 8, LineBits: 6})
-	if err != nil {
-		panic(err)
-	}
-	l2, err := New(Config{Sets: 512, Ways: 8, LineBits: 7})
-	if err != nil {
-		panic(err)
-	}
+// The default geometry is Pentium 4-like, scaled for the simulated
+// clock (Northwood/Prescott era). newL1 builds the 16 KiB 8-way L1 with
+// 64-byte lines, newL2 the 512 KiB 8-way L2 with 128-byte lines, newTLB
+// a 64-entry 4-way TLB over 4 KiB pages.
+func newL1() *Cache  { return mustBuild(Config{Sets: 32, Ways: 8, LineBits: 6}) }
+func newL2() *Cache  { return mustBuild(Config{Sets: 512, Ways: 8, LineBits: 7}) }
+func newTLB() *Cache { return mustBuild(Config{Sets: 16, Ways: 4, LineBits: 12}) }
+
+// newHierarchy builds one core's default hierarchy over l2: its own
+// L1 and TLBs, with the default latencies.
+func newHierarchy(l2 *Cache) *Hierarchy {
 	return &Hierarchy{
-		L1: l1, L2: l2, L1Hit: 0, L2Hit: 8, MemPenalty: 120,
+		L1: newL1(), L2: l2, L1Hit: 0, L2Hit: 8, MemPenalty: 120,
 		DTLB: newTLB(), ITLB: newTLB(), TLBPenalty: 30,
 	}
 }
+
+// DefaultHierarchy models a single-core Pentium 4-like memory system:
+// the default L1 and L2 (see newL1) with data and instruction TLBs.
+func DefaultHierarchy() *Hierarchy { return newHierarchy(newL2()) }
 
 // DefaultCohPenalty is the cross-core transfer cost in cycles: an
 // invalidate round plus a cache-to-cache forward, between an L2 hit (8)
@@ -367,9 +258,14 @@ func (h *Hierarchy) Access(a addr.Address) (extraCycles uint32, l2miss, coh bool
 	if h.L1.Access(a) {
 		return h.L1Hit, false, false
 	}
-	// The line is not in our private L1: if another core wrote it last,
-	// this fill is the transfer. L1 hits never check — a resident line
-	// was filled by us after any prior transfer.
+	return h.fill(a)
+}
+
+// fill is the L1-miss tail of a data access: the coherency directory,
+// then L2. If another core wrote the line last, this fill is the
+// transfer. L1 hits never check — a resident line was filled by us
+// after any prior transfer.
+func (h *Hierarchy) fill(a addr.Address) (extraCycles uint32, l2miss, coh bool) {
 	if h.Coh != nil && h.Coh.Transfer(a, h.CoreID) {
 		coh = true
 		extraCycles = h.CohPenalty
@@ -459,9 +355,8 @@ type DataEvent struct {
 // for every op that was not a plain L1+DTLB hit. State updates are
 // bit-for-bit identical to the per-op loop: within one L1-line/DTLB-
 // page segment only the first access can miss (the head probe leaves
-// line and page resident and most-recently-used, and nothing else
-// touches the data structures mid-run), so the tail is replayed as
-// deferred recency arithmetic.
+// line and page resident and in front of their sets, and nothing else
+// touches the data structures mid-run), so the tail only counts.
 //
 // Contract: the caller must ensure no other data access interleaves
 // with the ops of the run. NMI handlers are fine — all simulated
@@ -485,19 +380,16 @@ func (h *Hierarchy) DataRun(mem addr.Address, stride uint32, n int, buf []DataEv
 		// Page segment: ops staying on the DTLB page holding a. Pages
 		// are line-multiples, so line segments never straddle them. The
 		// DTLB is probed once at the head — per-op, every tail access is
-		// a guaranteed page hit — and the tail retires as deferred
-		// recency arithmetic, like the L1 tails below.
+		// a guaranteed hit on the front slot — and the tail only counts,
+		// like the L1 tails below.
 		pn := n - i
 		var dExtra uint32
 		var dmiss bool
-		var dSlot int
 		if h.DTLB != nil {
 			if pk := h.DTLB.lineRun(a, stride, pn); pk < pn {
 				pn = pk
 			}
-			var hit bool
-			hit, dSlot = h.DTLB.probe(a)
-			if !hit {
+			if !h.DTLB.Access(a) {
 				dExtra, dmiss = h.TLBPenalty, true
 			}
 		}
@@ -512,22 +404,9 @@ func (h *Hierarchy) DataRun(mem addr.Address, stride uint32, n int, buf []DataEv
 			} else {
 				k = h.L1.lineRun(la, stride, pn-j)
 			}
-			hit, slot := h.L1.probe(la)
-			var cextra uint32
-			var l2miss, cohm bool
-			if hit {
-				cextra = h.L1Hit
-			} else {
-				if h.Coh != nil && h.Coh.Transfer(la, h.CoreID) {
-					cohm = true
-					cextra = h.CohPenalty
-				}
-				if h.L2.Access(la) {
-					cextra += h.L2Hit
-				} else {
-					cextra += h.MemPenalty
-					l2miss = true
-				}
+			cextra, l2miss, cohm := h.L1Hit, false, false
+			if !h.L1.Access(la) {
+				cextra, l2miss, cohm = h.fill(la)
 			}
 			extra := cextra
 			dm := false
@@ -538,14 +417,12 @@ func (h *Hierarchy) DataRun(mem addr.Address, stride uint32, n int, buf []DataEv
 			if dm || l2miss || cohm || extra != h.L1Hit {
 				buf = append(buf, DataEvent{Index: i + j, Extra: extra, DTLBMiss: dm, L2Miss: l2miss, Coh: cohm})
 			}
-			if k > 1 {
-				h.L1.touchSlot(slot, uint32(k-1))
-			}
+			h.L1.accesses += uint64(k - 1)
 			j += k
 			la += addr.Address(uint64(k) * uint64(stride))
 		}
-		if h.DTLB != nil && pn > 1 {
-			h.DTLB.touchSlot(dSlot, uint32(pn-1))
+		if h.DTLB != nil {
+			h.DTLB.accesses += uint64(pn - 1)
 		}
 		i += pn
 		a += addr.Address(uint64(pn) * uint64(stride))
@@ -560,6 +437,27 @@ func (h *Hierarchy) DataRun(mem addr.Address, stride uint32, n int, buf []DataEv
 		h.lastDPage = uint64(last) >> h.DTLB.lineBits
 		h.lastDPageGen = h.DTLB.gen
 		h.haveDPage = true
+	}
+	return buf
+}
+
+// DataBatch replays len(mems) scattered data accesses through the
+// hierarchy in order, each by the per-op AccessData/Access pair, and
+// appends a DataEvent for every op that was not a plain L1+DTLB hit.
+// Scattered batches are short (two to four addresses per call on the
+// bench workloads) and most of their probes miss or hit the front
+// slot, so nothing is gained by coalescing repeated lines.
+//
+// Contract: as for DataRun, no other data access may interleave with
+// the ops of the batch (NMI handlers are instruction-only).
+func (h *Hierarchy) DataBatch(mems []addr.Address, buf []DataEvent) []DataEvent {
+	for i, a := range mems {
+		extra, dmiss := h.AccessData(a)
+		cextra, l2miss, coh := h.Access(a)
+		extra += cextra
+		if dmiss || l2miss || coh || extra != h.L1Hit {
+			buf = append(buf, DataEvent{Index: i, Extra: extra, DTLBMiss: dmiss, L2Miss: l2miss, Coh: coh})
+		}
 	}
 	return buf
 }

@@ -236,111 +236,28 @@ func TestNilTLBsAreNoOps(t *testing.T) {
 	}
 }
 
-// The recency clock is 32 bits. Before it wraps, every set's stamps are
-// renumbered by rank; without that, the access right after the wrap got
-// the smallest stamp and the most-recently-used line was evicted first.
-func TestClockWrapKeepsLRUOrder(t *testing.T) {
+// A deferred touch counts every access it stands for and leaves its
+// line in front of the set, moving it there if another line went in
+// front meanwhile, as the stamp model's touch did; a line flushed since
+// the deferral is only counted.
+func TestTouchCountsAndMovesToFront(t *testing.T) {
 	c := mustNew(t, Config{Sets: 1, Ways: 2, LineBits: 6})
 	a, b, d := addr.Address(0x0040), addr.Address(0x0080), addr.Address(0x00C0)
 	c.Access(a)
 	c.Access(b)
-	c.touch(b, 1<<32-3) // the clock now reads 2^32-1, stamped on b
-	if c.clock != 1<<32-1 {
-		t.Fatalf("clock = %d, want 2^32-1", c.clock)
+	c.touch(a, 3)
+	if acc, misses := c.Stats(); acc != 5 || misses != 2 {
+		t.Fatalf("stats = %d/%d, want 5 accesses, 2 misses", acc, misses)
 	}
-	if !c.Access(a) { // the wrapping access: a becomes most recent
-		t.Fatal("a missed")
-	}
-	if c.Access(d) {
-		t.Fatal("d hit")
-	}
+	c.Access(d) // evicts b, now the least recently used
 	if !c.Contains(a) || c.Contains(b) {
-		t.Errorf("after the wrap, d evicted a instead of b (a resident %v, b resident %v)",
+		t.Errorf("after touching a, d evicted a instead of b (a resident %v, b resident %v)",
 			c.Contains(a), c.Contains(b))
 	}
-	if acc, misses := c.Stats(); acc != 1<<32+1 || misses != 3 {
-		t.Errorf("stats = %d/%d, want 2^32+1 accesses, 3 misses", acc, misses)
+	c.Flush()
+	c.touch(a, 2)
+	if acc, misses := c.Stats(); acc != 8 || misses != 3 || c.Contains(a) {
+		t.Errorf("touch after a flush: stats %d/%d, a resident %v; want 8/3, not resident",
+			acc, misses, c.Contains(a))
 	}
-}
-
-// Property: a cache whose clock starts just below the wrap makes every
-// decision a cache starting at 0 makes — same hits, misses and resident
-// lines over random geometries, accesses, strided runs, deferred hits
-// and flushes — and its per-op and bulk paths stay bit-for-bit equal
-// across the wrap.
-func TestClockWrapMatchesUnwrappedQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		cfg := randomConfig(r)
-		plain, perop, bulk := mustNew(t, cfg), mustNew(t, cfg), mustNew(t, cfg)
-		start := uint32(1<<32 - 1 - r.Intn(600))
-		perop.clock, bulk.clock = start, start
-		addrOf := func() addr.Address { return addr.Address(0x1000 + r.Intn(1<<14)) }
-		for step := 0; step < 120; step++ {
-			switch r.Intn(10) {
-			case 0:
-				plain.Flush()
-				perop.Flush()
-				bulk.Flush()
-			case 1, 2: // k deferred hits on a line just probed
-				a, k := addrOf(), uint32(1+r.Intn(40))
-				plain.Access(a)
-				perop.Access(a)
-				bulk.Access(a)
-				plain.touch(a, k)
-				for i := uint32(0); i < k; i++ {
-					perop.Access(a)
-				}
-				bulk.touch(a, k)
-			case 3, 4: // a strided run
-				a := addrOf()
-				stride := runStrides[r.Intn(len(runStrides))]
-				n := 1 + r.Intn(60)
-				want := plain.AccessRun(a, stride, n, nil)
-				var got []int
-				for i := 0; i < n; i++ {
-					if !perop.Access(a + addr.Address(uint64(i)*uint64(stride))) {
-						got = append(got, i)
-					}
-				}
-				bulkGot := bulk.AccessRun(a, stride, n, nil)
-				if !equalInts(got, want) || !equalInts(bulkGot, want) {
-					t.Logf("step %d: run misses %v (per-op) %v (bulk), want %v", step, got, bulkGot, want)
-					return false
-				}
-			default:
-				a := addrOf()
-				want := plain.Access(a)
-				if perop.Access(a) != want || bulk.Access(a) != want {
-					t.Logf("step %d: access %s disagrees with the unwrapped cache", step, a)
-					return false
-				}
-			}
-			if !stateEqual(t, perop, bulk) {
-				return false
-			}
-			for i := range plain.tags {
-				if plain.tags[i] != perop.tags[i] {
-					t.Logf("step %d: slot %d holds %x, want %x", step, i, perop.tags[i], plain.tags[i])
-					return false
-				}
-			}
-		}
-		return perop.clock < start // the sweep wrapped
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

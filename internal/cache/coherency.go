@@ -62,22 +62,12 @@ func (d *Directory) Transfers() uint64 { return d.transfers }
 // DefaultHierarchy, whose Coh field is nil and skips directory
 // bookkeeping entirely.
 func SharedHierarchies(n int) []*Hierarchy {
-	l2, err := New(Config{Sets: 512, Ways: 8, LineBits: 7})
-	if err != nil {
-		panic(err)
-	}
+	l2 := newL2()
 	dir := NewDirectory(l2.lineBits)
 	hs := make([]*Hierarchy, n)
 	for i := range hs {
-		l1, err := New(Config{Sets: 32, Ways: 8, LineBits: 6})
-		if err != nil {
-			panic(err)
-		}
-		hs[i] = &Hierarchy{
-			L1: l1, L2: l2, L1Hit: 0, L2Hit: 8, MemPenalty: 120,
-			DTLB: newTLB(), ITLB: newTLB(), TLBPenalty: 30,
-			Coh: dir, CoreID: i, CohPenalty: DefaultCohPenalty,
-		}
+		hs[i] = newHierarchy(l2)
+		hs[i].Coh, hs[i].CoreID, hs[i].CohPenalty = dir, i, DefaultCohPenalty
 	}
 	return hs
 }

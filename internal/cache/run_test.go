@@ -8,89 +8,27 @@ import (
 	"viprof/internal/addr"
 )
 
-// runStrides are the stride shapes AccessRun must handle: degenerate
+// runStrides are the stride shapes DataRun must handle: degenerate
 // (0, all ops on one line), sub-line, line-sized, and line- and
 // page-crossing (larger than any configured line).
 var runStrides = []uint32{0, 1, 3, 8, 16, 64, 100, 4096, 5000}
 
-func randomConfig(r *rand.Rand) Config {
-	return Config{
-		Sets:     1 << r.Intn(7),
-		Ways:     1 + r.Intn(8),
-		LineBits: uint(2 + r.Intn(11)),
-	}
-}
-
-// stateEqual compares complete cache state: geometry, every tag and
-// recency stamp, the clock, and cumulative statistics.
+// stateEqual compares complete cache state: geometry, every tag slot
+// (so each set's recency order), and cumulative statistics.
 func stateEqual(t *testing.T, a, b *Cache) bool {
 	t.Helper()
-	if a.cfg != b.cfg || a.clock != b.clock || a.accesses != b.accesses ||
-		a.misses != b.misses || a.gen != b.gen {
-		t.Logf("scalar state diverged: clock %d/%d acc %d/%d miss %d/%d gen %d/%d",
-			a.clock, b.clock, a.accesses, b.accesses, a.misses, b.misses, a.gen, b.gen)
+	if a.cfg != b.cfg || a.accesses != b.accesses || a.misses != b.misses || a.gen != b.gen {
+		t.Logf("scalar state diverged: acc %d/%d miss %d/%d gen %d/%d",
+			a.accesses, b.accesses, a.misses, b.misses, a.gen, b.gen)
 		return false
 	}
 	for i := range a.tags {
-		if a.tags[i] != b.tags[i] || a.lru[i] != b.lru[i] {
-			t.Logf("slot %d diverged: tag %x/%x lru %d/%d",
-				i, a.tags[i], b.tags[i], a.lru[i], b.lru[i])
+		if a.tags[i] != b.tags[i] {
+			t.Logf("slot %d diverged: tag %x/%x", i, a.tags[i], b.tags[i])
 			return false
 		}
 	}
 	return true
-}
-
-// Property: AccessRun is bit-for-bit equivalent to the per-op Access
-// loop — identical miss sequences and identical final tag/LRU state —
-// over random geometries, starts, strides (including 0 and larger than
-// the line), and run lengths, starting from a randomly warmed cache.
-func TestAccessRunMatchesPerOpQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		cfg := randomConfig(r)
-		bulk := mustNew(t, cfg)
-		perop := mustNew(t, cfg)
-		// Warm both identically so runs start from arbitrary state.
-		for i := 0; i < r.Intn(200); i++ {
-			a := addr.Address(0x1000 + r.Intn(1<<16))
-			bulk.Access(a)
-			perop.Access(a)
-		}
-		for run := 0; run < 6; run++ {
-			start := addr.Address(0x1000 + r.Intn(1<<18))
-			stride := runStrides[r.Intn(len(runStrides))]
-			n := 1 + r.Intn(400)
-			var want []int
-			for i := 0; i < n; i++ {
-				if !perop.Access(start + addr.Address(uint64(i)*uint64(stride))) {
-					want = append(want, i)
-				}
-			}
-			got := bulk.AccessRun(start, stride, n, nil)
-			if len(got) != len(want) {
-				t.Logf("run %d (stride %d n %d): %d misses, want %d", run, stride, n, len(got), len(want))
-				return false
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Logf("run %d: miss %d at index %d, want %d", run, i, got[i], want[i])
-					return false
-				}
-			}
-			if r.Intn(8) == 0 {
-				bulk.Flush()
-				perop.Flush()
-			}
-			if !stateEqual(t, bulk, perop) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
 }
 
 // Property: Hierarchy.DataRun is bit-for-bit equivalent to the per-op
@@ -160,23 +98,5 @@ func TestDataRunMatchesPerOpQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
-	}
-}
-
-// A run within one line is one probe plus arithmetic: the access and
-// miss statistics still count every op, and the recency stamp must
-// equal the per-op final clock so later eviction decisions agree.
-func TestAccessRunSingleProbeCounts(t *testing.T) {
-	c := mustNew(t, Config{Sets: 4, Ways: 2, LineBits: 6})
-	miss := c.AccessRun(0x1000, 8, 8, nil) // 8 ops, all in one 64-byte line
-	if len(miss) != 1 || miss[0] != 0 {
-		t.Fatalf("miss positions = %v, want [0]", miss)
-	}
-	acc, misses := c.Stats()
-	if acc != 8 || misses != 1 {
-		t.Fatalf("stats = %d/%d, want 8 accesses, 1 miss", acc, misses)
-	}
-	if c.clock != 8 {
-		t.Fatalf("clock = %d, want 8", c.clock)
 	}
 }

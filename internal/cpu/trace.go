@@ -4,8 +4,8 @@
 // accumulates provably event-free micro-ops locally, and retires them
 // in one bulk update (RetireTrace); ops it cannot prove event-free take
 // the ordinary precise paths in between. ExecScatter is ExecMemBatch
-// for non-strided memory operands, resolved upfront through the cache
-// model's sorted multi-run replay (cache.Hierarchy.DataBatch).
+// for non-strided memory operands, resolved upfront by one pass of
+// per-access probes through the cache model (cache.Hierarchy.DataBatch).
 package cpu
 
 import (
@@ -86,8 +86,8 @@ func (c *Core) RetireTrace(lastPC addr.Address, n, cycles uint64, daddr addr.Add
 // mems[i] (0 = no memory operand). It is bit-for-bit identical to the
 // per-op loop of Exec calls — same cycles, counter state, NMI program
 // counters, cache state, and miss sequence — but resolves all data
-// outcomes upfront through the sorted multi-run replay
-// (cache.Hierarchy.DataBatch), then retires the uniform event-free
+// outcomes upfront in one pass (cache.Hierarchy.DataBatch, a DTLB and
+// L1 probe per operand), then retires the uniform event-free
 // stretches between recorded events with O(1) bookkeeping per event
 // horizon, exactly as ExecMemBatch does for strided operands.
 //

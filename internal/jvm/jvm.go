@@ -409,10 +409,11 @@ func (vm *VM) work(svc ServiceID, ops int) {
 // workMem is work with an explicit memory working set (the collector
 // passes the heap so GC traffic has GC locality). The op stream is cut
 // into wrap-free segments and executed through cpu.Core.ExecScatter:
-// the scattered memory operands are resolved upfront by the cache
-// model's sorted multi-run replay and the event-free stretches between
-// misses retire in bulk — bit-for-bit what the old per-op stream
-// produced, without a precise fallback at every scattered operand.
+// the scattered memory operands are resolved upfront by one pass of
+// cache probes (cache.Hierarchy.DataBatch) and the event-free stretches
+// between misses retire in bulk — bit-for-bit what the old per-op
+// stream produced, without a precise fallback at every scattered
+// operand.
 func (vm *VM) workMem(svc ServiceID, ops int, memBase addr.Address, memLen uint64) {
 	vm.workScatter(svc, ops, memBase, memLen, false)
 }
