@@ -92,10 +92,12 @@ fleet-smoke:
 # fmt.Sscanf reader it replaced over 20000 generated entries and their
 # mutated lines (`make check` runs 100), the recycling heap against
 # the non-recycling reference collector over 5000 random alloc/churn/
-# collect schedules (`make check` runs 100), and the recency-ordered
+# collect schedules (`make check` runs 100), the recency-ordered
 # cache hierarchy against the stamp-LRU reference cache over 5000
 # random geometries and access/run/batch/deferral/flush schedules
-# (`make check` runs 100).
+# (`make check` runs 100), and the cpu engine oracles (streaming,
+# strided-memory, scattered-operand and fused-stretch batches against
+# the per-op core) over 3000 random streams each (`make check` runs 60).
 chaos-nightly:
 	VIPROF_CHAOS_SEEDS=500 $(GO) test -race -run 'TestChaosNightly' -count=1 -timeout 30m ./internal/core/
 	VIPROF_FLEET_SEEDS=300 $(GO) test -race -run 'TestFleetChaosNightly' -count=1 -timeout 30m ./internal/harness/
@@ -103,6 +105,7 @@ chaos-nightly:
 	$(GO) test -race -run 'TestMapLineCodecMatchesSscanf$$' -count=1 -timeout 30m ./internal/core/ -args -quickchecks=20000
 	$(GO) test -race -run 'TestHeapMatchesReferenceQuick$$' -count=1 -timeout 30m ./internal/jvm/gc/ -args -quickchecks=5000
 	$(GO) test -race -run 'TestCacheMatchesStampReferenceQuick$$' -count=1 ./internal/cache/ -args -quickchecks=5000
+	$(GO) test -race -run 'TestBatchDeterminismQuick$$|TestMemBatchDeterminismQuick$$|TestExecScatterDeterminismQuick$$|TestBatchRunDeterminismQuick$$' -count=1 -timeout 30m ./internal/cpu/ -args -quickchecks=5000
 
 # One race-enabled iteration of each engine microbenchmark. Each fails
 # when its fast path and its reference path disagree: batched vs per-op

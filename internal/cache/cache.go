@@ -178,9 +178,10 @@ func (c *Cache) Config() Config { return c.cfg }
 // event).
 type Hierarchy struct {
 	L1, L2 *Cache
-	// Latencies in cycles. L1 hits are folded into the base instruction
-	// cost, so L1Hit is usually 0.
-	L1Hit, L2Hit, MemPenalty uint32
+	// Latencies in cycles of an L1 miss that hits L2 and of one that
+	// misses both. An L1 hit is folded into the base instruction cost: it
+	// charges nothing extra.
+	L2Hit, MemPenalty uint32
 
 	// DTLB and ITLB translate data and instruction pages; a miss costs
 	// TLBPenalty cycles (a hardware page walk) and raises the
@@ -234,7 +235,7 @@ func newTLB() *Cache { return mustBuild(Config{Sets: 16, Ways: 4, LineBits: 12})
 // L1 and TLBs, with the default latencies.
 func newHierarchy(l2 *Cache) *Hierarchy {
 	return &Hierarchy{
-		L1: newL1(), L2: l2, L1Hit: 0, L2Hit: 8, MemPenalty: 120,
+		L1: newL1(), L2: l2, L2Hit: 8, MemPenalty: 120,
 		DTLB: newTLB(), ITLB: newTLB(), TLBPenalty: 30,
 	}
 }
@@ -256,7 +257,7 @@ func (h *Hierarchy) Access(a addr.Address) (extraCycles uint32, l2miss, coh bool
 	h.lastDLineGen = h.L1.gen
 	h.haveDLine = true
 	if h.L1.Access(a) {
-		return h.L1Hit, false, false
+		return 0, false, false
 	}
 	return h.fill(a)
 }
@@ -300,10 +301,14 @@ func (h *Hierarchy) AccessData(a addr.Address) (extraCycles uint32, miss bool) {
 	return h.TLBPenalty, true
 }
 
-// HitCost returns the extra cycles a guaranteed L1 data hit charges —
-// what the batched engine adds to an op's base cost when DataFree
-// proves the probe outcome in advance.
-func (h *Hierarchy) HitCost() uint32 { return h.L1Hit }
+// Data sends one data reference through the hierarchy, the DTLB probe
+// then the cache probe, and returns its outcome with Index 0: the
+// per-op probe pair that the core's precise step and DataBatch share.
+func (h *Hierarchy) Data(a addr.Address) DataEvent {
+	extra, dmiss := h.AccessData(a)
+	cextra, l2miss, coh := h.Access(a)
+	return DataEvent{Extra: extra + cextra, DTLBMiss: dmiss, L2Miss: l2miss, Coh: coh}
+}
 
 // DataFree reports whether a data access at a is guaranteed to be an
 // L1 and DTLB hit with no sampling event — true when a falls on the
@@ -336,8 +341,8 @@ func (h *Hierarchy) DataTouch(a addr.Address, k uint32) {
 }
 
 // DataEvent is one noteworthy access within a DataRun: an op whose
-// memory reference charged more than the L1-hit cost or raised a
-// sampling event. Index is the op's position in the run; Extra is the
+// memory reference charged extra cycles (anything but an L1 hit) or
+// raised a sampling event. Index is the op's position in the run; Extra is the
 // total memory-system cycles beyond the base op cost (page walk plus
 // cache level); the flags say which counter events to tick.
 type DataEvent struct {
@@ -351,7 +356,7 @@ type DataEvent struct {
 
 // DataRun replays n strided data accesses (mem, mem+stride, ...)
 // through the hierarchy — for each op a DTLB probe then a cache probe,
-// exactly the per-op AccessData/Access pair — and appends a DataEvent
+// exactly the per-op pair Data runs — and appends a DataEvent
 // for every op that was not a plain L1+DTLB hit. State updates are
 // bit-for-bit identical to the per-op loop: within one L1-line/DTLB-
 // page segment only the first access can miss (the head probe leaves
@@ -404,7 +409,8 @@ func (h *Hierarchy) DataRun(mem addr.Address, stride uint32, n int, buf []DataEv
 			} else {
 				k = h.L1.lineRun(la, stride, pn-j)
 			}
-			cextra, l2miss, cohm := h.L1Hit, false, false
+			var cextra uint32
+			var l2miss, cohm bool
 			if !h.L1.Access(la) {
 				cextra, l2miss, cohm = h.fill(la)
 			}
@@ -414,7 +420,7 @@ func (h *Hierarchy) DataRun(mem addr.Address, stride uint32, n int, buf []DataEv
 				extra += dExtra
 				dm = dmiss
 			}
-			if dm || l2miss || cohm || extra != h.L1Hit {
+			if dm || l2miss || cohm || extra != 0 {
 				buf = append(buf, DataEvent{Index: i + j, Extra: extra, DTLBMiss: dm, L2Miss: l2miss, Coh: cohm})
 			}
 			h.L1.accesses += uint64(k - 1)
@@ -441,22 +447,25 @@ func (h *Hierarchy) DataRun(mem addr.Address, stride uint32, n int, buf []DataEv
 	return buf
 }
 
-// DataBatch replays len(mems) scattered data accesses through the
-// hierarchy in order, each by the per-op AccessData/Access pair, and
-// appends a DataEvent for every op that was not a plain L1+DTLB hit.
-// Scattered batches are short (two to four addresses per call on the
-// bench workloads) and most of their probes miss or hit the front
-// slot, so nothing is gained by coalescing repeated lines.
+// DataBatch replays the scattered data accesses of an op vector
+// through the hierarchy in order, each by the per-op probe pair (Data),
+// and appends a DataEvent, indexed by the op's position in mems, for
+// every op that was not a plain L1+DTLB hit. A zero slot is an op with
+// no memory operand, as in cpu.Op, and is skipped. Scattered batches
+// are short (two to four operands per call on the bench workloads) and
+// most of their probes miss or hit the front slot, so nothing is gained
+// by coalescing repeated lines.
 //
 // Contract: as for DataRun, no other data access may interleave with
 // the ops of the batch (NMI handlers are instruction-only).
 func (h *Hierarchy) DataBatch(mems []addr.Address, buf []DataEvent) []DataEvent {
 	for i, a := range mems {
-		extra, dmiss := h.AccessData(a)
-		cextra, l2miss, coh := h.Access(a)
-		extra += cextra
-		if dmiss || l2miss || coh || extra != h.L1Hit {
-			buf = append(buf, DataEvent{Index: i, Extra: extra, DTLBMiss: dmiss, L2Miss: l2miss, Coh: coh})
+		if a == 0 {
+			continue
+		}
+		if ev := h.Data(a); ev.DTLBMiss || ev.L2Miss || ev.Coh || ev.Extra != 0 {
+			ev.Index = i
+			buf = append(buf, ev)
 		}
 	}
 	return buf

@@ -67,7 +67,7 @@ func TestDataRunMatchesPerOpQuick(t *testing.T) {
 				ce, l2, _ := perop.Access(a)
 				w.extra += ce
 				w.l2 = l2
-				noteworthy := w.dmiss || w.l2 || w.extra != perop.L1Hit
+				noteworthy := w.dmiss || w.l2 || w.extra != 0
 				if ei < len(events) && events[ei].Index == i {
 					ev := events[ei]
 					ei++

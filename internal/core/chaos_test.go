@@ -109,18 +109,10 @@ func checkChaosInvariants(t *testing.T, r *harness.ChaosResult) {
 		r.Schedule, r.Faults, r.ListFaults.Dropped, r.ListFaults.Phantoms,
 		r.ReadFaults, r.VMKilled, r.Daemon.Crashed(), r.Recovery, r.TraceStats)
 
-	// (1) Driver conservation: NMIs = logged + dropped.
-	ds := r.Driver
-	if ds.Logged+ds.Dropped != ds.NMIs {
-		t.Errorf("driver conservation: logged %d + dropped %d != NMIs %d",
-			ds.Logged, ds.Dropped, ds.NMIs)
-	}
-
-	// (2) Daemon conservation: logged = aggregated + still buffered.
-	buffered := uint64(r.Session.Prof.Driver.BufferLen())
-	if r.Daemon.SamplesLogged()+buffered != ds.Logged {
-		t.Errorf("daemon conservation: aggregated %d + buffered %d != logged %d",
-			r.Daemon.SamplesLogged(), buffered, ds.Logged)
+	// (1-2) Driver and daemon conservation, per CPU and in aggregate:
+	// NMIs = logged + dropped, logged = aggregated + still buffered.
+	if err := r.Session.Prof.CheckConservation(); err != nil {
+		t.Error(err)
 	}
 
 	// (3) Disk conservation across crashes and recovery: what the
@@ -151,11 +143,11 @@ func checkChaosInvariants(t *testing.T, r *harness.ChaosResult) {
 			accounted, r.Daemon.SamplesLogged())
 	}
 
-	// (1b-3b) Per-CPU conservation: the shard split must account exactly
-	// at every stage and sum back to the aggregates. The disk equation
-	// closes per CPU unconditionally: parked spill frames carry the CPU
-	// in every key, and the daemon attributes hard-cap losses per CPU,
-	// so spill activity no longer weakens the equality to aggregate-only.
+	// (3b) Per-CPU disk conservation: the shard split must account
+	// exactly at every stage. The disk equation closes per CPU
+	// unconditionally: parked spill frames carry the CPU in every key,
+	// and the daemon attributes hard-cap losses per CPU, so spill
+	// activity no longer weakens the equality to aggregate-only.
 	// Persisted counts can never exceed a CPU's aggregated total — that
 	// would be cross-CPU misattribution.
 	drv := r.Session.Prof.Driver
@@ -172,21 +164,7 @@ func checkChaosInvariants(t *testing.T, r *harness.ChaosResult) {
 		parkedCPU[k.CPU] += c
 	}
 	lostCPU := r.Daemon.SpilledLostCPU()
-	var sumNMI, sumLogged, sumDropped, sumAgg uint64
 	for ci := 0; ci < drv.NumCPU(); ci++ {
-		cs := drv.StatsCPU(ci)
-		sumNMI += cs.NMIs
-		sumLogged += cs.Logged
-		sumDropped += cs.Dropped
-		sumAgg += aggCPU(ci)
-		if cs.Logged+cs.Dropped != cs.NMIs {
-			t.Errorf("cpu%d driver conservation: logged %d + dropped %d != NMIs %d",
-				ci, cs.Logged, cs.Dropped, cs.NMIs)
-		}
-		if aggCPU(ci)+uint64(drv.ShardLen(ci)) != cs.Logged {
-			t.Errorf("cpu%d daemon conservation: aggregated %d + buffered %d != logged %d",
-				ci, aggCPU(ci), drv.ShardLen(ci), cs.Logged)
-		}
 		if persistedCPU[ci] > aggCPU(ci) {
 			t.Errorf("cpu%d misattribution: persisted %d exceeds aggregated %d",
 				ci, persistedCPU[ci], aggCPU(ci))
@@ -195,14 +173,6 @@ func checkChaosInvariants(t *testing.T, r *harness.ChaosResult) {
 			t.Errorf("cpu%d disk conservation: persisted %d + parked %d + unflushed %d + spill-lost %d != aggregated %d",
 				ci, persistedCPU[ci], parkedCPU[ci], unflushedCPU[ci], lostCPU[ci], aggCPU(ci))
 		}
-	}
-	if sumNMI != ds.NMIs || sumLogged != ds.Logged || sumDropped != ds.Dropped {
-		t.Errorf("per-CPU driver stats (NMIs %d, logged %d, dropped %d) do not sum to aggregate (%d, %d, %d)",
-			sumNMI, sumLogged, sumDropped, ds.NMIs, ds.Logged, ds.Dropped)
-	}
-	if sumAgg != r.Daemon.SamplesLogged() {
-		t.Errorf("per-CPU aggregation %d does not sum to SamplesLogged %d",
-			sumAgg, r.Daemon.SamplesLogged())
 	}
 	for ci := range persistedCPU {
 		if ci < 0 || ci >= drv.NumCPU() {
@@ -213,9 +183,9 @@ func checkChaosInvariants(t *testing.T, r *harness.ChaosResult) {
 	// Report totals can never exceed what the driver logged, and the
 	// report's per-CPU breakdown must sum back to its totals.
 	for _, ev := range r.Report.Events {
-		if r.Report.Totals[ev] > ds.Logged {
+		if r.Report.Totals[ev] > r.Driver.Logged {
 			t.Errorf("report total %d for event %v exceeds logged %d",
-				r.Report.Totals[ev], ev, ds.Logged)
+				r.Report.Totals[ev], ev, r.Driver.Logged)
 		}
 		var cpuSum uint64
 		for _, ct := range r.Report.PerCPU {

@@ -79,10 +79,62 @@ func newBatchTestCore(periods map[hpc.Event]uint64, tr *nmiTrace, burn int, batc
 	return c
 }
 
+// compareCores asserts full architectural, counter, cache, and NMI
+// equivalence between a batched core and its per-op oracle.
+func compareCores(t *testing.T, cb, cp *Core, periods map[hpc.Event]uint64, trB, trP *nmiTrace) bool {
+	t.Helper()
+	if cb.Cycles() != cp.Cycles() || cb.Instructions() != cp.Instructions() ||
+		cb.PC() != cp.PC() || cb.SliceLeft() != cp.SliceLeft() ||
+		cb.LostNMIs() != cp.LostNMIs() {
+		t.Logf("state diverged: cycles %d/%d instrs %d/%d pc %x/%x slice %d/%d lost %d/%d",
+			cb.Cycles(), cp.Cycles(), cb.Instructions(), cp.Instructions(),
+			uint64(cb.PC()), uint64(cp.PC()), cb.SliceLeft(), cp.SliceLeft(),
+			cb.LostNMIs(), cp.LostNMIs())
+		return false
+	}
+	for ev := range periods {
+		b, _ := cb.Bank.Counter(ev)
+		p, _ := cp.Bank.Counter(ev)
+		if b.Total() != p.Total() {
+			t.Logf("%v totals diverged: %d vs %d", ev, b.Total(), p.Total())
+			return false
+		}
+	}
+	for _, lvl := range []struct {
+		name string
+		b, p *cache.Cache
+	}{
+		{"L1", cb.Mem.L1, cp.Mem.L1},
+		{"L2", cb.Mem.L2, cp.Mem.L2},
+		{"DTLB", cb.Mem.DTLB, cp.Mem.DTLB},
+		{"ITLB", cb.Mem.ITLB, cp.Mem.ITLB},
+	} {
+		ba, bm := lvl.b.Stats()
+		pa, pm := lvl.p.Stats()
+		if ba != pa || bm != pm {
+			t.Logf("%s stats diverged: %d/%d vs %d/%d", lvl.name, ba, bm, pa, pm)
+			return false
+		}
+	}
+	if len(trB.evs) != len(trP.evs) {
+		t.Logf("NMI count diverged: %d vs %d", len(trB.evs), len(trP.evs))
+		return false
+	}
+	for i := range trB.evs {
+		if trB.evs[i] != trP.evs[i] || trB.snaps[i] != trP.snaps[i] {
+			t.Logf("NMI %d diverged: %v %+v vs %v %+v",
+				i, trB.evs[i], trB.snaps[i], trP.evs[i], trP.snaps[i])
+			return false
+		}
+	}
+	return true
+}
+
 // Property: batched and per-op execution of the same stream are
 // bit-for-bit identical — same cycle clock, instruction count, final
-// PC, slice budget, lost-NMI count, per-counter totals, and the same
-// NMI sequence down to each interrupted snapshot.
+// PC, slice budget, lost-NMI count, per-counter totals, cache
+// statistics at every level, and the same NMI sequence down to each
+// interrupted snapshot.
 func TestBatchDeterminismQuick(t *testing.T) {
 	f := func(seed int64, rawPeriod uint32, burn8 uint8) bool {
 		period := uint64(rawPeriod%20_000) + 50
@@ -97,37 +149,9 @@ func TestBatchDeterminismQuick(t *testing.T) {
 		cp := newBatchTestCore(periods, &trP, burn, false)
 		driveStream(cb, seed)
 		driveStream(cp, seed)
-		if cb.Cycles() != cp.Cycles() || cb.Instructions() != cp.Instructions() ||
-			cb.PC() != cp.PC() || cb.SliceLeft() != cp.SliceLeft() ||
-			cb.LostNMIs() != cp.LostNMIs() {
-			t.Logf("state diverged: cycles %d/%d instrs %d/%d pc %x/%x slice %d/%d lost %d/%d",
-				cb.Cycles(), cp.Cycles(), cb.Instructions(), cp.Instructions(),
-				uint64(cb.PC()), uint64(cp.PC()), cb.SliceLeft(), cp.SliceLeft(),
-				cb.LostNMIs(), cp.LostNMIs())
-			return false
-		}
-		for ev := range periods {
-			b, _ := cb.Bank.Counter(ev)
-			p, _ := cp.Bank.Counter(ev)
-			if b.Total() != p.Total() {
-				t.Logf("%v totals diverged: %d vs %d", ev, b.Total(), p.Total())
-				return false
-			}
-		}
-		if len(trB.evs) != len(trP.evs) {
-			t.Logf("NMI count diverged: %d vs %d", len(trB.evs), len(trP.evs))
-			return false
-		}
-		for i := range trB.evs {
-			if trB.evs[i] != trP.evs[i] || trB.snaps[i] != trP.snaps[i] {
-				t.Logf("NMI %d diverged: %v %+v vs %v %+v",
-					i, trB.evs[i], trB.snaps[i], trP.evs[i], trP.snaps[i])
-				return false
-			}
-		}
-		return true
+		return compareCores(t, cb, cp, periods, &trB, &trP)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.6}); err != nil {
 		t.Error(err)
 	}
 }
@@ -271,53 +295,9 @@ func TestMemBatchDeterminismQuick(t *testing.T) {
 		cp := newBatchTestCore(periods, &trP, burn, false)
 		driveMemStream(cb, seed)
 		driveMemStream(cp, seed)
-		if cb.Cycles() != cp.Cycles() || cb.Instructions() != cp.Instructions() ||
-			cb.PC() != cp.PC() || cb.SliceLeft() != cp.SliceLeft() ||
-			cb.LostNMIs() != cp.LostNMIs() {
-			t.Logf("state diverged: cycles %d/%d instrs %d/%d pc %x/%x slice %d/%d lost %d/%d",
-				cb.Cycles(), cp.Cycles(), cb.Instructions(), cp.Instructions(),
-				uint64(cb.PC()), uint64(cp.PC()), cb.SliceLeft(), cp.SliceLeft(),
-				cb.LostNMIs(), cp.LostNMIs())
-			return false
-		}
-		for ev := range periods {
-			b, _ := cb.Bank.Counter(ev)
-			p, _ := cp.Bank.Counter(ev)
-			if b.Total() != p.Total() {
-				t.Logf("%v totals diverged: %d vs %d", ev, b.Total(), p.Total())
-				return false
-			}
-		}
-		for _, lvl := range []struct {
-			name string
-			b, p *cache.Cache
-		}{
-			{"L1", cb.Mem.L1, cp.Mem.L1},
-			{"L2", cb.Mem.L2, cp.Mem.L2},
-			{"DTLB", cb.Mem.DTLB, cp.Mem.DTLB},
-			{"ITLB", cb.Mem.ITLB, cp.Mem.ITLB},
-		} {
-			ba, bm := lvl.b.Stats()
-			pa, pm := lvl.p.Stats()
-			if ba != pa || bm != pm {
-				t.Logf("%s stats diverged: %d/%d vs %d/%d", lvl.name, ba, bm, pa, pm)
-				return false
-			}
-		}
-		if len(trB.evs) != len(trP.evs) {
-			t.Logf("NMI count diverged: %d vs %d", len(trB.evs), len(trP.evs))
-			return false
-		}
-		for i := range trB.evs {
-			if trB.evs[i] != trP.evs[i] || trB.snaps[i] != trP.snaps[i] {
-				t.Logf("NMI %d diverged: %v %+v vs %v %+v",
-					i, trB.evs[i], trB.snaps[i], trP.evs[i], trP.snaps[i])
-				return false
-			}
-		}
-		return true
+		return compareCores(t, cb, cp, periods, &trB, &trP)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.6}); err != nil {
 		t.Error(err)
 	}
 }

@@ -78,29 +78,31 @@ type Core struct {
 	slice uint64 // remaining cycle budget for the current scheduling slice
 
 	noBatch bool     // disables the event-horizon fast path (ablation/verification)
-	bat     batchAcc // open micro-op accumulator (see BatchOp)
+	bat     batchAcc // open micro-op accumulator (see BatchRun)
 
-	evBuf  []cache.DataEvent // reusable DataRun/DataBatch scratch
-	memBuf []addr.Address    // reusable nonzero-operand gather for ExecScatter
-	memIdx []int32           // memBuf position -> op index within the scatter run
+	evBuf []cache.DataEvent // reusable DataRun/DataBatch scratch
 }
 
-// batchAcc is the streaming half of the batched execution engine: a run
-// of straight-line, no-memory micro-ops whose counter ticks are
-// provably overflow-free and therefore deferred to one bulk Tick at
+// batchAcc is the streaming half of the batched execution engine and
+// its only event-horizon accumulator: a run of straight-line micro-ops,
+// each with no memory operand or a proven-hit one, whose counter ticks
+// are provably overflow-free and therefore deferred to one bulk Tick at
 // flush time. Cycle clock, instruction count, PC and slice budget are
 // updated eagerly per op, so every externally observable scalar
 // (Cycles, Instructions, PC, Expired) stays exact while the batch is
 // open; only the counter bank lags, bounded by the event horizon that
 // guarantees no counter can cross its period before the flush.
 type batchAcc struct {
-	active   bool
-	pageOK   bool   // run must stay on `page` (an ITLB is modelled)
-	page     uint64 // instruction page all batched ops fetch from
-	count    uint64 // deferred INSTR_RETIRED ticks
-	cost     uint64 // deferred GLOBAL_POWER_EVENTS ticks
-	opsLeft  uint64 // remaining op headroom before any armed counter could overflow
-	costLeft uint64 // remaining cycle headroom likewise
+	// lo..hi are the PCs the open batch may fetch from: the instruction
+	// page it opened on when an ITLB is modelled, every PC otherwise. The
+	// range is empty (lo > hi) while no batch is open, so one range check
+	// answers both "is a batch open" and "is this fetch free".
+	lo, hi addr.Address
+	// ops0 and cost0 are the headroom in ops and cycles the bank granted
+	// at open; opsLeft and costLeft what the batch has left of it. The
+	// deferred INSTR_RETIRED and GLOBAL_POWER_EVENTS ticks are the
+	// difference.
+	ops0, cost0, opsLeft, costLeft uint64
 
 	// Deferred data-cache recency updates for BatchMemOp: dtouch ops
 	// were proven guaranteed L1+DTLB hits (cache.Hierarchy.DataFree) at
@@ -129,6 +131,7 @@ func New(bank *hpc.Bank, mem *cache.Hierarchy) *Core {
 		bank = hpc.NewBank()
 	}
 	c := &Core{Bank: bank, Mem: mem}
+	c.bat.lo, c.bat.hi = 1, 0
 	bank.OnOverflow = c.onOverflow
 	return c
 }
@@ -165,46 +168,63 @@ func (c *Core) Instructions() uint64 { return c.instrs }
 // PC returns the most recently executed program counter.
 func (c *Core) PC() addr.Address { return c.pc }
 
-// Exec runs one micro-op. It advances time, ticks counters, and may
-// deliver NMIs before returning.
+// Exec runs one micro-op precisely: it probes the data side of the
+// memory model for the op's operand (Hierarchy.Data), marks a store in
+// the coherency directory, and retires the op through the precise step
+// (execResolved). It advances time, ticks counters, and may deliver
+// NMIs before returning.
 func (c *Core) Exec(op Op) {
-	if c.bat.active {
-		c.FlushBatch()
+	var ev cache.DataEvent
+	if op.Mem != 0 && c.Mem != nil {
+		c.FlushBatch() // deferred guaranteed hits land before the probe
+		ev = c.Mem.Data(op.Mem)
+		if op.Store {
+			c.Mem.MarkWrite(op.Mem)
+		}
 	}
-	c.pc = op.PC
+	c.execResolved(op.PC, op.Cost, ev)
+}
+
+// execResolved is the one precise step: it retires one micro-op whose
+// data-memory outcome ev was resolved before it — by Exec's own probe,
+// or for a whole run upfront by DataRun or DataBatch, which already
+// applied the probes' state changes; the zero event is an op with no
+// operand or a plain hit. The instruction side stays live: handlers run
+// at kernel PCs and move the ITLB, so fetch accounting cannot be
+// precomputed, and the ITLB and the data structures share no state, so
+// probing the data first changes nothing. Counters tick in one order
+// (ITLB, DTLB, BSQ, coherency, then instructions and cycles) and the
+// cycle snapshot an overflow latches is taken before the op's cycles
+// land, as on the per-op path; latched NMIs are delivered before it
+// returns.
+func (c *Core) execResolved(pc addr.Address, cost uint32, ev cache.DataEvent) {
+	c.FlushBatch()
+	c.pc = pc
 	c.instrs++
-	cost := uint64(op.Cost)
+	total := uint64(cost) + uint64(ev.Extra)
 	if c.Mem != nil {
-		if extra, imiss := c.Mem.AccessInstr(op.PC); imiss {
-			cost += uint64(extra)
+		if iextra, imiss := c.Mem.AccessInstr(pc); imiss {
+			total += uint64(iextra)
 			c.Bank.Tick(hpc.ITLBMiss, 1)
 		}
-		if op.Mem != 0 {
-			if extra, dmiss := c.Mem.AccessData(op.Mem); dmiss {
-				cost += uint64(extra)
-				c.Bank.Tick(hpc.DTLBMiss, 1)
-			}
-			extra, l2miss, coh := c.Mem.Access(op.Mem)
-			cost += uint64(extra)
-			if l2miss {
-				c.Bank.Tick(hpc.BSQCacheReference, 1)
-			}
-			if coh {
-				c.Bank.Tick(hpc.CoherencyTransfers, 1)
-			}
-			if op.Store {
-				c.Mem.MarkWrite(op.Mem)
-			}
-		}
 	}
-	c.cycles += cost
-	if c.slice >= cost {
-		c.slice -= cost
+	if ev.DTLBMiss {
+		c.Bank.Tick(hpc.DTLBMiss, 1)
+	}
+	if ev.L2Miss {
+		c.Bank.Tick(hpc.BSQCacheReference, 1)
+	}
+	if ev.Coh {
+		c.Bank.Tick(hpc.CoherencyTransfers, 1)
+	}
+	c.cycles += total
+	if c.slice >= total {
+		c.slice -= total
 	} else {
 		c.slice = 0
 	}
 	c.Bank.Tick(hpc.InstrRetired, 1)
-	c.Bank.Tick(hpc.GlobalPowerEvents, cost)
+	c.Bank.Tick(hpc.GlobalPowerEvents, total)
 	c.drainPending()
 }
 
@@ -223,41 +243,83 @@ func (c *Core) Batching() bool { return !c.noBatch }
 
 // ExecBatch is the event-horizon fast path for a uniform straight-line
 // run: n micro-ops at PCs start, start+stride, ... each costing `cost`
-// cycles with no memory operand. It computes the distance (in ops) to
-// the nearest pending event — counter overflow across the armed bank,
-// scheduling-slice expiry, or the cache model's next instruction-side
-// interaction (an ITLB probe at a page crossing) — and retires
-// everything short of that horizon with O(1) bookkeeping: one bulk
-// cycle/instruction advance and one bulk counter tick. Ops at or past a
-// horizon fall back to the precise per-op path, so NMI program
-// counters, latching, skid and miss sequences are bit-for-bit identical
-// to per-op execution.
+// cycles with no memory operand. It is ExecMemBatch with no operands:
+// the bulk walker retires everything short of each event horizon with
+// O(1) bookkeeping and the op at the horizon precisely.
 func (c *Core) ExecBatch(start addr.Address, n int, stride uint32, cost uint32) {
-	pc := start
+	c.ExecMemBatch(start, n, stride, cost, 0, 0)
+}
+
+// ExecMemBatch is the event-horizon fast path for a uniform run of
+// memory micro-ops: n ops at PCs start, start+stride, ... each costing
+// `cost` cycles and touching memory at mem, mem+memStride, ... (mem 0:
+// no memory operand). It is bit-for-bit identical to the per-op loop of
+// Exec calls — same cycles, counter state, NMI program counters, cache
+// state, and miss sequence — but replays the data-access run through
+// the cache model once up front (cache.Hierarchy.DataRun, one probe per
+// line segment) and hands the recorded events to the bulk walker
+// (retireRun).
+//
+// The upfront replay is sound because nothing else touches the data
+// caches between the ops of the run: NMI handlers raised mid-run
+// execute instruction-only kernel work (fetches touch only the ITLB).
+// Handlers must not issue data-memory ops — the same contract
+// cache.Hierarchy.DataRun documents.
+func (c *Core) ExecMemBatch(start addr.Address, n int, stride uint32, cost uint32, mem addr.Address, memStride uint32) {
 	if c.noBatch || cost == 0 {
 		for i := 0; i < n; i++ {
-			c.Exec(Op{PC: pc, Cost: cost})
-			pc += addr.Address(stride)
+			var m addr.Address
+			if mem != 0 {
+				m = mem + addr.Address(uint64(i)*uint64(memStride))
+			}
+			c.Exec(Op{PC: start + addr.Address(i)*addr.Address(stride), Cost: cost, Mem: m})
 		}
 		return
 	}
-	if c.bat.active {
-		c.FlushBatch()
+	c.FlushBatch()
+	c.evBuf = c.evBuf[:0]
+	if mem != 0 && c.Mem != nil {
+		c.evBuf = c.Mem.DataRun(mem, memStride, n, c.evBuf)
 	}
-	for n > 0 {
-		k := c.bulkLen(pc, n, stride, cost)
-		if k == 0 {
-			// At an event horizon: one precise op (which may probe the
-			// ITLB, overflow a counter, clamp the slice, deliver NMIs).
-			c.Exec(Op{PC: pc, Cost: cost})
+	c.retireRun(start, n, stride, cost, c.evBuf)
+}
+
+// retireRun is the one bulk walker, behind ExecBatch, ExecMemBatch and
+// ExecScatter: it retires n micro-ops at PCs pc, pc+stride, ... each
+// costing `cost` cycles, whose data outcomes were resolved upfront.
+// events lists, in op order, every op whose access charged extra cycles
+// or raised an event; every other op has no operand or is a plain hit
+// whose cache state was already replayed, so it charges exactly the
+// base cost. An op carrying an event retires through the precise step
+// at its exact PC. Between events, bulkLen finds the distance to the
+// nearest event horizon — counter overflow across the armed bank,
+// scheduling-slice expiry, a latched NMI, or an ITLB probe at a page
+// crossing — and everything short of it retires in one bulk update:
+// one cycle/instruction advance and one tick per counter, exactly the
+// sum of the per-op updates. The op at a horizon retires precisely, so
+// NMI program counters, latching, skid and miss sequences are
+// bit-for-bit those of per-op execution.
+func (c *Core) retireRun(pc addr.Address, n int, stride uint32, cost uint32, events []cache.DataEvent) {
+	for i, ei := 0, 0; i < n; {
+		next := n
+		if ei < len(events) {
+			next = events[ei].Index
+		}
+		if i == next {
+			c.execResolved(pc, cost, events[ei])
+			ei++
+			i++
 			pc += addr.Address(stride)
-			n--
 			continue
 		}
-		// O(1) retirement of k ops: no counter can overflow, the run
-		// stays on the current instruction page, and the slice cannot
-		// cross zero — so bulk state updates are exactly the sum of the
-		// per-op updates.
+		k := c.bulkLen(pc, next-i, stride, cost)
+		if k == 0 {
+			// At an event horizon: one precise op with no data event.
+			c.execResolved(pc, cost, cache.DataEvent{})
+			i++
+			pc += addr.Address(stride)
+			continue
+		}
 		total := uint64(k) * uint64(cost)
 		c.pc = pc + addr.Address(stride)*addr.Address(k-1)
 		c.instrs += uint64(k)
@@ -270,7 +332,7 @@ func (c *Core) ExecBatch(start addr.Address, n int, stride uint32, cost uint32) 
 		c.Bank.Tick(hpc.InstrRetired, uint64(k))
 		c.Bank.Tick(hpc.GlobalPowerEvents, total)
 		pc += addr.Address(stride) * addr.Address(k)
-		n -= k
+		i += k
 	}
 }
 
@@ -320,172 +382,25 @@ func (c *Core) bulkLen(pc addr.Address, n int, stride uint32, cost uint32) int {
 	return int(k)
 }
 
-// ExecMemBatch is the event-horizon fast path for a uniform run of
-// memory micro-ops: n ops at PCs start, start+stride, ... each costing
-// `cost` cycles and touching memory at mem, mem+memStride, ... It is
-// bit-for-bit identical to the per-op loop of Exec calls — same
-// cycles, counter state, NMI program counters, cache state, and miss
-// sequence — but replays the data-access run through the cache model
-// once up front (cache.Hierarchy.DataRun, one probe per line segment),
-// then retires the uniform guaranteed-hit stretches between recorded
-// events with O(1) bookkeeping per event horizon. Ops that carry a
-// memory event, or that sit at a horizon (counter overflow, page
-// crossing, slice expiry, pending NMI), retire through the precise
-// path with their pre-resolved memory outcome, so samples land on the
-// exact op.
-//
-// The upfront replay is sound because nothing else touches the data
-// caches between the ops of the run: NMI handlers raised mid-run
-// execute instruction-only kernel work (fetches touch only the ITLB).
-// Handlers must not issue data-memory ops — the same contract
-// cache.Hierarchy.DataRun documents.
-func (c *Core) ExecMemBatch(start addr.Address, n int, stride uint32, cost uint32, mem addr.Address, memStride uint32) {
-	if mem == 0 {
-		c.ExecBatch(start, n, stride, cost)
-		return
-	}
-	if c.noBatch || c.Mem == nil || cost == 0 {
-		pc, m := start, mem
-		for i := 0; i < n; i++ {
-			c.Exec(Op{PC: pc, Cost: cost, Mem: m})
-			pc += addr.Address(stride)
-			m += addr.Address(memStride)
-		}
-		return
-	}
-	if c.bat.active {
-		c.FlushBatch()
-	}
-	c.evBuf = c.Mem.DataRun(mem, memStride, n, c.evBuf[:0])
-	events := c.evBuf
-	hit := c.Mem.HitCost()
-	eff := cost + hit // effective per-op cost of a guaranteed hit
-	pc := start
-	for i, ei := 0, 0; i < n; {
-		next := n
-		if ei < len(events) {
-			next = events[ei].Index
-		}
-		if i == next {
-			// The memory system charged this op beyond a plain hit (or
-			// raised an event): precise retirement at the exact PC.
-			ev := events[ei]
-			ei++
-			c.execResolved(pc, cost, ev.Extra, ev.DTLBMiss, ev.L2Miss, ev.Coh)
-			i++
-			pc += addr.Address(stride)
-			continue
-		}
-		k := c.bulkLen(pc, next-i, stride, eff)
-		if k == 0 {
-			// At an event horizon: one precise op (guaranteed hit).
-			c.execResolved(pc, cost, hit, false, false, false)
-			i++
-			pc += addr.Address(stride)
-			continue
-		}
-		total := uint64(k) * uint64(eff)
-		c.pc = pc + addr.Address(stride)*addr.Address(k-1)
-		c.instrs += uint64(k)
-		c.cycles += total
-		if c.slice >= total {
-			c.slice -= total
-		} else {
-			c.slice = 0
-		}
-		c.Bank.Tick(hpc.InstrRetired, uint64(k))
-		c.Bank.Tick(hpc.GlobalPowerEvents, total)
-		pc += addr.Address(stride) * addr.Address(k)
-		i += k
-	}
-}
-
-// execResolved retires one micro-op whose data-memory outcome was
-// pre-resolved by DataRun: extra memory cycles and which events to
-// tick. It mirrors Exec exactly — same tick order (ITLB, DTLB, BSQ),
-// same cycle-snapshot timing for NMI latching — with the data probes
-// replaced by their recorded outcome (the replay already applied their
-// state changes). The instruction side stays live: handlers run at
-// kernel PCs and move the ITLB, so fetch accounting cannot be
-// precomputed.
-func (c *Core) execResolved(pc addr.Address, cost uint32, extra uint32, dtlbMiss, l2miss, coh bool) {
-	if c.bat.active {
-		c.FlushBatch()
-	}
-	c.pc = pc
-	c.instrs++
-	total := uint64(cost)
-	if c.Mem != nil {
-		if iextra, imiss := c.Mem.AccessInstr(pc); imiss {
-			total += uint64(iextra)
-			c.Bank.Tick(hpc.ITLBMiss, 1)
-		}
-	}
-	if dtlbMiss {
-		c.Bank.Tick(hpc.DTLBMiss, 1)
-	}
-	total += uint64(extra)
-	if l2miss {
-		c.Bank.Tick(hpc.BSQCacheReference, 1)
-	}
-	if coh {
-		c.Bank.Tick(hpc.CoherencyTransfers, 1)
-	}
-	c.cycles += total
-	if c.slice >= total {
-		c.slice -= total
-	} else {
-		c.slice = 0
-	}
-	c.Bank.Tick(hpc.InstrRetired, 1)
-	c.Bank.Tick(hpc.GlobalPowerEvents, total)
-	c.drainPending()
-}
-
 // BatchOp is the streaming form of ExecBatch for executors that
 // discover ops one at a time (the JVM's bytecode engine): it retires a
-// single no-memory micro-op, accumulating its counter ticks into an
-// open batch while the op provably cannot overflow any armed counter
-// and stays on the current instruction page. The cycle clock,
-// instruction count, PC and slice budget advance eagerly, so callers
-// may consult Cycles()/Expired() between ops; only the bank ticks are
-// deferred, flushed at the next Exec/ExecBatch/AdvanceIdle/FlushBatch.
-// Ops at an event horizon are routed through the precise Exec path.
+// single no-memory micro-op into the open batch (BatchRun) while the op
+// provably cannot overflow any armed counter and stays on the batch's
+// instruction page. The cycle clock, instruction count, PC and slice
+// budget advance eagerly, so callers may consult Cycles()/Expired()
+// between ops; only the bank ticks are deferred, flushed at the next
+// precise op, bulk run, AdvanceIdle or FlushBatch. An op at an event
+// horizon is routed through the precise Exec path.
 func (c *Core) BatchOp(pc addr.Address, cost uint32) {
-	if c.noBatch {
+	if !c.accumulate(pc, pc, 1, uint64(cost)) && !c.BatchRun(pc, pc, 1, uint64(cost)) {
 		c.Exec(Op{PC: pc, Cost: cost})
-		return
-	}
-	b := &c.bat
-	cost64 := uint64(cost)
-	if b.active {
-		if (b.pageOK && uint64(pc)>>12 != b.page) || b.opsLeft == 0 || b.costLeft < cost64 {
-			c.FlushBatch()
-			c.Exec(Op{PC: pc, Cost: cost})
-			return
-		}
-	} else if !c.openBatch(pc, cost64) {
-		c.Exec(Op{PC: pc, Cost: cost})
-		return
-	}
-	b.count++
-	b.cost += cost64
-	b.opsLeft--
-	b.costLeft -= cost64
-	c.pc = pc
-	c.instrs++
-	c.cycles += cost64
-	if c.slice >= cost64 {
-		c.slice -= cost64
-	} else {
-		c.slice = 0
 	}
 }
 
 // BatchMemOp is the streaming form of ExecMemBatch for executors that
 // discover memory ops one at a time (the JVM's bytecode engine): it
-// retires a single micro-op touching mem, accumulating it into the
-// open batch when the access is provably a plain L1+DTLB hit
+// retires a single micro-op touching mem (0: none) into the open batch
+// when the access is provably a plain L1+DTLB hit
 // (cache.Hierarchy.DataFree — same line and page as the previous data
 // access, no flush since) and the op clears the usual event horizons.
 // The cache probes such an op stands for are deferred as recency
@@ -496,39 +411,14 @@ func (c *Core) BatchOp(pc addr.Address, cost uint32) {
 // exactly as before (and re-establishes the residency tracking for
 // the ops that follow).
 func (c *Core) BatchMemOp(pc addr.Address, cost uint32, mem addr.Address) {
-	if mem == 0 {
-		c.BatchOp(pc, cost)
-		return
-	}
-	if c.noBatch || c.Mem == nil || !c.Mem.DataFree(mem) {
+	if mem != 0 && (c.Mem == nil || !c.Mem.DataFree(mem)) ||
+		!c.accumulate(pc, pc, 1, uint64(cost)) && !c.BatchRun(pc, pc, 1, uint64(cost)) {
 		c.Exec(Op{PC: pc, Cost: cost, Mem: mem})
 		return
 	}
-	eff := uint64(cost) + uint64(c.Mem.HitCost())
-	b := &c.bat
-	if b.active {
-		if (b.pageOK && uint64(pc)>>12 != b.page) || b.opsLeft == 0 || b.costLeft < eff {
-			c.FlushBatch()
-			c.Exec(Op{PC: pc, Cost: cost, Mem: mem})
-			return
-		}
-	} else if !c.openBatch(pc, eff) {
-		c.Exec(Op{PC: pc, Cost: cost, Mem: mem})
-		return
-	}
-	b.count++
-	b.cost += eff
-	b.opsLeft--
-	b.costLeft -= eff
-	b.dtouch++
-	b.daddr = mem
-	c.pc = pc
-	c.instrs++
-	c.cycles += eff
-	if c.slice >= eff {
-		c.slice -= eff
-	} else {
-		c.slice = 0
+	if mem != 0 {
+		c.bat.dtouch++
+		c.bat.daddr = mem
 	}
 }
 
@@ -554,35 +444,31 @@ func (c *Core) BatchStoreOp(pc addr.Address, cost uint32, mem addr.Address) {
 	c.BatchMemOp(pc, cost, mem)
 }
 
-// openBatch starts an accumulation run at pc, capturing the event
-// horizon from the counter bank. It refuses (returning false) when the
-// op cannot be proven event-free: a pending NMI must drain, the fetch
-// needs an ITLB probe, or an armed counter is within one op of
-// overflow.
-func (c *Core) openBatch(pc addr.Address, cost64 uint64) bool {
-	if !c.inNMI && len(c.pending) > 0 {
+// openBatch closes any open batch and opens a fresh one at pc,
+// capturing the event horizon from the counter bank. It refuses
+// (returning false, with no batch open) when nothing can be batched at
+// pc: batching is off, a latched NMI must drain first, or the fetch at
+// pc needs an ITLB probe.
+func (c *Core) openBatch(pc addr.Address) bool {
+	c.FlushBatch()
+	if c.noBatch || (!c.inNMI && len(c.pending) > 0) {
 		return false
 	}
-	b := &c.bat
-	b.pageOK = false
+	lo, hi := addr.Address(0), ^addr.Address(0)
 	if c.Mem != nil {
 		if !c.Mem.InstrFree(pc) {
 			return false
 		}
 		if c.Mem.PageConstrained() {
-			b.pageOK = true
-			b.page = uint64(pc) >> 12
+			lo = pc &^ 0xFFF
+			hi = lo | 0xFFF
 		}
 	}
-	b.opsLeft = c.Bank.NextOverflowIn(hpc.InstrRetired)
-	b.costLeft = c.Bank.NextOverflowIn(hpc.GlobalPowerEvents)
-	if b.opsLeft == 0 || b.costLeft < cost64 {
-		return false
-	}
-	b.active = true
-	b.count = 0
-	b.cost = 0
-	b.dtouch = 0
+	b := &c.bat
+	b.lo, b.hi = lo, hi
+	b.ops0 = c.Bank.NextOverflowIn(hpc.InstrRetired)
+	b.cost0 = c.Bank.NextOverflowIn(hpc.GlobalPowerEvents)
+	b.opsLeft, b.costLeft = b.ops0, b.cost0
 	return true
 }
 
@@ -590,34 +476,35 @@ func (c *Core) openBatch(pc addr.Address, cost64 uint64) bool {
 // counter ticks in one bulk update. The event horizon captured at open
 // time guarantees the bulk Tick cannot overflow, so counter state after
 // the flush is identical to per-op ticking. The kernel flushes at every
-// scheduler boundary; Exec, ExecBatch and AdvanceIdle flush implicitly.
+// scheduler boundary; the precise step, the bulk walker and AdvanceIdle
+// flush implicitly.
 func (c *Core) FlushBatch() {
-	b := &c.bat
-	if !b.active {
-		return
+	if c.bat.lo <= c.bat.hi {
+		c.closeBatch()
 	}
-	b.active = false
+}
+
+// closeBatch is FlushBatch's work on an open batch.
+func (c *Core) closeBatch() {
+	b := &c.bat
+	b.lo, b.hi = 1, 0
 	if b.dtouch > 0 {
 		// Replay the deferred guaranteed-hit probes as bulk recency
 		// updates before anything else can probe the data caches.
 		c.Mem.DataTouch(b.daddr, b.dtouch)
 		b.dtouch = 0
 	}
-	if b.count > 0 {
-		c.Bank.Tick(hpc.InstrRetired, b.count)
-		c.Bank.Tick(hpc.GlobalPowerEvents, b.cost)
+	if n := b.ops0 - b.opsLeft; n > 0 {
+		c.Bank.Tick(hpc.InstrRetired, n)
+		c.Bank.Tick(hpc.GlobalPowerEvents, b.cost0-b.costLeft)
 	}
-	b.count = 0
-	b.cost = 0
 }
 
 // AdvanceIdle moves the clock forward without executing instructions
 // (a halted core). GLOBAL_POWER_EVENTS counts non-halted cycles only,
 // so no counters tick.
 func (c *Core) AdvanceIdle(cycles uint64) {
-	if c.bat.active {
-		c.FlushBatch()
-	}
+	c.FlushBatch()
 	c.cycles += cycles
 }
 

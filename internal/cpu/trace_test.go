@@ -82,66 +82,13 @@ func driveScatterStream(c *Core, seed int64) {
 	c.FlushBatch()
 }
 
-// compareCores asserts full architectural, counter, cache, and NMI
-// equivalence between a batched core and its per-op oracle.
-func compareCores(t *testing.T, cb, cp *Core, periods map[hpc.Event]uint64, trB, trP *nmiTrace) bool {
-	t.Helper()
-	if cb.Cycles() != cp.Cycles() || cb.Instructions() != cp.Instructions() ||
-		cb.PC() != cp.PC() || cb.SliceLeft() != cp.SliceLeft() ||
-		cb.LostNMIs() != cp.LostNMIs() {
-		t.Logf("state diverged: cycles %d/%d instrs %d/%d pc %x/%x slice %d/%d lost %d/%d",
-			cb.Cycles(), cp.Cycles(), cb.Instructions(), cp.Instructions(),
-			uint64(cb.PC()), uint64(cp.PC()), cb.SliceLeft(), cp.SliceLeft(),
-			cb.LostNMIs(), cp.LostNMIs())
-		return false
-	}
-	for ev := range periods {
-		b, _ := cb.Bank.Counter(ev)
-		p, _ := cp.Bank.Counter(ev)
-		if b.Total() != p.Total() {
-			t.Logf("%v totals diverged: %d vs %d", ev, b.Total(), p.Total())
-			return false
-		}
-	}
-	if cb.Mem != nil {
-		for _, lvl := range []struct {
-			name string
-			b, p interface{ Stats() (uint64, uint64) }
-		}{
-			{"L1", cb.Mem.L1, cp.Mem.L1},
-			{"L2", cb.Mem.L2, cp.Mem.L2},
-			{"DTLB", cb.Mem.DTLB, cp.Mem.DTLB},
-			{"ITLB", cb.Mem.ITLB, cp.Mem.ITLB},
-		} {
-			ba, bm := lvl.b.Stats()
-			pa, pm := lvl.p.Stats()
-			if ba != pa || bm != pm {
-				t.Logf("%s stats diverged: %d/%d vs %d/%d", lvl.name, ba, bm, pa, pm)
-				return false
-			}
-		}
-	}
-	if len(trB.evs) != len(trP.evs) {
-		t.Logf("NMI count diverged: %d vs %d", len(trB.evs), len(trP.evs))
-		return false
-	}
-	for i := range trB.evs {
-		if trB.evs[i] != trP.evs[i] || trB.snaps[i] != trP.snaps[i] {
-			t.Logf("NMI %d diverged: %v %+v vs %v %+v",
-				i, trB.evs[i], trB.snaps[i], trP.evs[i], trP.snaps[i])
-			return false
-		}
-	}
-	return true
-}
-
 // Property: ExecScatter is bit-for-bit identical to the per-op Exec
 // loop over its operand vector — cycles, instructions, PC, slice,
 // per-counter totals, cache statistics at every level, and the NMI
 // sequence down to each interrupted snapshot — including duplicate
-// operands, zero slots, conflict evictions, and nonzero L1 hit costs.
+// operands, zero slots, and conflict evictions.
 func TestExecScatterDeterminismQuick(t *testing.T) {
-	f := func(seed int64, rawPeriod uint32, burn8, hit4 uint8) bool {
+	f := func(seed int64, rawPeriod uint32, burn8 uint8) bool {
 		period := uint64(rawPeriod%20_000) + 50
 		periods := map[hpc.Event]uint64{
 			hpc.GlobalPowerEvents: period,
@@ -150,65 +97,58 @@ func TestExecScatterDeterminismQuick(t *testing.T) {
 			hpc.InstrRetired:      3 * period,
 		}
 		burn := int(burn8 % 60)
-		hit := uint32(hit4 % 3) // exercise both the zero and nonzero L1Hit walks
 		var trB, trP nmiTrace
 		cb := newBatchTestCore(periods, &trB, burn, true)
 		cp := newBatchTestCore(periods, &trP, burn, false)
-		cb.Mem.L1Hit = hit
-		cp.Mem.L1Hit = hit
 		driveScatterStream(cb, seed)
 		driveScatterStream(cp, seed)
 		return compareCores(t, cb, cp, periods, &trB, &trP)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.6}); err != nil {
 		t.Error(err)
 	}
 }
 
-// replayFusedTrace drives TraceWindow/RetireTrace exactly as the JVM's
-// trace replayer does for a straight-line stretch of page-local ops:
-// accumulate while inside the granted horizon, retire the prefix in
-// bulk at the boundary, run the boundary op precisely, re-request the
-// window, and fall back to per-op execution whenever no window is
-// granted. On a per-op core TraceWindow always refuses, so the same
-// driver doubles as the oracle.
-func replayFusedTrace(c *Core, pc addr.Address, costs []uint32) {
-	last := pc + addr.Address(4*(len(costs)-1))
-	ops, cyc, ok := c.TraceWindow(pc, last)
-	var accN, accCost uint64
-	var lastPC addr.Address
-	for i, cost := range costs {
-		p := pc + addr.Address(4*i)
-		if !ok {
-			c.Exec(Op{PC: p, Cost: cost})
-			continue
+// replayFused retires n page-local ops from pc the way the JVM's trace
+// replayer does: cut into segments, each retired in one BatchRun when
+// it fits the open batch whole and op by op through BatchOp when it
+// does not, with memory ops near mem streaming through BatchMemOp
+// between segments. Every random draw is taken before the core is
+// asked, so a batched core and its per-op oracle (where BatchRun
+// always refuses) see the same stream. It returns the next PC.
+func replayFused(c *Core, r *rand.Rand, pc, mem addr.Address, n int) addr.Address {
+	for n > 0 {
+		costs := make([]uint32, min(1+r.Intn(12), n))
+		var total uint64
+		for i := range costs {
+			costs[i] = uint32(1 + r.Intn(4))
+			total += uint64(costs[i])
 		}
-		if accN+1 <= ops && accCost+uint64(cost) <= cyc {
-			accN++
-			accCost += uint64(cost)
-			lastPC = p
-			continue
+		last := pc + addr.Address(4*(len(costs)-1))
+		if !c.BatchRun(pc, last, uint64(len(costs)), total) {
+			for i, cost := range costs {
+				c.BatchOp(pc+addr.Address(4*i), cost)
+			}
 		}
-		c.RetireTrace(lastPC, accN, accCost, 0, 0)
-		accN, accCost = 0, 0
-		c.Exec(Op{PC: p, Cost: cost})
-		if i < len(costs)-1 {
-			ops, cyc, ok = c.TraceWindow(p+4, last)
+		pc, n = last+4, n-len(costs)
+		if n > 0 && r.Intn(3) == 0 {
+			c.BatchMemOp(pc, uint32(1+r.Intn(3)), mem+addr.Address(r.Intn(32)))
+			pc, n = pc+4, n-1
 		}
 	}
-	if accN > 0 {
-		c.RetireTrace(lastPC, accN, accCost, 0, 0)
-	}
+	return pc
 }
 
-// driveTraceStream mixes fused trace replays with the precise and
-// streaming call sites, including page jumps that force TraceWindow to
+// driveFusedStream mixes fused stretches with every other call site of
+// the engine — precise ops, streaming BatchOps, bulk runs, slice
+// grants, idle gaps, flushes — including page jumps that make BatchRun
 // refuse until the ITLB state settles.
-func driveTraceStream(c *Core, seed int64) {
+func driveFusedStream(c *Core, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	pc := addr.Address(0x6000_0000)
+	mem := addr.Address(0x8000_0000)
 	for step := 0; step < 250; step++ {
-		switch r.Intn(8) {
+		switch r.Intn(10) {
 		case 0:
 			c.StartSlice(uint64(r.Intn(5000)))
 		case 1:
@@ -225,106 +165,142 @@ func driveTraceStream(c *Core, seed int64) {
 				c.BatchOp(pc, uint32(1+r.Intn(3)))
 				pc += 4
 			}
+		case 4:
+			n := 1 + r.Intn(1000)
+			c.ExecBatch(pc, n, 4, uint32(1+r.Intn(3)))
+			pc += addr.Address(4 * n)
+		case 5:
+			c.FlushBatch()
 		default:
-			costs := make([]uint32, 1+r.Intn(60))
-			for i := range costs {
-				costs[i] = uint32(1 + r.Intn(4))
-			}
-			replayFusedTrace(c, pc, costs)
-			pc += addr.Address(4 * len(costs))
+			pc = replayFused(c, r, pc, mem, 1+r.Intn(60))
 		}
 		if r.Intn(5) == 0 {
 			pc = addr.Address(0x6000_0000 + r.Intn(1<<20)*4)
+		}
+		if r.Intn(5) == 0 {
+			mem = addr.Address(0x8000_0000 + r.Intn(1<<20)*8)
 		}
 	}
 	c.FlushBatch()
 }
 
-// Property: a fused trace replay built on TraceWindow/RetireTrace is
-// bit-for-bit identical to per-op execution of the same instruction
-// stream, including NMIs landing on the exact boundary ops where the
-// per-op path delivers them.
-func TestTraceWindowDeterminismQuick(t *testing.T) {
+// Property: fused stretches retired through BatchRun, interleaved with
+// the rest of the engine, are bit-for-bit identical to per-op execution
+// of the same instruction stream, including NMIs landing on the exact
+// boundary ops where the per-op path delivers them.
+func TestBatchRunDeterminismQuick(t *testing.T) {
 	f := func(seed int64, rawPeriod uint32, burn8 uint8) bool {
 		period := uint64(rawPeriod%5_000) + 20
 		periods := map[hpc.Event]uint64{
 			hpc.GlobalPowerEvents: period,
 			hpc.BSQCacheReference: 300,
+			hpc.DTLBMiss:          200,
 			hpc.InstrRetired:      2*period + 7,
 		}
 		burn := int(burn8 % 60)
 		var trB, trP nmiTrace
 		cb := newBatchTestCore(periods, &trB, burn, true)
 		cp := newBatchTestCore(periods, &trP, burn, false)
-		driveTraceStream(cb, seed)
-		driveTraceStream(cp, seed)
+		driveFusedStream(cb, seed)
+		driveFusedStream(cp, seed)
 		return compareCores(t, cb, cp, periods, &trB, &trP)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.6}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TraceWindow must refuse whenever a fused stretch could hide an
-// observable event: per-op mode, a latched undelivered NMI, a counter
-// within one op of overflow, or a span that leaves the current
-// instruction page.
-func TestTraceWindowRefusals(t *testing.T) {
-	bank := hpc.NewBank()
-	bank.Program(hpc.GlobalPowerEvents, 1000)
-	c := New(bank, nil)
-	c.SetBatching(false)
-	if _, _, ok := c.TraceWindow(0x1000, 0x1010); ok {
-		t.Error("window granted in per-op mode")
+// BatchRun must refuse, retiring nothing, whenever a fused stretch
+// could hide an observable event: a latched NMI waiting to drain, a
+// first or last PC off the batch's instruction page under an ITLB, an
+// armed counter within n ops or `cost` cycles of overflow, or batching
+// off. A stretch that uses the whole horizon on the page is taken.
+func TestBatchRunRefusals(t *testing.T) {
+	const page = addr.Address(0x5000_0000)
+	newCore := func() *Core {
+		bank := hpc.NewBank()
+		bank.Program(hpc.InstrRetired, 10)
+		bank.Program(hpc.GlobalPowerEvents, 1000)
+		c := New(bank, cache.DefaultHierarchy())
+		c.StartSlice(5000)
+		c.Exec(Op{PC: page, Cost: 1}) // the ITLB now maps page
+		return c
 	}
-	c.SetBatching(true)
-	ops, cyc, ok := c.TraceWindow(0x1000, 0x1010)
-	if !ok || ops != hpc.NoLimit || cyc != 999 {
-		t.Errorf("window = (%d, %d, %v), want (NoLimit, 999, true)", ops, cyc, ok)
+	c := newCore()
+	ops, cyc := c.Bank.NextOverflowIn(hpc.InstrRetired), c.Bank.NextOverflowIn(hpc.GlobalPowerEvents)
+	if ops == 0 || cyc == 0 || !c.BatchRun(page+0x100, page+0xFFC, ops, cyc) {
+		t.Fatalf("a stretch using the whole horizon (%d ops, %d cycles) was refused", ops, cyc)
 	}
-	bank.Program(hpc.InstrRetired, 1) // next op overflows: zero headroom
-	if _, _, ok := c.TraceWindow(0x1000, 0x1010); ok {
-		t.Error("window granted with a counter one op from overflow")
+	cases := []struct {
+		name        string
+		setup       func(c *Core)
+		first, last addr.Address
+		n, cost     uint64
+	}{
+		{"latched NMI", func(c *Core) {
+			ctr, _ := c.Bank.Counter(hpc.GlobalPowerEvents)
+			c.onOverflow(ctr)
+		}, page + 0x100, page + 0x200, 1, 1},
+		{"first PC off the page", nil, page + 0x1000, page + 0x1010, 1, 1},
+		{"last PC off the page", nil, page + 0x100, page + 0x1100, 2, 2},
+		{"instructions within n of overflow", nil, page + 0x100, page + 0x200, ops + 1, 1},
+		{"cycles within cost of overflow", nil, page + 0x100, page + 0x200, 1, cyc + 1},
+		{"batching off", func(c *Core) { c.SetBatching(false) }, page + 0x100, page + 0x200, 1, 1},
 	}
-	bank.Remove(hpc.InstrRetired)
-
-	// A page-crossing span must be refused; a page-local one on the
-	// resident page is granted.
-	cm := New(bank, cache.DefaultHierarchy())
-	cm.SetBatching(true)
-	cm.Exec(Op{PC: 0x5000_0000, Cost: 1})
-	if _, _, ok := cm.TraceWindow(0x5000_0100, 0x5000_1100); ok {
-		t.Error("window granted across an instruction page boundary")
-	}
-	if _, _, ok := cm.TraceWindow(0x5000_0100, 0x5000_0200); !ok {
-		t.Error("window refused on the resident instruction page")
+	for _, tc := range cases {
+		c := newCore()
+		if tc.setup != nil {
+			tc.setup(c)
+		}
+		cycles, instrs, pc, slice := c.Cycles(), c.Instructions(), c.PC(), c.SliceLeft()
+		if c.BatchRun(tc.first, tc.last, tc.n, tc.cost) {
+			t.Errorf("%s: stretch granted", tc.name)
+		}
+		c.FlushBatch()
+		ir, _ := c.Bank.Counter(hpc.InstrRetired)
+		gpe, _ := c.Bank.Counter(hpc.GlobalPowerEvents)
+		if c.Cycles() != cycles || c.Instructions() != instrs || c.PC() != pc || c.SliceLeft() != slice ||
+			ir.Total() != instrs || gpe.Total() != cycles {
+			t.Errorf("%s: refusal retired something: cycles %d->%d instrs %d->%d pc %s->%s slice %d->%d ticks %d/%d",
+				tc.name, cycles, c.Cycles(), instrs, c.Instructions(), pc, c.PC(), slice, c.SliceLeft(),
+				ir.Total(), gpe.Total())
+		}
 	}
 }
 
-// RetireTrace must equal the summed per-op updates: PC of the last op,
-// instruction and cycle totals, slice clamp, and bulk counter ticks.
-func TestRetireTraceBulkUpdate(t *testing.T) {
+// BatchRun's scalars are eager, as BatchOp's are: the PC of the
+// stretch's last op, the instruction and cycle totals and the slice,
+// clamped at zero, are exact as soon as it returns. The counter ticks
+// land only at FlushBatch, as the summed per-op ticks.
+func TestBatchRunEagerScalars(t *testing.T) {
 	bank := hpc.NewBank()
+	bank.Program(hpc.InstrRetired, 1000)
 	bank.Program(hpc.GlobalPowerEvents, 1000)
 	c := New(bank, nil)
 	c.StartSlice(25)
-	ops, cyc, ok := c.TraceWindow(0x2000, 0x2020)
-	if !ok || ops != hpc.NoLimit || cyc != 999 {
-		t.Fatalf("window = (%d, %d, %v)", ops, cyc, ok)
+	ir, _ := bank.Counter(hpc.InstrRetired)
+	gpe, _ := bank.Counter(hpc.GlobalPowerEvents)
+	if !c.BatchRun(0x2000, 0x2020, 9, 18) {
+		t.Fatal("stretch refused")
 	}
-	c.RetireTrace(0x2020, 9, 18, 0, 0)
 	if c.PC() != 0x2020 || c.Instructions() != 9 || c.Cycles() != 18 || c.SliceLeft() != 7 {
 		t.Errorf("state = pc %x instrs %d cycles %d slice %d",
 			uint64(c.PC()), c.Instructions(), c.Cycles(), c.SliceLeft())
 	}
-	ctr, _ := bank.Counter(hpc.GlobalPowerEvents)
-	if ctr.Total() != 18 {
-		t.Errorf("GPE total = %d, want 18", ctr.Total())
+	// Clamp: a stretch costing more than the slice has left pins it at zero.
+	if !c.BatchRun(0x2024, 0x2040, 3, 100) {
+		t.Fatal("second stretch refused")
 	}
-	// Clamp: retiring more cost than the slice has left pins it at zero.
-	c.RetireTrace(0x2040, 3, 100, 0, 0)
-	if c.SliceLeft() != 0 || !c.Expired() {
-		t.Errorf("slice = %d, want clamped to 0", c.SliceLeft())
+	if c.SliceLeft() != 0 || !c.Expired() || c.Instructions() != 12 || c.Cycles() != 118 {
+		t.Errorf("after clamp: slice %d instrs %d cycles %d, want 0, 12, 118",
+			c.SliceLeft(), c.Instructions(), c.Cycles())
+	}
+	if ir.Total() != 0 || gpe.Total() != 0 {
+		t.Errorf("ticks landed before the flush: %d instrs, %d cycles", ir.Total(), gpe.Total())
+	}
+	c.FlushBatch()
+	if ir.Total() != 12 || gpe.Total() != 118 {
+		t.Errorf("flushed ticks = %d instrs, %d cycles, want 12, 118", ir.Total(), gpe.Total())
 	}
 }
 

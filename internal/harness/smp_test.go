@@ -123,30 +123,8 @@ func TestSMPCleanRunPerCPUConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, rep, _ := smpRun(t, spec, Options{Scale: testScale, Seed: 5, Cores: 4})
-	drv := r.Session.Prof.Driver
-	loggedCPU := r.Session.Prof.Daemon.SamplesLoggedCPU()
-	var sumNMI, sumLogged uint64
-	for ci := 0; ci < drv.NumCPU(); ci++ {
-		cs := drv.StatsCPU(ci)
-		sumNMI += cs.NMIs
-		sumLogged += cs.Logged
-		if cs.Logged+cs.Dropped != cs.NMIs {
-			t.Errorf("cpu%d driver conservation: logged %d + dropped %d != NMIs %d",
-				ci, cs.Logged, cs.Dropped, cs.NMIs)
-		}
-		var agg uint64
-		if ci < len(loggedCPU) {
-			agg = loggedCPU[ci]
-		}
-		if agg+uint64(drv.ShardLen(ci)) != cs.Logged {
-			t.Errorf("cpu%d daemon conservation: aggregated %d + buffered %d != logged %d",
-				ci, agg, drv.ShardLen(ci), cs.Logged)
-		}
-	}
-	ds := r.DriverStats
-	if sumNMI != ds.NMIs || sumLogged != ds.Logged {
-		t.Errorf("per-CPU stats (NMIs %d, logged %d) do not sum to aggregate (%d, %d)",
-			sumNMI, sumLogged, ds.NMIs, ds.Logged)
+	if err := r.Session.Prof.CheckConservation(); err != nil {
+		t.Error(err)
 	}
 	for _, ev := range rep.Events {
 		var cpuSum uint64
@@ -158,7 +136,7 @@ func TestSMPCleanRunPerCPUConservation(t *testing.T) {
 				ev, cpuSum, rep.Totals[ev])
 		}
 	}
-	if ds.NMIs == 0 {
+	if r.DriverStats.NMIs == 0 {
 		t.Error("conservation test sampled nothing")
 	}
 }

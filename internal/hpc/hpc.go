@@ -187,19 +187,6 @@ func (b *Bank) NextOverflowIn(ev Event) uint64 {
 	return c.remaining - 1
 }
 
-// BulkHeadroom returns the joint event horizon of a fused run that
-// ticks opsEv once per op and weightEv by a per-op weight (the
-// instruction/cycle pair of the batched execution engine): the largest
-// op count and the largest total weight that can be recorded before
-// either counter overflows. Either dimension reaching zero means the
-// next op must take the precise path — callers split the run at the
-// horizon, retire the prefix in bulk, and fall back per-op at the
-// boundary, so overflow NMIs fire on exactly the op they would have
-// under per-event ticking.
-func (b *Bank) BulkHeadroom(opsEv, weightEv Event) (ops, weight uint64) {
-	return b.NextOverflowIn(opsEv), b.NextOverflowIn(weightEv)
-}
-
 // Tick records n occurrences of ev and fires OnOverflow for each
 // overflow caused.
 func (b *Bank) Tick(ev Event, n uint64) {

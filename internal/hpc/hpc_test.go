@@ -157,3 +157,27 @@ func TestBankReprogram(t *testing.T) {
 		t.Error("replacement counter inherited state")
 	}
 }
+
+// NextOverflowIn is the event horizon the core's batch captures at
+// open: NoLimit for an unarmed event, period-1 on a fresh counter, zero
+// once the counter is one event from overflow (the next op must then
+// run precisely), and period-1 again after the overflow rearms it.
+func TestNextOverflowIn(t *testing.T) {
+	b := NewBank()
+	if ops, w := b.NextOverflowIn(InstrRetired), b.NextOverflowIn(GlobalPowerEvents); ops != NoLimit || w != NoLimit {
+		t.Errorf("empty bank headroom = (%d, %d), want NoLimit pair", ops, w)
+	}
+	b.Program(InstrRetired, 10)
+	b.Program(GlobalPowerEvents, 25)
+	if ops, w := b.NextOverflowIn(InstrRetired), b.NextOverflowIn(GlobalPowerEvents); ops != 9 || w != 24 {
+		t.Errorf("headroom = (%d, %d), want (9, 24)", ops, w)
+	}
+	b.Tick(InstrRetired, 9)
+	if ops := b.NextOverflowIn(InstrRetired); ops != 0 {
+		t.Errorf("ops headroom = %d, want 0 one op before overflow", ops)
+	}
+	b.Tick(InstrRetired, 1) // overflow rearms at the full period
+	if ops := b.NextOverflowIn(InstrRetired); ops != 9 {
+		t.Errorf("ops headroom after rearm = %d, want 9", ops)
+	}
+}

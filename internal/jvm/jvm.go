@@ -71,8 +71,11 @@ type Config struct {
 	DisableOSR bool
 	// DisableTrace turns off trace recording and fused superinstruction
 	// replay: every bytecode dispatches through stepInstr (the ablation
-	// baseline for the trace-batching benchmark). Simulated results are
-	// identical either way; only host-side speed differs.
+	// baseline for the trace-batching benchmark). On a single-core
+	// machine simulated results are identical either way; only
+	// host-side speed differs. On a multi-core machine they can differ:
+	// stepInstr marks stores in the coherency directory and replay does
+	// not (see the equivalence contract in trace.go).
 	DisableTrace bool
 	// Agent, if set, receives VM events (the VIProf VM agent).
 	Agent Agent

@@ -1,37 +1,42 @@
 // Trace recording and fused superinstruction replay: the VM detects hot
 // straight-line (and single-backedge loop) bytecode sequences at method
 // entries and loop-backedge targets, compiles each into a compact trace
-// descriptor, and replays the descriptor against one event-horizon
-// window (cpu.Core.TraceWindow) whose accumulated ops retire in bulk
-// (cpu.Core.RetireTrace) when the window closes, instead of one
-// dispatch + one accumulator call per bytecode. At install, each
-// maximal run of plain ops becomes a segment with its Const operands
-// folded into the ops that consume them; replay checks the window once
-// per segment and runs its functional effect on a local operand stack.
-// A loop trace keeps replaying iterations inside one call for as long
-// as the Step loop would have re-entered it. Replay deoptimizes to the
-// ordinary stepInstr interpreter at any guard failure — branch
+// descriptor, and replays the descriptor instead of one dispatch per
+// bytecode. At install, each maximal run of plain ops becomes a segment
+// with its Const operands folded into the ops that consume them; replay
+// retires a whole segment through one cpu.Core.BatchRun call into the
+// core's streaming batch — the same event-horizon accumulator stepInstr
+// streams into — and runs its functional effect on a local operand
+// stack. A loop trace keeps replaying iterations inside one call for as
+// long as the Step loop would have re-entered it. Replay deoptimizes to
+// the ordinary stepInstr interpreter at any guard failure — branch
 // divergence, a runtime exception, an expired slice, or a stale
 // descriptor after recompilation — leaving the VM in exactly the state
 // per-op execution would have at that bytecode, so the per-op path can
 // always resume mid-trace.
 //
-// Equivalence contract: a fused replay is bit-for-bit identical to the
-// per-op interpretation of the same bytecodes. Ops are accumulated only
-// while provably event-free (inside the granted TraceWindow, with
-// memory operands proven guaranteed hits via Hierarchy.DataFree);
-// everything else — recorded misses, horizon boundaries, diverging
-// branches — takes the same precise cpu.Core.Exec path the streaming
-// engine falls back to. With batching disabled (the per-op oracle)
-// TraceWindow refuses every window and the interpreter runs per-op,
-// so ablation comparisons exercise identical simulated machines.
+// Equivalence contract: on a single-core machine a fused replay is
+// bit-for-bit identical to the per-op interpretation of the same
+// bytecodes. Every op retires through the streaming batch, as stepInstr
+// retires it: a segment in one BatchRun when the batch can take it
+// whole, everything else (the ops of a segment it refuses, branches,
+// memory ops) one at a time through BatchOp/BatchMemOp, which accumulate
+// only provably event-free ops (memory operands proven guaranteed hits
+// via Hierarchy.DataFree) and retire the rest through the precise step.
+// The scheduling slice is read from the core (Expired, SliceLeft), whose
+// clock the batch advances eagerly. With batching disabled (the per-op
+// oracle) replay does not run at all, so ablation comparisons exercise
+// identical simulated machines. The exception is a multi-core machine:
+// stepInstr retires stores through BatchStoreOp, which marks the line in
+// the coherency directory, and replay streams them through BatchMemOp,
+// which does not, so another core's miss on such a line can pay no
+// transfer under replay where it pays one stepped (ROADMAP item 1).
 package jvm
 
 import (
 	"slices"
 
 	"viprof/internal/addr"
-	"viprof/internal/cache"
 	"viprof/internal/cpu"
 	"viprof/internal/jvm/bytecode"
 	"viprof/internal/jvm/jit"
@@ -48,7 +53,8 @@ const (
 	// iteration.
 	traceMaxOps = 192
 	// traceMinOps is the minimum length worth fusing: below it the
-	// per-replay window bookkeeping costs more than it saves.
+	// replay's entry guards and per-pass setup cost more than fused
+	// retirement saves.
 	traceMinOps = 6
 )
 
@@ -100,8 +106,8 @@ func opFlags(op bytecode.Opcode) uint8 {
 // a fall-through exit (straight-line trace) or by a backedge to its own
 // anchor (loop trace). Machine PCs are never stored — the replayer
 // computes body.PC(bci) per run, so descriptors survive GC code moves;
-// the replayer anchors its event-horizon window per instruction page,
-// so a footprint spanning a page boundary fuses each page segment
+// the core's streaming batch is anchored per instruction page, so a
+// footprint spanning a page boundary fuses each page's segments
 // separately with the crossing op retired precisely. The stack shape
 // (minDepth entry values consumed below the entry level, maxGrow slots
 // of growth) is precomputed for the entry guard and the local stack.
@@ -123,7 +129,7 @@ type traceDesc struct {
 }
 
 // traceSeg is a maximal run of plain ops, replayed as one unit: one
-// window, page and slice check for the whole run, then its functional
+// slice check and one BatchRun for the whole run, then its functional
 // effect through runSeg. Only its first op may raise (guard), and the
 // replayer checks that op's operand on the live stack before the
 // segment starts; every later op is proven unable to fault.
@@ -640,97 +646,6 @@ func runSegPrefix(code []segInstr, m int, st []Value, sp int, locals []Value) in
 	return sp
 }
 
-// traceAcc is a replay's architectural side: the event-horizon window
-// cpu.Core.TraceWindow granted, the ops charged into it and not yet
-// retired, and the scheduling slice those ops will consume.
-type traceAcc struct {
-	core    *cpu.Core
-	hier    *cache.Hierarchy
-	hit     uint32 // the data-hit cost a proven-resident operand adds
-	open    bool   // the window is valid: no precise op since it opened
-	winPage uint64 // the instruction page the window proved fetch-free
-	remOps  uint64 // window headroom in ops and cycles
-	remCost uint64
-	n, cost uint64 // charged into the window, not yet retired
-	lastPC  addr.Address
-	dtouch  uint32 // deferred guaranteed-hit data probes, all on daddr's line
-	daddr   addr.Address
-	// The Step loop polls core.Expired() between bytecodes, so per-op
-	// execution yields to the kernel at exactly the op where the
-	// scheduling slice runs out. Replay must stop at the same op:
-	// sliceUsed is the slice the charged ops will consume, sliceBudget
-	// the core's slice when sliceUsed was last zero.
-	sliceBudget uint64
-	sliceUsed   uint64
-}
-
-// reopen ensures the window is open, asking the core for a fresh one
-// at pc if a precise op (or a cold entry) closed it.
-func (a *traceAcc) reopen(pc addr.Address) bool {
-	if !a.open {
-		a.remOps, a.remCost, a.open = a.core.TraceWindow(pc, pc)
-		a.winPage = uint64(pc) >> 12
-	}
-	return a.open
-}
-
-// fits reports whether n more ops spanning [pcFirst, pcLast] and
-// costing cost cycles stay inside the open window.
-func (a *traceAcc) fits(pcFirst, pcLast addr.Address, n, cost uint64) bool {
-	return uint64(pcFirst)>>12 == a.winPage && uint64(pcLast)>>12 == a.winPage &&
-		a.n+n <= a.remOps && a.cost+cost <= a.remCost
-}
-
-// add charges n ops ending at lastPC into the window.
-func (a *traceAcc) add(lastPC addr.Address, n, cost uint64) {
-	a.n += n
-	a.cost += cost
-	a.lastPC = lastPC
-	a.sliceUsed += cost
-}
-
-// flush retires the charged ops in one bulk update and re-reads the
-// slice.
-func (a *traceAcc) flush() {
-	if a.n > 0 {
-		a.core.RetireTrace(a.lastPC, a.n, a.cost, a.daddr, a.dtouch)
-		a.n, a.cost, a.dtouch, a.daddr = 0, 0, 0, 0
-	}
-	a.sliceBudget = a.core.SliceLeft()
-	a.sliceUsed = 0
-}
-
-// charge retires one op at pc: into the window when it is provably
-// event-free, otherwise precisely, after retiring what the window
-// holds. A precise op may deliver NMIs, tick counters and refetch the
-// page, so it closes the window; the next op reopens it.
-func (a *traceAcc) charge(pc addr.Address, cost uint32, mem addr.Address) {
-	free := mem == 0 || (a.hier != nil && a.hier.DataFree(mem))
-	eff := uint64(cost)
-	if mem != 0 {
-		eff += uint64(a.hit)
-	}
-	if free && a.reopen(pc) && a.fits(pc, pc, 1, eff) {
-		a.add(pc, 1, eff)
-		if mem != 0 {
-			a.dtouch++
-			a.daddr = mem
-		}
-		return
-	}
-	a.flush()
-	a.core.Exec(cpu.Op{PC: pc, Cost: cost, Mem: mem})
-	a.sync()
-}
-
-// sync follows a precise op run directly on the core: it re-reads the
-// slice the op consumed and closes the window, which the op made stale.
-func (a *traceAcc) sync() {
-	a.sliceBudget = a.core.SliceLeft()
-	a.sliceUsed = 0
-	a.open = false
-}
-
 // commitReplay books one fused pass that retired n ops.
 func (vm *VM) commitReplay(d *traceDesc, n int, deopt bool) {
 	vm.sinceYield += n
@@ -774,7 +689,10 @@ func (vm *VM) replayTrace(f *frame, d *traceDesc) (bool, error) {
 	if len(f.stack) < d.minDepth || vm.sinceYield+len(d.ops) > vm.cfg.YieldQuantum {
 		return false, nil
 	}
-	core := vm.m.CPU()
+	// The type is spelled out for the import: the compiler inlines the
+	// core's accessors (Expired, SliceLeft) into this loop, and into
+	// Step's, only when this package imports cpu itself.
+	var core *cpu.Core = vm.m.CPU()
 	if !core.Batching() {
 		// The per-op oracle: replay must not run at all.
 		return false, nil
@@ -783,19 +701,17 @@ func (vm *VM) replayTrace(f *frame, d *traceDesc) (bool, error) {
 	meth := body.Method
 	mi := meth.Index
 	startPC := body.PC(int(d.startBC))
-	// The window is anchored per instruction page, not per trace: a
-	// descriptor whose footprint spans a page boundary (long bodies,
-	// post-promotion code layouts) fuses each page segment separately,
-	// with the crossing op retired precisely so it pays exactly the
-	// per-op ITLB probe. A cold entry — the instruction page moved, an
-	// NMI is latched, or a counter is within one op of overflow — does
-	// not forbid replay: the first op(s) retire precisely and the window
-	// reopens warm.
-	a := traceAcc{core: core, hier: core.Mem, sliceBudget: core.SliceLeft()}
-	if a.hier != nil {
-		a.hit = a.hier.HitCost()
-	}
-	a.reopen(startPC)
+	// Every op retires through the core's streaming batch, exactly as
+	// stepInstr retires it: a segment in one BatchRun when it fits the
+	// open batch whole, anything else op by op through BatchOp or
+	// BatchMemOp. The batch is anchored per instruction page, not per
+	// trace: a descriptor whose footprint spans a page boundary (long
+	// bodies, post-promotion code layouts) fuses each page's segments
+	// separately, with the crossing op retired precisely so it pays
+	// exactly the per-op ITLB probe. A cold entry — the instruction page
+	// moved, an NMI is latched, or a counter is within one op of
+	// overflow — does not forbid replay: the first op(s) retire
+	// precisely and the batch reopens warm.
 	ops, segs, locals := d.ops, d.segs, f.locals
 	last := len(ops) - 1
 
@@ -815,7 +731,7 @@ pass:
 			if op.flags&opfSeg != 0 {
 				s := &segs[si]
 				si++
-				if a.sliceUsed >= a.sliceBudget || s.faults(st, sp) {
+				if core.Expired() || s.faults(st, sp) {
 					// The slice expired at this op boundary, or the op
 					// would raise: stop before it, unexecuted, and let
 					// stepInstr run it (and raise its error).
@@ -824,23 +740,24 @@ pass:
 				}
 				pc := startPC + addr.Address(op.pcOff)
 				lastPC := startPC + addr.Address(s.lastPcOff)
-				if a.reopen(pc) && a.fits(pc, lastPC, uint64(s.n), uint64(s.cost)) &&
-					a.sliceUsed+uint64(s.headCost) < a.sliceBudget {
+				// The slice must outlast every op but the last, or the Step
+				// loop would have yielded inside the segment.
+				if uint64(s.headCost) < core.SliceLeft() &&
+					core.BatchRun(pc, lastPC, uint64(s.n), uint64(s.cost)) {
 					sp = runSeg(s.code, st, sp, locals)
-					a.add(lastPC, uint64(s.n), uint64(s.cost))
 					executed += int(s.n)
 					continue
 				}
-				// The segment does not fit the window whole: charge its
-				// ops one by one, then apply the prefix that retired.
+				// The segment does not fit the batch whole: retire its ops
+				// one by one, then apply the prefix that retired.
 				f.stack = st[:sp]
 				k := 0
 				for ; k < int(s.n); k++ {
-					if k > 0 && a.sliceUsed >= a.sliceBudget {
+					if k > 0 && core.Expired() {
 						break
 					}
 					o := &ops[j+k]
-					a.charge(startPC+addr.Address(o.pcOff), o.cost, 0)
+					core.BatchOp(startPC+addr.Address(o.pcOff), o.cost)
 				}
 				sp = runSegPrefix(s.code, k, st, sp, locals)
 				executed += k
@@ -851,7 +768,7 @@ pass:
 				continue
 			}
 
-			if a.sliceUsed >= a.sliceBudget {
+			if core.Expired() {
 				exitPC = int(op.bci)
 				break
 			}
@@ -958,7 +875,6 @@ pass:
 					// cost.
 					executed = len(ops)
 					if vm.aosSys.OnBackEdge(meth, 1) {
-						a.flush()
 						vm.promoteOSR(meth)
 						core.BatchOp(f.body.PC(int(op.bci)), op.cost)
 						vm.noteAnchor(f, int(d.startBC))
@@ -967,22 +883,15 @@ pass:
 						return true, nil
 					}
 					// No promotion: the backedge is a plain op at pc.
-					if a.reopen(pc) && a.fits(pc, pc, 1, uint64(op.cost)) {
-						a.add(pc, 1, uint64(op.cost))
-					} else {
-						a.flush()
-						core.BatchOp(pc, op.cost)
-						a.sync()
-					}
+					core.BatchOp(pc, op.cost)
 					vm.commitReplay(d, executed, false)
 					if mt := vm.traceAt[mi]; mt != nil && mt.at[d.startBC] == d &&
 						d.level == f.body.Level && vm.rec == nil && vm.err == nil &&
-						a.sliceUsed < a.sliceBudget && len(f.stack) >= d.minDepth &&
+						!core.Expired() && len(f.stack) >= d.minDepth &&
 						vm.sinceYield+len(ops) <= vm.cfg.YieldQuantum {
 						continue pass // the next iteration, in this call
 					}
 					vm.noteAnchor(f, int(d.startBC))
-					a.flush()
 					f.pc = int(d.startBC)
 					return true, nil
 				}
@@ -996,7 +905,6 @@ pass:
 						exitPC = int(op.a)
 					}
 					if exitPC <= int(op.bci) {
-						a.flush()
 						vm.backEdge(meth)
 						core.BatchOp(f.body.PC(int(op.bci)), op.cost)
 						vm.noteAnchor(f, exitPC)
@@ -1008,17 +916,18 @@ pass:
 					}
 				}
 			}
-			// Architectural phase: accumulate inside the window when the
-			// op is provably event-free, otherwise retire precisely. A
-			// closed window never abandons the trace.
-			a.charge(pc, op.cost, mem)
+			// Architectural phase: into the batch when the op is provably
+			// event-free, otherwise precisely; a refusal never abandons
+			// the trace. Stores stream like loads, without the directory
+			// mark stepInstr's BatchStoreOp adds: on a multi-core machine
+			// replay therefore differs from stepping (ROADMAP item 1).
+			core.BatchMemOp(pc, op.cost, mem)
 			executed = j + 1
 			if diverged {
 				break
 			}
 		}
 		f.stack = st[:sp]
-		a.flush()
 		if executed > last && !diverged {
 			// Recorded end of a straight-line trace (a loop trace's
 			// closing branch either continued above or diverged).

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"viprof/internal/addr"
@@ -264,6 +265,48 @@ func TestDaemonWarmCycleAllocs(t *testing.T) {
 		if limit := float64(perGroup*cell.ncpu + 1); n > limit {
 			t.Errorf("%d CPU(s), %d keys each: warm cycle allocated %v times, want at most %v",
 				cell.ncpu, cell.keys, n, limit)
+		}
+	}
+}
+
+// CheckConservation accepts a pipeline that accounts for every sample,
+// with samples still buffered on both CPUs, and names the first stage
+// that loses or invents one: a CPU's driver, a CPU's daemon share, or
+// an aggregate the per-CPU counters do not sum to.
+func TestCheckConservation(t *testing.T) {
+	balanced := func() (*Profiler, *Driver) {
+		m, drv, d := newDrainRig(t, 2)
+		rng := rand.New(rand.NewSource(1))
+		for ci, n := range []uint64{5, 3} {
+			for i := uint64(0); i < n; i++ {
+				drv.bufs[ci] = append(drv.bufs[ci], drainSample(rng, ci))
+			}
+			drv.percpu[ci].NMIs += n + 1
+			drv.percpu[ci].Logged += n
+			drv.percpu[ci].Dropped++
+			drv.stats.NMIs += n + 1
+			drv.stats.Logged += n
+			drv.stats.Dropped++
+		}
+		d.processBatch(m, 2)
+		return &Profiler{Driver: drv, Daemon: d}, drv
+	}
+	if p, drv := balanced(); p.CheckConservation() != nil || drv.BufferLen() == 0 {
+		t.Fatalf("balanced pipeline with %d buffered samples: %v", drv.BufferLen(), p.CheckConservation())
+	}
+	for _, tc := range []struct {
+		want  string
+		upset func(p *Profiler)
+	}{
+		{"cpu1 driver unbalanced", func(p *Profiler) { p.Driver.percpu[1].Dropped++ }},
+		{"cpu0 daemon unbalanced", func(p *Profiler) { p.Driver.bufs[0] = p.Driver.bufs[0][1:] }},
+		{"do not sum to the aggregate", func(p *Profiler) { p.Driver.stats.NMIs++ }},
+		{"samples the daemon logged", func(p *Profiler) { p.Daemon.samplesLogged++ }},
+	} {
+		p, _ := balanced()
+		tc.upset(p)
+		if err := p.CheckConservation(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("CheckConservation = %v, want an error containing %q", err, tc.want)
 		}
 	}
 }

@@ -100,31 +100,8 @@ func smpBenchRun(cores int) (smpBenchResult, error) {
 
 	// Per-CPU conservation: the sharded pipeline must account for every
 	// sample on the core it fired on.
-	drv := session.Prof.Driver
-	loggedCPU := session.Prof.Daemon.SamplesLoggedCPU()
-	var sumNMI, sumLogged, sumDropped uint64
-	for ci := 0; ci < drv.NumCPU(); ci++ {
-		cs := drv.StatsCPU(ci)
-		sumNMI += cs.NMIs
-		sumLogged += cs.Logged
-		sumDropped += cs.Dropped
-		if cs.Logged+cs.Dropped != cs.NMIs {
-			return res, fmt.Errorf("smpbench: cpu%d driver unbalanced: logged %d + dropped %d != NMIs %d",
-				ci, cs.Logged, cs.Dropped, cs.NMIs)
-		}
-		var agg uint64
-		if ci < len(loggedCPU) {
-			agg = loggedCPU[ci]
-		}
-		if agg+uint64(drv.ShardLen(ci)) != cs.Logged {
-			return res, fmt.Errorf("smpbench: cpu%d daemon unbalanced: aggregated %d + buffered %d != logged %d",
-				ci, agg, drv.ShardLen(ci), cs.Logged)
-		}
-	}
-	ds := drv.Stats()
-	if sumNMI != ds.NMIs || sumLogged != ds.Logged || sumDropped != ds.Dropped {
-		return res, fmt.Errorf("smpbench: per-CPU stats (%d/%d/%d) do not sum to aggregate (%d/%d/%d)",
-			sumNMI, sumLogged, sumDropped, ds.NMIs, ds.Logged, ds.Dropped)
+	if err := session.Prof.CheckConservation(); err != nil {
+		return res, fmt.Errorf("smpbench: %v", err)
 	}
 	if res.Samples == 0 {
 		return res, fmt.Errorf("smpbench: %d cores sampled nothing", cores)
