@@ -95,9 +95,14 @@ fleet-smoke:
 # collect schedules (`make check` runs 100), the recency-ordered
 # cache hierarchy against the stamp-LRU reference cache over 5000
 # random geometries and access/run/batch/deferral/flush schedules
-# (`make check` runs 100), and the cpu engine oracles (streaming,
+# (`make check` runs 100), the cpu engine oracles (streaming,
 # strided-memory, scattered-operand and fused-stretch batches against
-# the per-op core) over 3000 random streams each (`make check` runs 60).
+# the per-op core) over 3000 random streams each (`make check` runs 60),
+# and the fault stream against the reference injectors it replaced
+# (TestFaultStreamMatchesReferenceQuick: write, rename, read and listing
+# draws and the composed-plan arbitration; TestNetworkMatchesReferenceQuick:
+# the network's sends) over 20000 random plans and operation sequences
+# each (`make check` runs 100).
 chaos-nightly:
 	VIPROF_CHAOS_SEEDS=500 $(GO) test -race -run 'TestChaosNightly' -count=1 -timeout 30m ./internal/core/
 	VIPROF_FLEET_SEEDS=300 $(GO) test -race -run 'TestFleetChaosNightly' -count=1 -timeout 30m ./internal/harness/
@@ -106,6 +111,8 @@ chaos-nightly:
 	$(GO) test -race -run 'TestHeapMatchesReferenceQuick$$' -count=1 -timeout 30m ./internal/jvm/gc/ -args -quickchecks=5000
 	$(GO) test -race -run 'TestCacheMatchesStampReferenceQuick$$' -count=1 ./internal/cache/ -args -quickchecks=5000
 	$(GO) test -race -run 'TestBatchDeterminismQuick$$|TestMemBatchDeterminismQuick$$|TestExecScatterDeterminismQuick$$|TestBatchRunDeterminismQuick$$' -count=1 -timeout 30m ./internal/cpu/ -args -quickchecks=5000
+	$(GO) test -race -run 'TestFaultStreamMatchesReferenceQuick$$' -count=1 -timeout 30m ./internal/kernel/ -args -quickchecks=20000
+	$(GO) test -race -run 'TestNetworkMatchesReferenceQuick$$' -count=1 -timeout 30m ./internal/fleet/ -args -quickchecks=20000
 
 # One race-enabled iteration of each engine microbenchmark. Each fails
 # when its fast path and its reference path disagree: batched vs per-op

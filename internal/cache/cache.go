@@ -126,9 +126,6 @@ func (c *Cache) Flush() {
 	c.gen++
 }
 
-// Gen returns the flush generation (see the gen field).
-func (c *Cache) Gen() uint64 { return c.gen }
-
 // lineRun returns how many of the accesses a, a+stride, ... stay within
 // the cache line holding a, capped at max. Stride 0 never leaves the
 // line.

@@ -497,23 +497,18 @@ func (c *MapChain) Resolve(epoch int, pc addr.Address) (entry MapEntry, searched
 //     hit at or above it is newer than anything lost, so the loss
 //     cannot shadow it. A hit strictly below the ceiling could have
 //     been shadowed by a lost entry — unresolved.
+//
+// The hit and its depth come from Resolve: a hit searched maps deep
+// lies in epoch epoch-searched+1.
 func (c *MapChain) ResolveDurable(epoch int, pc addr.Address) (entry MapEntry, searched int, ok bool) {
 	if epoch < 0 || epoch >= len(c.maps) {
 		return MapEntry{}, 0, false
 	}
-	if c.poisonCeil < 0 {
-		return c.Resolve(epoch, pc)
+	entry, searched, ok = c.Resolve(epoch, pc)
+	if ok && epoch-searched+1 < c.poisonCeil {
+		return MapEntry{}, searched, false
 	}
-	for e := epoch; e >= 0; e-- {
-		searched++
-		if entry, found := lookupEntry(c.maps[e], pc); found {
-			if e >= c.poisonCeil {
-				return entry, searched, true
-			}
-			return MapEntry{}, searched, false
-		}
-	}
-	return MapEntry{}, searched, false
+	return entry, searched, ok
 }
 
 // ResolveScan is the paper's backward search, literally: probe the

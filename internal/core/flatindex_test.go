@@ -42,15 +42,40 @@ func randomChain(r *rand.Rand) (*MapChain, []addr.Address) {
 	return NewMapChain(perEpoch), edges
 }
 
+// refResolveDurable is ResolveDurable's own backward scan over a
+// poisoned chain, as it stood before ResolveDurable resolved through
+// the flat index; kept as its reference.
+func refResolveDurable(c *MapChain, epoch int, pc addr.Address) (entry MapEntry, searched int, ok bool) {
+	if epoch < 0 || epoch >= len(c.maps) {
+		return MapEntry{}, 0, false
+	}
+	if c.poisonCeil < 0 {
+		return c.Resolve(epoch, pc)
+	}
+	for e := epoch; e >= 0; e-- {
+		searched++
+		if entry, found := lookupEntry(c.maps[e], pc); found {
+			if e >= c.poisonCeil {
+				return entry, searched, true
+			}
+			return MapEntry{}, searched, false
+		}
+	}
+	return MapEntry{}, searched, false
+}
+
 // Property: Resolve through the flattened index (and its front cache)
 // is indistinguishable from the paper's literal backward scan — same
 // entry, same search depth, same hit/miss — for arbitrary
 // compile/move/sample interleavings, including boundary addresses,
-// unmapped gaps, and out-of-range epochs.
+// unmapped gaps, and out-of-range epochs. Under a random poison
+// ceiling (none, or anywhere in or past the chain) ResolveDurable
+// answers exactly as its backward-scan reference above.
 func TestResolveMatchesScanQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		chain, edges := randomChain(r)
+		chain.poisonCeil = r.Intn(chain.Epochs()+2) - 1
 		for q := 0; q < 200; q++ {
 			var pc addr.Address
 			switch r.Intn(4) {
@@ -73,6 +98,13 @@ func TestResolveMatchesScanQuick(t *testing.T) {
 				if gok != wok || gd != wd || ge != we {
 					t.Logf("Resolve(%d, %d) = %+v,%d,%v; scan %+v,%d,%v",
 						epoch, pc, ge, gd, gok, we, wd, wok)
+					return false
+				}
+				ge, gd, gok = chain.ResolveDurable(epoch, pc)
+				we, wd, wok = refResolveDurable(chain, epoch, pc)
+				if gok != wok || gd != wd || ge != we {
+					t.Logf("ResolveDurable(%d, %d) under ceiling %d = %+v,%d,%v; reference %+v,%d,%v",
+						epoch, pc, chain.poisonCeil, ge, gd, gok, we, wd, wok)
 					return false
 				}
 			}

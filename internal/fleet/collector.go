@@ -365,8 +365,6 @@ func (a *Aggregate) Gaps(host int) []uint64 {
 
 // CollectorConfig tunes the collector service.
 type CollectorConfig struct {
-	// WakeCycles is each shard's ingest poll period (default 8_000).
-	WakeCycles uint64
 	// Procs is the number of collector shard processes, each pinned to
 	// a core (default: one per machine core, capped at 8).
 	Procs int
@@ -374,22 +372,23 @@ type CollectorConfig struct {
 	// disables online compaction (the store still compacts offline via
 	// CompactDisk).
 	CompactEveryCycles uint64
-	// RestartBackoffCycles is the base of the supervisor's jittered
-	// exponential backoff between restart attempts of one shard
-	// (default 100_000).
-	RestartBackoffCycles uint64
-	// MaxRestarts bounds supervisor restart attempts per shard (and for
-	// the compactor), default 8 — the core.RunRecovery shape: bounded
-	// attempts, then give up loudly.
-	MaxRestarts int
-	// Seed drives the supervisor's backoff jitter.
-	Seed int64
 }
 
+// The collector's fixed shape.
+const (
+	// shardWakeCycles is each shard's ingest poll period.
+	shardWakeCycles = 8_000
+	// restartBackoffCycles is the base of the supervisor's jittered
+	// exponential backoff between restart attempts of one shard,
+	// capped at 8x.
+	restartBackoffCycles = 100_000
+	// maxRestarts bounds supervisor restart attempts per shard (and for
+	// the compactor) — the core.RunRecovery shape: bounded attempts,
+	// then give up loudly.
+	maxRestarts = 8
+)
+
 func (c *CollectorConfig) fill(cores int) {
-	if c.WakeCycles == 0 {
-		c.WakeCycles = 8_000
-	}
 	if c.Procs <= 0 {
 		c.Procs = cores
 		if c.Procs > 8 {
@@ -398,12 +397,6 @@ func (c *CollectorConfig) fill(cores int) {
 	}
 	if c.Procs > maxShardSlots {
 		c.Procs = maxShardSlots
-	}
-	if c.RestartBackoffCycles == 0 {
-		c.RestartBackoffCycles = 100_000
-	}
-	if c.MaxRestarts == 0 {
-		c.MaxRestarts = 8
 	}
 }
 

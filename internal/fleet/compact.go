@@ -389,9 +389,6 @@ func (co *Compactor) Alive() bool {
 	return co.proc != nil && !co.proc.Killed() && !co.proc.Done()
 }
 
-// Restarts returns the supervisor attempts consumed by the compactor.
-func (co *Compactor) Restarts() int { return co.restarts }
-
 // Step implements kernel.Executor: one atomic compaction pass, then
 // sleep a period. The pass's syscalls are faultable; an injected crash
 // kills the process mid-pass, which is exactly the fault point the
@@ -435,7 +432,7 @@ func (c *Collector) superviseCompactor(m *kernel.Machine, now uint64) {
 	if co == nil || co.Alive() {
 		return
 	}
-	if co.restarts >= c.cfg.MaxRestarts {
+	if co.restarts >= maxRestarts {
 		co.gaveUp = true
 		return
 	}
@@ -445,7 +442,7 @@ func (c *Collector) superviseCompactor(m *kernel.Machine, now uint64) {
 	co.restarts++
 	c.stats.Restarts++
 	if err := c.spawnCompactor(m); err != nil {
-		co.nextRestartAt = now + c.backoff(co.restarts)
+		co.nextRestartAt = now + c.restartBackoff(co.restarts)
 		return
 	}
 	co.nextRestartAt = 0

@@ -24,11 +24,14 @@ type FleetConfig struct {
 	// Sender.Seed, and Sender.Deltas are overridden per host.
 	Collector CollectorConfig
 	Sender    SenderConfig
-	// MaxCycles bounds the run (default 2_000_000_000).
-	MaxCycles uint64
-	// SupervisorPeriodCycles is the crash-check period (default 50_000).
-	SupervisorPeriodCycles uint64
 }
+
+const (
+	// maxFleetCycles bounds a fleet run.
+	maxFleetCycles = 2_000_000_000
+	// supervisorPeriodCycles is the supervisor's crash-check period.
+	supervisorPeriodCycles = 50_000
+)
 
 func (c *FleetConfig) fill() {
 	if c.Hosts == 0 {
@@ -36,12 +39,6 @@ func (c *FleetConfig) fill() {
 	}
 	if c.DeltasPerHost == 0 {
 		c.DeltasPerHost = 12
-	}
-	if c.MaxCycles == 0 {
-		c.MaxCycles = 2_000_000_000
-	}
-	if c.SupervisorPeriodCycles == 0 {
-		c.SupervisorPeriodCycles = 50_000
 	}
 }
 
@@ -77,11 +74,7 @@ func RunFleet(m *kernel.Machine, cfg FleetConfig) (*FleetResult, error) {
 	now := func() uint64 { return m.CPU().Cycles() }
 	net := NewNetwork(now, cfg.Net)
 
-	ccfg := cfg.Collector
-	if ccfg.Seed == 0 {
-		ccfg.Seed = cfg.Seed
-	}
-	collector, err := NewCollector(m, net, ccfg)
+	collector, err := NewCollector(m, net, cfg.Collector, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -102,23 +95,22 @@ func RunFleet(m *kernel.Machine, cfg FleetConfig) (*FleetResult, error) {
 	// The supervisor: a periodic crash check that fails dead shards
 	// over to their peers and restarts them through store replay,
 	// bounded per shard like core.RunRecovery's attempt budget.
-	m.Kern.AddTicker(cfg.SupervisorPeriodCycles, func() {
+	m.Kern.AddTicker(supervisorPeriodCycles, func() {
 		collector.Supervise(m)
 	})
 
-	res.RunErr = m.Kern.Run(cfg.MaxCycles)
+	res.RunErr = m.Kern.Run(maxFleetCycles)
 
 	// Shutdown drain: keep supervising (dead shards restart under
 	// backoff), advance every core past the worst in-flight delay so
 	// queued datagrams and backoff gates come due, and ingest the
 	// stragglers — until the service is whole with nothing pending, or
 	// some shard's restart budget is exhausted.
-	fcfg := collector.Config()
 	step := net.MaxDelayCycles() + 1
-	if b := 2 * fcfg.RestartBackoffCycles; b > step {
+	if b := uint64(2 * restartBackoffCycles); b > step {
 		step = b
 	}
-	maxDrains := fcfg.MaxRestarts*fcfg.Procs*10 + 10
+	maxDrains := maxRestarts*collector.Config().Procs*10 + 10
 	for attempt := 0; attempt < maxDrains; attempt++ {
 		collector.Supervise(m)
 		for _, cc := range m.Cores {

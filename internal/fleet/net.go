@@ -8,16 +8,18 @@
 // fleet-level conservation equality (sum of per-host holds == collector
 // aggregate) checkable under composed network + disk chaos.
 //
-// Determinism: like kernel.FaultPlan, the network's RNG is consumed
-// only for sends, one draw sequence per plan, so a fixed (seed, plan,
-// workload) reproduces the identical delivery schedule run after run.
+// Determinism: the network decides each send through a
+// kernel.FaultStream, the seeded draw every disk injector makes too,
+// so a fixed (seed, plan, workload) reproduces the identical delivery
+// schedule run after run.
 // Simulated time comes from the machine clock (core cycles) — never
 // the wall clock.
 package fleet
 
 import (
-	"math/rand"
 	"sort"
+
+	"viprof/internal/kernel"
 )
 
 // NetFaultKind selects a failure mode for one message send.
@@ -79,7 +81,8 @@ const PartitionAll = -1
 
 // NetFaultPlan is a deterministic network fault schedule, modeled on
 // kernel.FaultPlan: per-send probabilities, a scripted override list,
-// and a private seeded RNG advanced once per send.
+// and a private seeded stream that draws once per send outside a
+// partition.
 type NetFaultPlan struct {
 	// Seed drives the plan's private RNG.
 	Seed int64
@@ -144,20 +147,17 @@ type message struct {
 // endpoint with a seeded fault plan between Send and Deliver. Endpoint
 // 0 is the collector by convention; hosts are 1..N.
 type Network struct {
-	now  func() uint64 // the machine clock (core cycles)
-	plan NetFaultPlan
-	rng  *rand.Rand
+	now    func() uint64 // the machine clock (core cycles)
+	plan   NetFaultPlan
+	stream kernel.FaultStream
 
 	queues map[int][]message
 	next   int // global enqueue counter (delivery tiebreak)
 	stats  NetFaultStats
-
-	// BaseLatencyCycles is the fault-free one-way delivery delay.
-	BaseLatencyCycles uint64
 }
 
-// DefaultBaseLatencyCycles is the fault-free one-way latency (~0.6 ms).
-const DefaultBaseLatencyCycles = 2_000
+// baseLatencyCycles is the fault-free one-way latency (~0.6 ms).
+const baseLatencyCycles = 2_000
 
 // NewNetwork builds a network over the given simulated clock with the
 // given fault plan.
@@ -165,12 +165,16 @@ func NewNetwork(now func() uint64, plan NetFaultPlan) *Network {
 	if plan.LatencyCycles == 0 {
 		plan.LatencyCycles = DefaultNetLatencyCycles
 	}
+	script := make([]kernel.StreamPoint, len(plan.Script))
+	for i, pt := range plan.Script {
+		script[i] = kernel.StreamPoint{At: pt.Send, Kind: int(pt.Kind)}
+	}
 	return &Network{
-		now:               now,
-		plan:              plan,
-		rng:               rand.New(rand.NewSource(plan.Seed)),
-		queues:            make(map[int][]message),
-		BaseLatencyCycles: DefaultBaseLatencyCycles,
+		now:  now,
+		plan: plan,
+		stream: kernel.NewFaultStream(plan.Seed, plan.MaxFaults, int(NetDrop),
+			[]float64{plan.PDrop, plan.PDup, plan.PReorder, plan.PLatency}, script),
+		queues: make(map[int][]message),
 	}
 }
 
@@ -181,7 +185,7 @@ func (n *Network) Stats() NetFaultStats { return n.stats }
 // delay of a single copy: base latency plus one latency/reorder/dup
 // penalty. Senders derive ack timeouts from it.
 func (n *Network) MaxDelayCycles() uint64 {
-	return n.BaseLatencyCycles + n.plan.LatencyCycles
+	return baseLatencyCycles + n.plan.LatencyCycles
 }
 
 // partitioned reports whether a send between from and to is inside an
@@ -198,36 +202,6 @@ func (n *Network) partitioned(from, to int, now uint64) bool {
 	return false
 }
 
-// fault draws the fault for one send. The RNG is advanced exactly once
-// per non-partitioned send (plus bounded extra draws for delay sizing),
-// so the schedule is a pure function of the plan and the send sequence.
-func (n *Network) fault(idx int) NetFaultKind {
-	for _, pt := range n.plan.Script {
-		if pt.Send == idx {
-			return pt.Kind
-		}
-	}
-	if n.plan.MaxFaults > 0 && n.stats.Injected >= uint64(n.plan.MaxFaults) {
-		return NetNone
-	}
-	r := n.rng.Float64()
-	for _, c := range []struct {
-		p float64
-		k NetFaultKind
-	}{
-		{n.plan.PDrop, NetDrop},
-		{n.plan.PDup, NetDup},
-		{n.plan.PReorder, NetReorder},
-		{n.plan.PLatency, NetLatency},
-	} {
-		if r < c.p {
-			return c.k
-		}
-		r -= c.p
-	}
-	return NetNone
-}
-
 func (n *Network) enqueue(m message) {
 	m.order = n.next
 	n.next++
@@ -242,11 +216,13 @@ func (n *Network) Send(from, to int, payload []byte) {
 	n.stats.Sends++
 	now := n.now()
 	if n.partitioned(from, to, now) {
+		// The send keeps its index in the stream but draws nothing.
+		n.stream.Skip()
 		n.stats.PartitionDrops++
 		return
 	}
-	kind := n.fault(int(n.stats.Sends - 1))
-	base := message{from: from, to: to, payload: payload, deliverAt: now + n.BaseLatencyCycles}
+	kind := NetFaultKind(n.stream.Next(n.stats.Injected))
+	base := message{from: from, to: to, payload: payload, deliverAt: now + baseLatencyCycles}
 	switch kind {
 	case NetDrop:
 		n.stats.Dropped++
@@ -256,12 +232,12 @@ func (n *Network) Send(from, to int, payload []byte) {
 		n.stats.Injected++
 		n.enqueue(base)
 		dup := base
-		dup.deliverAt += 1 + uint64(n.rng.Int63n(int64(n.plan.LatencyCycles)))
+		dup.deliverAt += 1 + uint64(n.stream.Int63n(int64(n.plan.LatencyCycles)))
 		n.enqueue(dup)
 	case NetReorder:
 		n.stats.Reordered++
 		n.stats.Injected++
-		base.deliverAt += 1 + uint64(n.rng.Int63n(int64(n.plan.LatencyCycles)))
+		base.deliverAt += 1 + uint64(n.stream.Int63n(int64(n.plan.LatencyCycles)))
 		n.enqueue(base)
 	case NetLatency:
 		n.stats.Latencies++

@@ -17,16 +17,8 @@ type SenderConfig struct {
 	// Host is the network endpoint id (1..N; shard endpoints are
 	// negative).
 	Host int
-	// Deltas is how many sample deltas the host generates; KeysPerDelta
-	// the keys per delta (defaults 12 and 4).
-	Deltas, KeysPerDelta int
-	// MapEpochs is how many epoch code maps the host replicates before
-	// its sample deltas (default 3, matching the JIT epoch range the
-	// workload tags; negative disables). Maps ride the same seq space
-	// and retry protocol as deltas.
-	MapEpochs int
-	// GenEveryCycles is the generation period (default 30_000).
-	GenEveryCycles uint64
+	// Deltas is how many sample deltas the host generates (default 12).
+	Deltas int
 	// TimeoutCycles is the ack timeout per attempt (default 600_000 —
 	// comfortably above the network's worst stacked delay plus the
 	// collector's poll period, so latency alone never times out).
@@ -37,27 +29,27 @@ type SenderConfig struct {
 	BackoffBaseCycles, BackoffCapCycles uint64
 	// MaxAttempts is the retry budget before a delta spills (default 8).
 	MaxAttempts int
-	// SendWindow bounds in-flight unacked deltas (default 4).
-	SendWindow int
 	// Seed drives workload generation and backoff jitter.
 	Seed int64
 }
 
+// The sender's fixed shape.
+const (
+	// keysPerDelta is the keys per generated sample delta.
+	keysPerDelta = 4
+	// mapEpochs is how many epoch code maps a host replicates before
+	// its sample deltas, matching the JIT epoch range the workload
+	// tags. Maps ride the same seq space and retry protocol as deltas.
+	mapEpochs = 3
+	// genEveryCycles is the generation period.
+	genEveryCycles = 30_000
+	// sendWindow bounds in-flight unacked deltas.
+	sendWindow = 4
+)
+
 func (c *SenderConfig) fill() {
 	if c.Deltas == 0 {
 		c.Deltas = 12
-	}
-	if c.KeysPerDelta == 0 {
-		c.KeysPerDelta = 4
-	}
-	if c.MapEpochs == 0 {
-		c.MapEpochs = 3
-	}
-	if c.MapEpochs < 0 {
-		c.MapEpochs = 0
-	}
-	if c.GenEveryCycles == 0 {
-		c.GenEveryCycles = 30_000
 	}
 	if c.TimeoutCycles == 0 {
 		c.TimeoutCycles = 600_000
@@ -70,9 +62,6 @@ func (c *SenderConfig) fill() {
 	}
 	if c.MaxAttempts == 0 {
 		c.MaxAttempts = 8
-	}
-	if c.SendWindow == 0 {
-		c.SendWindow = 4
 	}
 }
 
@@ -152,7 +141,6 @@ type Sender struct {
 	cfg   SenderConfig
 	net   *Network
 	rng   *rand.Rand
-	proc  *kernel.Process
 	now   func() uint64
 	route func(host int) int // host → collector endpoint, queried per send
 	stats SenderStats
@@ -180,16 +168,11 @@ func NewSender(m *kernel.Machine, net *Network, now func() uint64, route func(ho
 			LostByEvent:    make(map[string]uint64),
 		},
 	}
-	proc, err := m.Kern.NewProcess(cfg.ProcName(), s)
-	if err != nil {
+	if _, err := m.Kern.NewProcess(cfg.ProcName(), s); err != nil {
 		return nil, err
 	}
-	s.proc = proc
 	return s, nil
 }
-
-// Proc returns the sender's kernel process.
-func (s *Sender) Proc() *kernel.Process { return s.proc }
 
 // Stats snapshots the sender's self-accounting.
 func (s *Sender) Stats() SenderStats { return s.stats }
@@ -199,7 +182,7 @@ func (s *Sender) Finished() bool { return s.finished }
 
 // totalMsgs is how many wire records the host generates in all: the
 // epoch code maps first, then the sample deltas, one shared seq space.
-func (s *Sender) totalMsgs() int { return s.cfg.MapEpochs + s.cfg.Deltas }
+func (s *Sender) totalMsgs() int { return mapEpochs + s.cfg.Deltas }
 
 // mapEntries builds the synthetic epoch-e code map: 16 compiled
 // methods tiling the JIT offset range the workload samples
@@ -219,13 +202,13 @@ func mapEntries(epoch int) []core.MapEntry {
 	return entries
 }
 
-// generate builds the next record. The first MapEpochs seqs replicate
+// generate builds the next record. The first mapEpochs seqs replicate
 // the host's epoch code maps; the rest are sample deltas — synthetic
 // but shaped like real daemon flushes: a few images, this host's proc
 // name on every key, an occasional JIT key with an epoch tag.
 func (s *Sender) generate(at uint64) *Delta {
 	seq := uint64(s.generated + 1)
-	if int(seq) <= s.cfg.MapEpochs {
+	if int(seq) <= mapEpochs {
 		epoch := int(seq)
 		return &Delta{
 			Seq: seq, Kind: KindMap, At: at,
@@ -233,9 +216,9 @@ func (s *Sender) generate(at uint64) *Delta {
 		}
 	}
 	images := []string{"fleet.app", "libfleet.so", "vmlinux"}
-	counts := make(map[oprofile.Key]uint64, s.cfg.KeysPerDelta)
+	counts := make(map[oprofile.Key]uint64, keysPerDelta)
 	var total uint64
-	for i := 0; i < s.cfg.KeysPerDelta; i++ {
+	for i := 0; i < keysPerDelta; i++ {
 		k := oprofile.Key{
 			Event: hpc.Event(s.rng.Intn(2)),
 			Image: images[s.rng.Intn(len(images))],
@@ -254,14 +237,16 @@ func (s *Sender) generate(at uint64) *Delta {
 	return &Delta{Seq: seq, Kind: KindDelta, At: at, Counts: counts, Total: total}
 }
 
-// backoff sizes the wait before attempt n (1-based): capped exponential
-// with jitter in [0, base) drawn from the seeded RNG.
-func (s *Sender) backoff(attempt int) uint64 {
-	d := s.cfg.BackoffBaseCycles << uint(attempt-1)
-	if d > s.cfg.BackoffCapCycles || d < s.cfg.BackoffBaseCycles {
-		d = s.cfg.BackoffCapCycles
+// backoff sizes the wait before retry attempt n (1-based): base
+// doubled per attempt up to ceil, plus jitter in [0, base) drawn from
+// rng. The sender's retries and the supervisor's restarts both wait
+// this way.
+func backoff(rng *rand.Rand, base, ceil uint64, attempt int) uint64 {
+	d := base << uint(attempt-1)
+	if d > ceil || d < base {
+		d = ceil
 	}
-	return d + uint64(s.rng.Int63n(int64(s.cfg.BackoffBaseCycles)))
+	return d + uint64(rng.Int63n(int64(base)))
 }
 
 // drainAcks consumes acknowledgements addressed to this host.
@@ -380,7 +365,7 @@ func (s *Sender) Step(m *kernel.Machine, p *kernel.Process) kernel.StepResult {
 			s.stats.MapsGenerated++
 		}
 		m.Kern.ExecKernel("sys_write", 15+len(frame)/32, 1)
-		s.nextGen = now + s.cfg.GenEveryCycles
+		s.nextGen = now + genEveryCycles
 	}
 
 	// Drive unresolved deltas.
@@ -421,14 +406,14 @@ func (s *Sender) Step(m *kernel.Machine, p *kernel.Process) kernel.StepResult {
 				}
 				continue
 			}
-			d.nextTry = now + s.backoff(d.attempts)
+			d.nextTry = now + backoff(s.rng, s.cfg.BackoffBaseCycles, s.cfg.BackoffCapCycles, d.attempts)
 			s.stats.Deferred++
 		}
 		if now < d.nextTry {
 			sooner(d.nextTry)
 			continue
 		}
-		if inflight >= s.cfg.SendWindow {
+		if inflight >= sendWindow {
 			continue
 		}
 		d.attempts++
@@ -459,7 +444,7 @@ func (s *Sender) Step(m *kernel.Machine, p *kernel.Process) kernel.StepResult {
 		sooner(poll)
 	}
 	if wake == 0 {
-		wake = now + s.cfg.GenEveryCycles
+		wake = now + genEveryCycles
 	}
 	m.Kern.Sleep(p, wake-now)
 	return kernel.StepBlocked

@@ -66,9 +66,6 @@ func (sh *Shard) Alive() bool {
 	return sh.proc != nil && !sh.proc.Killed() && !sh.proc.Done()
 }
 
-// Restarts returns the supervisor attempts consumed by this shard.
-func (sh *Shard) Restarts() int { return sh.restarts }
-
 // Step implements kernel.Executor: drain this shard's endpoint,
 // ingest, sleep.
 func (sh *Shard) Step(m *kernel.Machine, p *kernel.Process) kernel.StepResult {
@@ -80,7 +77,7 @@ func (sh *Shard) Step(m *kernel.Machine, p *kernel.Process) kernel.StepResult {
 			return kernel.StepBlocked
 		}
 	}
-	m.Kern.Sleep(p, sh.c.cfg.WakeCycles)
+	m.Kern.Sleep(p, shardWakeCycles)
 	return kernel.StepBlocked
 }
 
@@ -224,13 +221,14 @@ type Collector struct {
 
 // NewCollector builds the service and registers one pinned daemon
 // process per shard (plus the compactor when compaction is enabled).
-func NewCollector(m *kernel.Machine, net *Network, cfg CollectorConfig) (*Collector, error) {
+// seed drives the supervisor's backoff jitter.
+func NewCollector(m *kernel.Machine, net *Network, cfg CollectorConfig, seed int64) (*Collector, error) {
 	cfg.fill(len(m.Kern.Cores()))
 	c := &Collector{
 		cfg: cfg,
 		net: net,
 		now: func() uint64 { return m.CPU().Cycles() },
-		rng: rand.New(rand.NewSource(cfg.Seed*0x9E3779B9 + 0x5DEECE66D)),
+		rng: rand.New(rand.NewSource(seed*0x9E3779B9 + 0x5DEECE66D)),
 	}
 	for i := 0; i < cfg.Procs; i++ {
 		sh := &Shard{
@@ -255,9 +253,6 @@ func NewCollector(m *kernel.Machine, net *Network, cfg CollectorConfig) (*Collec
 	}
 	return c, nil
 }
-
-// Shards returns the shard slice (read-only by convention).
-func (c *Collector) Shards() []*Shard { return c.shards }
 
 // Config returns the filled collector config.
 func (c *Collector) Config() CollectorConfig { return c.cfg }
@@ -334,15 +329,10 @@ func (c *Collector) failover(m *kernel.Machine, dead *Shard) error {
 	return nil
 }
 
-// backoff sizes the wait before restart attempt n (1-based): capped
-// exponential with jitter in [0, base) from the service's seeded RNG.
-func (c *Collector) backoff(attempt int) uint64 {
-	base := c.cfg.RestartBackoffCycles
-	d := base << uint(attempt-1)
-	if ceil := base * 8; d > ceil || d < base {
-		d = ceil
-	}
-	return d + uint64(c.rng.Int63n(int64(base)))
+// restartBackoff sizes the wait before restart attempt n (1-based),
+// jittered from the service's seeded RNG.
+func (c *Collector) restartBackoff(attempt int) uint64 {
+	return backoff(c.rng, restartBackoffCycles, 8*restartBackoffCycles, attempt)
 }
 
 // Supervise is the periodic crash check: fail dead serving shards over
@@ -360,7 +350,7 @@ func (c *Collector) Supervise(m *kernel.Machine) {
 				continue
 			}
 		}
-		if sh.restarts >= c.cfg.MaxRestarts {
+		if sh.restarts >= maxRestarts {
 			sh.gaveUp = true
 			continue
 		}
@@ -369,7 +359,7 @@ func (c *Collector) Supervise(m *kernel.Machine) {
 		}
 		sh.restarts++
 		if err := sh.restart(m); err != nil {
-			sh.nextRestartAt = now + c.backoff(sh.restarts)
+			sh.nextRestartAt = now + c.restartBackoff(sh.restarts)
 			continue
 		}
 		sh.nextRestartAt = 0

@@ -137,12 +137,14 @@ func scenarioPlan(sc ChaosScenario, seed int64) kernel.FaultPlan {
 	return plan
 }
 
-// scenarioListPlan derives ScenarioDirDamage's listing-damage schedule.
-func scenarioListPlan(seed int64) kernel.ListFaultPlan {
+// listPlan derives a dir-damage scenario's listing-damage schedule
+// over the entries under prefix (the map dir for ScenarioDirDamage,
+// the host spill dirs for FleetDirDamage).
+func listPlan(seed int64, prefix string) kernel.ListFaultPlan {
 	rng := rand.New(rand.NewSource(seed*0x2545F491 + 11))
 	return kernel.ListFaultPlan{
 		Seed:       seed,
-		PathPrefix: core.MapDir,
+		PathPrefix: prefix,
 		PDrop:      0.1 + 0.3*rng.Float64(),
 		PPhantom:   0.05 + 0.2*rng.Float64(),
 		MaxFaults:  1 + rng.Intn(4),
@@ -170,12 +172,16 @@ type ChaosSchedule struct {
 }
 
 // String names the composition, e.g. "enospc+rename-fault".
-func (cs ChaosSchedule) String() string {
-	if len(cs.Scenarios) == 0 {
+func (cs ChaosSchedule) String() string { return scheduleName(cs.Scenarios) }
+
+// scheduleName joins a composition's scenario names with "+"; an
+// empty composition is "scripted".
+func scheduleName[S fmt.Stringer](scens []S) string {
+	if len(scens) == 0 {
 		return "scripted"
 	}
-	names := make([]string, len(cs.Scenarios))
-	for i, sc := range cs.Scenarios {
+	names := make([]string, len(scens))
+	for i, sc := range scens {
 		names[i] = sc.String()
 	}
 	return strings.Join(names, "+")
@@ -214,7 +220,7 @@ func ScheduleOf(seed int64) ChaosSchedule {
 		pseed := seed*31 + int64(i) + 1
 		switch sc {
 		case ScenarioDirDamage:
-			lp := scenarioListPlan(pseed)
+			lp := listPlan(pseed, core.MapDir)
 			sched.ListPlan = &lp
 		case ScenarioReadFault:
 			rp := ReadChaosPlan(pseed)

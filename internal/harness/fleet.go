@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"viprof/internal/fleet"
 	"viprof/internal/kernel"
@@ -197,18 +196,6 @@ func fleetDiskPlan(sc FleetScenario, seed int64) kernel.FaultPlan {
 	return plan
 }
 
-// fleetListPlan derives FleetDirDamage's listing-damage schedule.
-func fleetListPlan(seed int64) kernel.ListFaultPlan {
-	rng := rand.New(rand.NewSource(seed*0x2545F491 + 11))
-	return kernel.ListFaultPlan{
-		Seed:       seed,
-		PathPrefix: fleet.FleetDir + "/host",
-		PDrop:      0.1 + 0.3*rng.Float64(),
-		PPhantom:   0.05 + 0.2*rng.Float64(),
-		MaxFaults:  1 + rng.Intn(4),
-	}
-}
-
 // fleetReadPlan derives FleetReadFault's EIO schedule: reads under
 // var/fleet fail — journal replay during supervisor restarts and every
 // offline integrity read-back alike.
@@ -240,16 +227,7 @@ type FleetSchedule struct {
 }
 
 // String names the composition, e.g. "net-drop+torn-journal".
-func (fs FleetSchedule) String() string {
-	if len(fs.Scenarios) == 0 {
-		return "scripted"
-	}
-	names := make([]string, len(fs.Scenarios))
-	for i, sc := range fs.Scenarios {
-		names[i] = sc.String()
-	}
-	return strings.Join(names, "+")
-}
+func (fs FleetSchedule) String() string { return scheduleName(fs.Scenarios) }
 
 // FleetScheduleOf maps a seed to its composed schedule. The first
 // numFleetScenarios seeds run each scenario alone (a sweep from seed 0
@@ -282,7 +260,7 @@ func FleetScheduleOf(seed int64) FleetSchedule {
 		case sc <= FleetNetPartition || sc == FleetMapPartition:
 			fleetNetPlan(&sched.Net, sc, pseed)
 		case sc == FleetDirDamage:
-			lp := fleetListPlan(pseed)
+			lp := listPlan(pseed, fleet.FleetDir+"/host")
 			sched.ListPlan = &lp
 		case sc == FleetReadFault:
 			rp := fleetReadPlan(pseed)

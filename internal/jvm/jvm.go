@@ -354,9 +354,6 @@ func (vm *VM) Body(m *classes.Method) (*jit.CodeBody, bool) {
 	return b, b != nil
 }
 
-// Personality returns the runtime personality this VM instance runs as.
-func (vm *VM) Personality() *Personality { return vm.cfg.Personality }
-
 // Program returns the program this VM executes.
 func (vm *VM) Program() *classes.Program { return vm.prog }
 

@@ -3,7 +3,6 @@ package kernel
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -74,7 +73,7 @@ func (d *Disk) Read(path string) ([]byte, error) {
 
 // SetReadFaultInjector installs the read-path fault schedule.
 func (d *Disk) SetReadFaultInjector(plan ReadFaultPlan) {
-	d.readInjector = &readFaultInjector{plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
+	d.readInjector = newReadFaultInjector(plan)
 }
 
 // ClearReadFaultInjector removes the read-path fault schedule, so later
@@ -152,7 +151,7 @@ func (d *Disk) List() []string {
 
 // SetListFaultInjector installs the directory-damage schedule.
 func (d *Disk) SetListFaultInjector(plan ListFaultPlan) {
-	d.listInjector = &listFaultInjector{plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
+	d.listInjector = newListFaultInjector(plan)
 }
 
 // ClearListFaultInjector removes the directory-damage schedule, so
@@ -252,19 +251,7 @@ func (k *Kernel) SysWrite(p *Process, path string, data []byte) error {
 	k.ExecKernelMem("copy_from_user", writeBaseOps/3+len(data)/16*writeOpsPerWord, 1, copyBounceBuf, 16)
 	k.ExecKernel("vfs_write", writeBaseOps/3, 1)
 	k.ExecKernel("generic_file_write", writeBaseOps/2, 1)
-	// Every armed injector proposes (advancing its own deterministic
-	// schedule); the first non-none proposal wins and only the winner
-	// records an injection, so composed schedules never count faults
-	// they did not deliver.
-	kind, winner := FaultNone, (*faultInjector)(nil)
-	for _, fi := range k.injectors {
-		if pk := fi.propose(path); pk != FaultNone && kind == FaultNone {
-			kind, winner = pk, fi
-		}
-	}
-	if winner != nil {
-		winner.note(kind)
-	}
+	kind, winner := arbitrate(k.injectors, path, false)
 	switch kind {
 	case FaultEIO:
 		return ErrIO
@@ -325,15 +312,7 @@ func (k *Kernel) SysRename(p *Process, oldPath, newPath string) error {
 		return ErrCrashed
 	}
 	k.ExecKernel("sys_rename", writeBaseOps/2, 1)
-	kind, winner := FaultNone, (*faultInjector)(nil)
-	for _, fi := range k.injectors {
-		if pk := fi.proposeRename(newPath); pk != FaultNone && kind == FaultNone {
-			kind, winner = pk, fi
-		}
-	}
-	if winner != nil {
-		winner.note(kind)
-	}
+	kind, _ := arbitrate(k.injectors, newPath, true)
 	switch kind {
 	case FaultRenameBefore:
 		return ErrIO

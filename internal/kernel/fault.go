@@ -14,9 +14,10 @@ import (
 // injector makes that claim testable end to end (see
 // internal/harness/chaos.go).
 //
-// Determinism: the injector's RNG is consumed only for writes whose
-// path matches the plan's prefix, so a fixed (machine seed, plan)
-// reproduces the identical fault schedule run after run.
+// Determinism: every injector decides through one FaultStream, whose
+// RNG is consumed only for operations the plan matches, so a fixed
+// (machine seed, plan) reproduces the identical fault schedule run
+// after run.
 
 // Injected error sentinels. They model -EIO, -ENOSPC, and the writer
 // dying mid-syscall; writers branch on them with errors.Is.
@@ -164,13 +165,85 @@ func (s FaultStats) add(o FaultStats) FaultStats {
 	return s
 }
 
+// FaultStream is the seeded fault draw every injector makes: the
+// write, rename, read and listing injectors here and the network in
+// internal/fleet. It holds a private RNG, the index the next matched
+// operation gets, the plan's scripted points and its kinds'
+// probabilities in draw order, and decides for one operation at a time
+// whether it fails and how. Kinds are plain ints: 0 is none, probs[i]
+// yields first+i, and a scripted point yields its own kind.
+type FaultStream struct {
+	rng *rand.Rand
+	// next is the index the next matched operation gets.
+	next   int
+	script []StreamPoint
+	probs  []float64
+	first  int
+	// max caps delivered faults (0 = unlimited).
+	max uint64
+}
+
+// StreamPoint scripts an exact fault: the matched operation with index
+// At (0 based) gets Kind.
+type StreamPoint struct {
+	At, Kind int
+}
+
+// NewFaultStream arms a stream over a plan's scripted points, each
+// plan's script normalised into StreamPoints in the order it lists
+// them: where two points share an index, the first listed wins.
+func NewFaultStream(seed int64, maxFaults, first int, probs []float64, script []StreamPoint) FaultStream {
+	return FaultStream{
+		rng:    rand.New(rand.NewSource(seed)),
+		script: script,
+		probs:  probs,
+		first:  first,
+		max:    uint64(max(maxFaults, 0)),
+	}
+}
+
+// Next picks the fault for the next matched operation, given how many
+// faults the stream's plan has delivered so far. A scripted point at
+// the operation's index fires even past the cap and draws nothing;
+// once the plan has delivered its cap nothing fires and nothing is
+// drawn; otherwise one uniform draw walks the kinds in order. Every
+// injected fault is picked here.
+func (s *FaultStream) Next(delivered uint64) int {
+	idx := s.next
+	s.next++
+	for _, pt := range s.script {
+		if pt.At == idx {
+			return pt.Kind
+		}
+	}
+	if s.max > 0 && delivered >= s.max {
+		return 0
+	}
+	r := s.rng.Float64()
+	for i, p := range s.probs {
+		if r < p {
+			return s.first + i
+		}
+		r -= p
+	}
+	return 0
+}
+
+// Skip gives the next operation its index without a pick: a network
+// send lost to a partition still counts as a send.
+func (s *FaultStream) Skip() { s.next++ }
+
+// Int63n is a follow-up draw from the stream, made after a pick to
+// size what the picked fault does.
+func (s *FaultStream) Int63n(n int64) int64 { return s.rng.Int63n(n) }
+
 type faultInjector struct {
 	plan FaultPlan
-	rng  *rand.Rand
-	// renameRng is a second stream so the rename schedule is
-	// independent of how many writes happened to match.
-	renameRng *rand.Rand
-	stats     FaultStats
+	// write and rename are the plan's two streams; rename draws from a
+	// seed of its own, so its schedule is independent of how many
+	// writes happened to match.
+	write, rename FaultStream
+	stats         FaultStats
 }
 
 func newFaultInjector(plan FaultPlan) *faultInjector {
@@ -178,10 +251,20 @@ func newFaultInjector(plan FaultPlan) *faultInjector {
 		plan.LatencyCycles = 4 * SyncLatencyCycles
 	}
 	return &faultInjector{
-		plan:      plan,
-		rng:       rand.New(rand.NewSource(plan.Seed)),
-		renameRng: rand.New(rand.NewSource(plan.Seed ^ 0x7265_6e61_6d65)), // "rename"
+		plan: plan,
+		write: NewFaultStream(plan.Seed, plan.MaxFaults, int(FaultEIO),
+			[]float64{plan.PEIO, plan.PENOSPC, plan.PTorn, plan.PLatency, plan.PCrash}, faultPoints(plan.Script)),
+		rename: NewFaultStream(plan.Seed^0x7265_6e61_6d65, plan.MaxFaults, int(FaultRenameBefore), // "rename"
+			[]float64{plan.PRenameBefore, plan.PRenameAfter, plan.PRenameCrash}, faultPoints(plan.RenameScript)),
 	}
+}
+
+func faultPoints(script []FaultPoint) []StreamPoint {
+	pts := make([]StreamPoint, len(script))
+	for i, pt := range script {
+		pts[i] = StreamPoint{At: pt.Write, Kind: int(pt.Kind)}
+	}
+	return pts
 }
 
 // SetFaultInjector installs (or, with a zero-probability empty plan,
@@ -213,78 +296,38 @@ func (k *Kernel) FaultStats() FaultStats {
 	return s
 }
 
-// propose picks the fault this injector wants for one write, without
-// recording an injection — the kernel notes only the winning injector,
-// so losing proposals never inflate destructive-fault counts. The RNG
-// is touched only for prefix-matched writes, keeping schedules
-// deterministic per plan.
-func (fi *faultInjector) propose(path string) FaultKind {
-	fi.stats.Writes++
+// arbitrate decides one write (or, with rename set, one SysRename
+// matched against its destination) under every armed plan: each plan
+// advances its stream, the first non-none proposal wins, and only the
+// winner counts it, so composed schedules never count faults they did
+// not deliver.
+func arbitrate(injectors []*faultInjector, path string, rename bool) (FaultKind, *faultInjector) {
+	kind, winner := FaultNone, (*faultInjector)(nil)
+	for _, fi := range injectors {
+		if pk := fi.propose(path, rename); pk != FaultNone && winner == nil {
+			kind, winner = pk, fi
+		}
+	}
+	if winner != nil {
+		winner.note(kind)
+	}
+	return kind, winner
+}
+
+// propose picks the fault this injector wants for one operation,
+// without recording an injection. A plan's cap counts every fault it
+// delivered on either stream.
+func (fi *faultInjector) propose(path string, rename bool) FaultKind {
+	s, seen, matched := &fi.write, &fi.stats.Writes, &fi.stats.Matched
+	if rename {
+		s, seen, matched = &fi.rename, &fi.stats.Renames, &fi.stats.RenamesMatched
+	}
+	*seen++
 	if !strings.HasPrefix(path, fi.plan.PathPrefix) {
 		return FaultNone
 	}
-	idx := int(fi.stats.Matched)
-	fi.stats.Matched++
-	for _, pt := range fi.plan.Script {
-		if pt.Write == idx {
-			return pt.Kind
-		}
-	}
-	if fi.plan.MaxFaults > 0 && fi.stats.Injected >= uint64(fi.plan.MaxFaults) {
-		return FaultNone
-	}
-	r := fi.rng.Float64()
-	for _, c := range []struct {
-		p float64
-		k FaultKind
-	}{
-		{fi.plan.PEIO, FaultEIO},
-		{fi.plan.PENOSPC, FaultENOSPC},
-		{fi.plan.PTorn, FaultTorn},
-		{fi.plan.PLatency, FaultLatency},
-		{fi.plan.PCrash, FaultCrash},
-	} {
-		if r < c.p {
-			return c.k
-		}
-		r -= c.p
-	}
-	return FaultNone
-}
-
-// proposeRename picks the fault this injector wants for one SysRename
-// (matched against the rename's destination path). Same contract as
-// propose: no injection is recorded until the kernel notes the winner.
-func (fi *faultInjector) proposeRename(newPath string) FaultKind {
-	fi.stats.Renames++
-	if !strings.HasPrefix(newPath, fi.plan.PathPrefix) {
-		return FaultNone
-	}
-	idx := int(fi.stats.RenamesMatched)
-	fi.stats.RenamesMatched++
-	for _, pt := range fi.plan.RenameScript {
-		if pt.Write == idx {
-			return pt.Kind
-		}
-	}
-	if fi.plan.MaxFaults > 0 && fi.stats.Injected >= uint64(fi.plan.MaxFaults) {
-		return FaultNone
-	}
-	r := fi.renameRng.Float64()
-	for _, c := range []struct {
-		p float64
-		k FaultKind
-	}{
-		{fi.plan.PRenameBefore, FaultRenameBefore},
-		{fi.plan.PRenameAfter, FaultRenameAfter},
-		{fi.plan.PRenameCrash, FaultRenameCrash},
-	} {
-		if r < c.p {
-			return c.k
-		}
-		r -= c.p
-	}
-	return FaultNone
+	*matched++
+	return FaultKind(s.Next(fi.stats.Injected))
 }
 
 func (fi *faultInjector) note(kind FaultKind) {
@@ -319,7 +362,7 @@ func (fi *faultInjector) cutShort(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	return fi.rng.Intn(n) // [0, n-1]
+	return fi.write.rng.Intn(n) // [0, n-1]
 }
 
 // cutTorn is cutShort but guarantees at least one byte lands when
@@ -328,7 +371,7 @@ func (fi *faultInjector) cutTorn(n int) int {
 	if n < 2 {
 		return 0
 	}
-	return 1 + fi.rng.Intn(n-1) // [1, n-1]
+	return 1 + fi.write.rng.Intn(n-1) // [1, n-1]
 }
 
 // Read-path fault injection. The write injector above attacks data on
@@ -364,35 +407,40 @@ type ReadFaultStats struct {
 }
 
 type readFaultInjector struct {
-	plan  ReadFaultPlan
-	rng   *rand.Rand
-	stats ReadFaultStats
+	prefix string
+	stream FaultStream
+	stats  ReadFaultStats
 }
 
-// decide reports whether this read fails. As on the write side, the RNG
-// is consumed only for prefix-matched reads, so a fixed plan reproduces
-// the identical fault schedule against the identical read sequence.
+func newReadFaultInjector(plan ReadFaultPlan) *readFaultInjector {
+	return &readFaultInjector{
+		prefix: plan.PathPrefix,
+		stream: NewFaultStream(plan.Seed, plan.MaxFaults, 1, []float64{plan.PEIO}, scriptAt(nil, plan.Script, 1)),
+	}
+}
+
+// scriptAt appends a point of kind at each listed index.
+func scriptAt(pts []StreamPoint, at []int, kind int) []StreamPoint {
+	for _, i := range at {
+		pts = append(pts, StreamPoint{At: i, Kind: kind})
+	}
+	return pts
+}
+
+// decide reports whether this read fails. Only prefix-matched reads
+// reach the stream, so a fixed plan reproduces the identical fault
+// schedule against the identical read sequence.
 func (ri *readFaultInjector) decide(path string) bool {
 	ri.stats.Reads++
-	if !strings.HasPrefix(path, ri.plan.PathPrefix) {
+	if !strings.HasPrefix(path, ri.prefix) {
 		return false
 	}
-	idx := int(ri.stats.Matched)
 	ri.stats.Matched++
-	for _, w := range ri.plan.Script {
-		if w == idx {
-			ri.stats.EIO++
-			return true
-		}
-	}
-	if ri.plan.MaxFaults > 0 && ri.stats.EIO >= uint64(ri.plan.MaxFaults) {
+	if ri.stream.Next(ri.stats.EIO) == 0 {
 		return false
 	}
-	if ri.rng.Float64() < ri.plan.PEIO {
-		ri.stats.EIO++
-		return true
-	}
-	return false
+	ri.stats.EIO++
+	return true
 }
 
 // Directory-damage fault injection. Disk.List is the third trusted
@@ -441,47 +489,42 @@ type ListFaultStats struct {
 }
 
 type listFaultInjector struct {
-	plan  ListFaultPlan
-	rng   *rand.Rand
-	stats ListFaultStats
+	prefix string
+	stream FaultStream
+	stats  ListFaultStats
+}
+
+// Listing-damage kinds, in draw order: at an index scripted both ways
+// the drop wins.
+const (
+	listDrop = 1 + iota
+	listPhantom
+)
+
+func newListFaultInjector(plan ListFaultPlan) *listFaultInjector {
+	pts := scriptAt(scriptAt(nil, plan.DropScript, listDrop), plan.PhantomScript, listPhantom)
+	return &listFaultInjector{
+		prefix: plan.PathPrefix,
+		stream: NewFaultStream(plan.Seed, plan.MaxFaults, listDrop, []float64{plan.PDrop, plan.PPhantom}, pts),
+	}
 }
 
 // decide classifies one listed entry: dropped, phantom-sibling added,
-// or passed through. The RNG is consumed only for prefix-matched
-// entries, so a fixed plan reproduces the identical damage schedule
-// against the identical listing sequence.
+// or passed through. Only prefix-matched entries reach the stream, so
+// a fixed plan reproduces the identical damage schedule against the
+// identical listing sequence.
 func (li *listFaultInjector) decide(path string) (drop, phantom bool) {
 	li.stats.Entries++
-	if !strings.HasPrefix(path, li.plan.PathPrefix) {
+	if !strings.HasPrefix(path, li.prefix) {
 		return false, false
 	}
-	idx := int(li.stats.Matched)
 	li.stats.Matched++
-	for _, w := range li.plan.DropScript {
-		if w == idx {
-			li.stats.Dropped++
-			li.stats.DroppedPaths = append(li.stats.DroppedPaths, path)
-			return true, false
-		}
-	}
-	for _, w := range li.plan.PhantomScript {
-		if w == idx {
-			li.stats.Phantoms++
-			li.stats.PhantomPaths = append(li.stats.PhantomPaths, path)
-			return false, true
-		}
-	}
-	if li.plan.MaxFaults > 0 && li.stats.Dropped+li.stats.Phantoms >= uint64(li.plan.MaxFaults) {
-		return false, false
-	}
-	r := li.rng.Float64()
-	if r < li.plan.PDrop {
+	switch li.stream.Next(li.stats.Dropped + li.stats.Phantoms) {
+	case listDrop:
 		li.stats.Dropped++
 		li.stats.DroppedPaths = append(li.stats.DroppedPaths, path)
 		return true, false
-	}
-	r -= li.plan.PDrop
-	if r < li.plan.PPhantom {
+	case listPhantom:
 		li.stats.Phantoms++
 		li.stats.PhantomPaths = append(li.stats.PhantomPaths, path)
 		return false, true

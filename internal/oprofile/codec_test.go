@@ -43,7 +43,8 @@ func refWriteCounts(w io.Writer, counts map[Key]uint64, order []Key) error {
 
 // refReadCountsText is the original sample-line reader (bufio.Scanner
 // with a 1 MiB buffer plus strings.SplitN), kept as the reference for
-// readCountsText: same counts, same error text.
+// readCountsText: same counts, same error text. Like the reader, it
+// rejects any line with fewer than eight fields.
 func refReadCountsText(data []byte, counts map[Key]uint64) error {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -55,14 +56,7 @@ func refReadCountsText(data []byte, counts map[Key]uint64) error {
 			continue
 		}
 		parts := strings.SplitN(text, "\t", 8)
-		cpu := 0
-		procIdx := 6
-		switch len(parts) {
-		case 8:
-			procIdx = 6
-		case 7:
-			procIdx = 5
-		default:
+		if len(parts) != 8 {
 			return fmt.Errorf("oprofile: sample line %d: %d fields", line, len(parts))
 		}
 		ev, err1 := strconv.Atoi(parts[0])
@@ -70,21 +64,16 @@ func refReadCountsText(data []byte, counts map[Key]uint64) error {
 		epoch, err3 := strconv.Atoi(parts[2])
 		off, err4 := strconv.ParseUint(parts[3], 10, 64)
 		cnt, err5 := strconv.ParseUint(parts[4], 10, 64)
-		errs := []error{err1, err2, err3, err4, err5}
-		if len(parts) == 8 {
-			var err6 error
-			cpu, err6 = strconv.Atoi(parts[5])
-			errs = append(errs, err6)
-		}
-		for _, err := range errs {
+		cpu, err6 := strconv.Atoi(parts[5])
+		for _, err := range []error{err1, err2, err3, err4, err5, err6} {
 			if err != nil {
 				return fmt.Errorf("oprofile: sample line %d: %v", line, err)
 			}
 		}
 		k := Key{
 			Event: hpc.Event(ev),
-			Image: parts[procIdx+1],
-			Proc:  parts[procIdx],
+			Image: parts[7],
+			Proc:  parts[6],
 			JIT:   jit != 0,
 			Epoch: epoch,
 			CPU:   cpu,
@@ -201,7 +190,8 @@ func TestCodecMatchesReferenceQuick(t *testing.T) {
 
 // TestCodecMatchesReferenceFixed pins the reader against the
 // reference on the inputs the format's edges live at: line endings,
-// the legacy layout, malformed fields and the 1 MiB line limit.
+// the retired 7-field layout (rejected, alone or mixed with 8-field
+// lines), malformed fields and the 1 MiB line limit.
 func TestCodecMatchesReferenceFixed(t *testing.T) {
 	long := func(n int) string {
 		return "0\t0\t0\t1\t1\t0\tp\t" + strings.Repeat("i", n-len("0\t0\t0\t1\t1\t0\tp\t"))
@@ -223,7 +213,7 @@ func TestCodecMatchesReferenceFixed(t *testing.T) {
 		"garbage":            good + "garbage line\n",
 		"too few fields":     "1\t2\t3\n",
 		"six fields":         "0\t0\t0\t64\t5\tapp\n",
-		"bad event":          "x\t0\t0\t1\t1\tp\timg\n",
+		"bad event":          "x\t0\t0\t1\t1\t0\tp\timg\n",
 		"bad jit":            "0\tx\t0\t1\t1\t0\tp\timg\n",
 		"bad epoch":          "0\t0\t1.5\t1\t1\t0\tp\timg\n",
 		"bad offset":         "0\t0\t0\t0x10\t1\t0\tp\timg\n",

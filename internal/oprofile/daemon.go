@@ -33,8 +33,6 @@ type DaemonConfig struct {
 	// WakeCycles is the periodic wake interval (default ~100 ms of
 	// simulated time).
 	WakeCycles uint64
-	// BatchMax bounds samples processed per CPU shard per wake (0 = all).
-	BatchMax int
 	// SpillMax bounds the dirty map across failed flushes: beyond this
 	// many keys the sorted tail is spilled to the framed on-disk spill
 	// file (default 8192; the real daemon's event buffer is similarly
@@ -57,8 +55,7 @@ type Daemon struct {
 
 	proc *kernel.Process
 
-	counts map[Key]uint64 // lifetime aggregate (also what gets flushed)
-	dirty  map[Key]uint64 // deltas since last successful disk flush
+	dirty map[Key]uint64 // deltas since last successful disk flush
 
 	// perSampleOps is the daemon-side logging cost per sample.
 	perSampleOps int
@@ -111,7 +108,6 @@ func StartDaemon(m *kernel.Machine, drv *Driver, cfg DaemonConfig) (*Daemon, err
 	d := &Daemon{
 		drv:                drv,
 		cfg:                cfg,
-		counts:             make(map[Key]uint64),
 		dirty:              make(map[Key]uint64),
 		perSampleOps:       420,
 		spilledLostByEvent: make(map[string]uint64),
@@ -134,7 +130,7 @@ func (d *Daemon) Step(m *kernel.Machine, p *kernel.Process) kernel.StepResult {
 	if d.stopped || d.crashed {
 		return kernel.StepExit
 	}
-	d.processBatch(m, d.cfg.BatchMax)
+	d.processBatch(m)
 	if d.crashed {
 		return kernel.StepExit
 	}
@@ -142,11 +138,11 @@ func (d *Daemon) Step(m *kernel.Machine, p *kernel.Process) kernel.StepResult {
 	return kernel.StepBlocked
 }
 
-// processBatch drains and logs up to max samples per CPU shard, then
-// flushes deltas to disk. Runs in the daemon's (or, during final flush,
-// the caller's) process context.
-func (d *Daemon) processBatch(m *kernel.Machine, max int) {
-	shards := d.drv.DrainShards(max)
+// processBatch drains and logs every CPU shard, then flushes deltas to
+// disk. Runs in the daemon's (or, during final flush, the caller's)
+// process context.
+func (d *Daemon) processBatch(m *kernel.Machine) {
+	shards := d.drv.DrainShards()
 	total := 0
 	for _, shard := range shards {
 		total += len(shard)
@@ -163,8 +159,8 @@ func (d *Daemon) processBatch(m *kernel.Machine, max int) {
 	}
 }
 
-// aggregateShards folds the drained per-CPU shards into the daemon's
-// aggregate maps, one CPU after another in ascending order. A wake
+// aggregateShards folds the drained per-CPU shards into the dirty map,
+// one CPU after another in ascending order. A wake
 // drains a handful of samples per CPU, far too few to pay for a worker
 // per shard, so the fold runs on the daemon's own thread.
 func (d *Daemon) aggregateShards(shards [][]Sample) {
@@ -173,9 +169,7 @@ func (d *Daemon) aggregateShards(shards [][]Sample) {
 			continue
 		}
 		for _, s := range shard {
-			k := KeyOf(s)
-			d.counts[k]++
-			d.dirty[k]++
+			d.dirty[KeyOf(s)]++
 		}
 		n := uint64(len(shard))
 		d.samplesLogged += n
@@ -346,7 +340,7 @@ func (d *Daemon) FinalFlush(m *kernel.Machine) {
 	if d.crashed {
 		return
 	}
-	d.processBatch(m, 0)
+	d.processBatch(m)
 	// The shutdown path gets a couple of immediate retries: this is the
 	// last chance to persist, and the run is over so backoff sleeps no
 	// longer apply.
@@ -399,16 +393,6 @@ func (d *Daemon) writeStats(m *kernel.Machine) {
 	_ = m.Kern.SysWrite(d.proc, DaemonStatsFile, record.Frame(ps.payload(cpus)))
 }
 
-// Counts returns the daemon's lifetime aggregate (tests and in-memory
-// reporting).
-func (d *Daemon) Counts() map[Key]uint64 {
-	out := make(map[Key]uint64, len(d.counts))
-	for k, v := range d.counts {
-		out[k] = v
-	}
-	return out
-}
-
 // SamplesLogged returns the number of samples aggregated.
 func (d *Daemon) SamplesLogged() uint64 { return d.samplesLogged }
 
@@ -420,19 +404,6 @@ func (d *Daemon) SamplesLoggedCPU() []uint64 {
 	copy(out, d.samplesLoggedCPU)
 	return out
 }
-
-// Flushes returns the number of successful disk flushes.
-func (d *Daemon) Flushes() uint64 { return d.flushes }
-
-// FlushErrors returns the number of failed disk flushes.
-func (d *Daemon) FlushErrors() uint64 { return d.flushErrors }
-
-// Spilled returns the number of samples that left the dirty map
-// through the spill path — parked on disk plus hard-cap losses.
-func (d *Daemon) Spilled() uint64 { return d.spilledOnDisk + d.spilledLost }
-
-// SpilledOnDisk returns the samples parked in committed spill frames.
-func (d *Daemon) SpilledOnDisk() uint64 { return d.spilledOnDisk }
 
 // SpilledLost returns the samples the hard cap dropped outright.
 func (d *Daemon) SpilledLost() uint64 { return d.spilledLost }
@@ -448,15 +419,6 @@ func (d *Daemon) SpilledLostCPU() map[int]uint64 {
 	}
 	return out
 }
-
-// SpillBatches returns the number of committed spill attempts.
-func (d *Daemon) SpillBatches() uint64 { return d.spillBatches }
-
-// SpillErrors returns the number of failed spill attempts.
-func (d *Daemon) SpillErrors() uint64 { return d.spillErrors }
-
-// JournalErrors returns the number of failed journal-commit writes.
-func (d *Daemon) JournalErrors() uint64 { return d.journalErrors }
 
 // Crashed reports whether fault injection killed the daemon mid-write.
 func (d *Daemon) Crashed() bool { return d.crashed }

@@ -93,16 +93,14 @@ func refFlushBytes(t *testing.T, delta map[Key]uint64) []byte {
 
 // TestDaemonDrainStateAcrossDrains runs a 4-core daemon through drains
 // in which each shard goes empty, full and empty again — a stale
-// drain buffer would be folded twice — and partial
-// drains (BatchMax) that leave residue behind. After every drain the
-// lifetime counts, the per-CPU sample tallies and the sample file's
-// bytes must equal a fold of exactly the samples drained so far.
+// drain buffer would be folded twice. After every drain the per-CPU
+// sample tallies and the sample file's bytes must equal a fold of
+// exactly the samples drained so far.
 func TestDaemonDrainStateAcrossDrains(t *testing.T) {
 	const ncpu = 4
 	m, drv, d := newDrainRig(t, ncpu)
 	rng := rand.New(rand.NewSource(3))
 	pending := make([][]Sample, ncpu)
-	want := make(map[Key]uint64)
 	wantCPU := make([]uint64, ncpu)
 	var wantDisk []byte
 	rounds := [][ncpu]int{
@@ -117,38 +115,20 @@ func TestDaemonDrainStateAcrossDrains(t *testing.T) {
 				pending[ci] = append(pending[ci], s)
 			}
 		}
-		limit := 0
-		if r%3 == 1 {
-			limit = 12
-		}
-		d.processBatch(m, limit)
+		d.processBatch(m)
 		delta := make(map[Key]uint64)
 		for ci := range pending {
-			take := len(pending[ci])
-			if limit > 0 && take > limit {
-				take = limit
-			}
-			for _, s := range pending[ci][:take] {
+			for _, s := range pending[ci] {
 				delta[KeyOf(s)]++
-				want[KeyOf(s)]++
 			}
-			wantCPU[ci] += uint64(take)
-			pending[ci] = pending[ci][take:]
-			if drv.ShardLen(ci) != len(pending[ci]) {
-				t.Fatalf("round %d cpu %d: %d samples left in the shard, want %d", r, ci, drv.ShardLen(ci), len(pending[ci]))
+			wantCPU[ci] += uint64(len(pending[ci]))
+			pending[ci] = pending[ci][:0]
+			if drv.ShardLen(ci) != 0 {
+				t.Fatalf("round %d cpu %d: %d samples left in the shard", r, ci, drv.ShardLen(ci))
 			}
 		}
 		wantDisk = append(wantDisk, refFlushBytes(t, delta)...)
 
-		got := d.Counts()
-		if len(got) != len(want) {
-			t.Fatalf("round %d: %d keys, fold of the drained samples has %d", r, len(got), len(want))
-		}
-		for k, c := range want {
-			if got[k] != c {
-				t.Fatalf("round %d: key %+v counted %d, drained %d", r, k, got[k], c)
-			}
-		}
 		gotCPU := d.SamplesLoggedCPU()
 		for ci := range wantCPU {
 			var n uint64
@@ -243,7 +223,7 @@ func warmCycleAllocs(t *testing.T, ncpu, keys int) float64 {
 		for ci := range batch {
 			drv.bufs[ci] = append(drv.bufs[ci][:0], batch[ci]...)
 		}
-		d.processBatch(m, 0)
+		d.processBatch(m)
 	}
 	for i := 0; i < 3; i++ {
 		cycle()
@@ -277,18 +257,26 @@ func TestCheckConservation(t *testing.T) {
 	balanced := func() (*Profiler, *Driver) {
 		m, drv, d := newDrainRig(t, 2)
 		rng := rand.New(rand.NewSource(1))
-		for ci, n := range []uint64{5, 3} {
+		log := func(ci int, n uint64) {
 			for i := uint64(0); i < n; i++ {
 				drv.bufs[ci] = append(drv.bufs[ci], drainSample(rng, ci))
 			}
-			drv.percpu[ci].NMIs += n + 1
+			drv.percpu[ci].NMIs += n
 			drv.percpu[ci].Logged += n
-			drv.percpu[ci].Dropped++
-			drv.stats.NMIs += n + 1
+			drv.stats.NMIs += n
 			drv.stats.Logged += n
+		}
+		for ci := range 2 {
+			log(ci, 2)
+			drv.percpu[ci].NMIs++
+			drv.percpu[ci].Dropped++
+			drv.stats.NMIs++
 			drv.stats.Dropped++
 		}
-		d.processBatch(m, 2)
+		d.processBatch(m)
+		// Samples logged after the drain stay buffered.
+		log(0, 3)
+		log(1, 1)
 		return &Profiler{Driver: drv, Daemon: d}, drv
 	}
 	if p, drv := balanced(); p.CheckConservation() != nil || drv.BufferLen() == 0 {

@@ -66,7 +66,7 @@ type Driver struct {
 	bufs      [][]Sample
 	drained   [][]Sample // DrainShards' per-CPU result, refilled each drain
 	capacity  int
-	wmLatched []bool // watermark fired; reset when a drain brings the shard below half
+	wmLatched []bool // watermark fired; reset when a drain empties the shard
 	stats     DriverStats
 	percpu    []DriverStats
 
@@ -293,10 +293,9 @@ func (d *Driver) handleNMI(m *kernel.Machine, s cpu.Snapshot, ev hpc.Event) {
 	d.stats.Logged++
 	st.Logged++
 	// Level-triggered with a latch: `== capacity/2` would never fire for
-	// capacity < 2 and is skipped whenever a partial drain leaves the
-	// buffer above half. The latch keeps one crossing from waking the
-	// daemon on every subsequent sample; a drain re-arms it. Each CPU
-	// shard latches independently.
+	// capacity < 2. The latch keeps one crossing from waking the daemon
+	// on every subsequent sample; a drain empties the shard and re-arms
+	// it. Each CPU shard latches independently.
 	if d.OnWatermark != nil && !d.wmLatched[ci] && len(d.bufs[ci]) >= (d.capacity+1)/2 {
 		d.wmLatched[ci] = true
 		d.OnWatermark()
@@ -318,35 +317,19 @@ func (d *Driver) handleNMI(m *kernel.Machine, s cpu.Snapshot, ev hpc.Event) {
 	}
 }
 
-// DrainShards removes and returns up to maxPerShard samples from every
-// CPU shard (FIFO within each). The result is indexed by CPU id; empty
-// shards yield empty slices. On a 1-core machine shard 0 is exactly
-// the pre-SMP FIFO drain. The driver keeps one backing array per CPU
-// and refills it on every call, so the result is valid only until the
-// next DrainShards.
-func (d *Driver) DrainShards(maxPerShard int) [][]Sample {
+// DrainShards removes and returns every CPU shard's samples (FIFO
+// within each). The result is indexed by CPU id; empty shards yield
+// empty slices. On a 1-core machine shard 0 is exactly the pre-SMP
+// FIFO drain. The driver keeps one backing array per CPU and refills
+// it on every call, so the result is valid only until the next
+// DrainShards.
+func (d *Driver) DrainShards() [][]Sample {
 	for ci := range d.bufs {
-		take := len(d.bufs[ci])
-		if maxPerShard > 0 && take > maxPerShard {
-			take = maxPerShard
-		}
-		d.drained[ci] = append(d.drained[ci][:0], d.bufs[ci][:take]...)
-		d.shrinkShard(ci, take)
-	}
-	return d.drained
-}
-
-// shrinkShard drops the first take samples from a shard and re-arms
-// its watermark latch if the drain brought it below half capacity.
-func (d *Driver) shrinkShard(ci, take int) {
-	if take == 0 {
-		return
-	}
-	n := copy(d.bufs[ci], d.bufs[ci][take:])
-	d.bufs[ci] = d.bufs[ci][:n]
-	if len(d.bufs[ci]) < (d.capacity+1)/2 {
+		d.drained[ci] = append(d.drained[ci][:0], d.bufs[ci]...)
+		d.bufs[ci] = d.bufs[ci][:0]
 		d.wmLatched[ci] = false
 	}
+	return d.drained
 }
 
 // DrainStacks removes and returns all buffered call-graph records.

@@ -12,6 +12,7 @@ import (
 	"viprof/internal/hpc"
 	"viprof/internal/image"
 	"viprof/internal/kernel"
+	"viprof/internal/record"
 )
 
 func newMachine(seed int64) *kernel.Machine {
@@ -55,7 +56,7 @@ func TestCountsRoundTrip(t *testing.T) {
 	if err := WriteCounts(&buf, counts, order); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCounts(&buf)
+	got, err := ReadCounts(bytes.NewReader(record.Frame(buf.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +71,10 @@ func TestCountsRoundTrip(t *testing.T) {
 }
 
 func TestReadCountsSumsDuplicates(t *testing.T) {
-	line := "0\t0\t0\t64\t5\tapp\tlibc.so\n"
-	got, err := ReadCounts(strings.NewReader(line + line))
+	// Two flushes of the same key, the first repeating it in-record.
+	line := "0\t0\t0\t64\t3\t0\tapp\tlibc.so\n"
+	file := append(record.Frame([]byte(line+line)), record.Frame([]byte("0\t0\t0\t64\t4\t0\tapp\tlibc.so\n"))...)
+	got, err := ReadCounts(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +85,17 @@ func TestReadCountsSumsDuplicates(t *testing.T) {
 }
 
 func TestReadCountsErrors(t *testing.T) {
-	if _, err := ReadCounts(strings.NewReader("garbage line\n")); err == nil {
-		t.Error("malformed line accepted")
+	for _, in := range []struct{ what, data string }{
+		{"malformed line", "garbage line\n"},
+		{"non-numeric event", "x\t0\t0\t1\t1\t0\tp\timg\n"},
+		{"7-field line", "0\t0\t0\t64\t5\tapp\tlibc.so\n"},
+	} {
+		if _, err := ReadCounts(bytes.NewReader(record.Frame([]byte(in.data)))); err == nil {
+			t.Errorf("%s accepted", in.what)
+		}
 	}
-	if _, err := ReadCounts(strings.NewReader("x\t0\t0\t1\t1\tp\timg\n")); err == nil {
-		t.Error("non-numeric event accepted")
+	if _, err := ReadCounts(strings.NewReader("0\t0\t0\t64\t5\t0\tapp\tlibc.so\n")); err == nil {
+		t.Error("unframed sample file accepted")
 	}
 }
 
@@ -107,7 +116,7 @@ func TestCountsRoundTripQuick(t *testing.T) {
 		if err := WriteCounts(&buf, counts, []Key{k}); err != nil {
 			return false
 		}
-		got, err := ReadCounts(&buf)
+		got, err := ReadCounts(bytes.NewReader(record.Frame(buf.Bytes())))
 		if err != nil {
 			return false
 		}
@@ -160,7 +169,7 @@ func TestDriverAttributesSamples(t *testing.T) {
 	if drv.Stats().NMIs == 0 || drv.BufferLen() == 0 {
 		t.Fatalf("no samples: %+v", drv.Stats())
 	}
-	samples := drv.DrainShards(0)[0]
+	samples := drv.DrainShards()[0]
 	var inMain int
 	for _, s := range samples {
 		if s.Image == "app.bin" {
@@ -206,7 +215,7 @@ func TestTwoCountersSampleHandler(t *testing.T) {
 	}
 	m.Kern.Run(10_000_000)
 	kern := 0
-	for _, s := range drv.DrainShards(0)[0] {
+	for _, s := range drv.DrainShards()[0] {
 		if s.Kernel {
 			kern++
 		}
@@ -244,7 +253,7 @@ func TestDriverAnonymousAndJITPaths(t *testing.T) {
 	if st.AnonSamples == 0 || st.JITSamples != 0 {
 		t.Fatalf("plain driver stats: %+v", st)
 	}
-	for _, s := range drv.DrainShards(0)[0] {
+	for _, s := range drv.DrainShards()[0] {
 		if s.Image == "" && !s.JIT {
 			if s.AnonStart != anonBase {
 				t.Errorf("anon range start %s, want %s", s.AnonStart, anonBase)
@@ -297,7 +306,7 @@ func TestDriverJITRegistry(t *testing.T) {
 		t.Fatalf("registry never matched: %+v", st)
 	}
 	found := false
-	for _, s := range drv.DrainShards(0)[0] {
+	for _, s := range drv.DrainShards()[0] {
 		if s.JIT {
 			found = true
 			if s.Epoch != 7 {
@@ -355,20 +364,18 @@ func TestDaemonDrainsAndFlushes(t *testing.T) {
 	if !m.Kern.Disk().Exists(SampleFile) {
 		t.Fatal("no sample file on disk")
 	}
-	// Disk contents must agree with the daemon's in-memory aggregate.
+	// The sample file must hold every sample the daemon logged.
 	data, _ := m.Kern.Disk().Read(SampleFile)
 	fromDisk, err := ReadCounts(strings.NewReader(string(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := prof.Daemon.Counts()
-	if len(fromDisk) != len(mem) {
-		t.Fatalf("disk has %d keys, memory %d", len(fromDisk), len(mem))
+	var onDisk uint64
+	for _, v := range fromDisk {
+		onDisk += v
 	}
-	for k, v := range mem {
-		if fromDisk[k] != v {
-			t.Errorf("key %+v: disk %d, mem %d", k, fromDisk[k], v)
-		}
+	if onDisk != prof.Daemon.SamplesLogged() {
+		t.Fatalf("sample file holds %d samples, daemon logged %d", onDisk, prof.Daemon.SamplesLogged())
 	}
 }
 

@@ -100,10 +100,9 @@ const SampleFile = "var/lib/oprofile/samples.log"
 //
 //	event<TAB>jit<TAB>epoch<TAB>offset<TAB>count<TAB>cpu<TAB>proc<TAB>image
 //
-// Image goes last because it may contain spaces and commas. The cpu
-// field was appended for SMP machines; readers accept the older
-// 7-field layout and treat those lines as CPU 0. The lines are built
-// in one slice (sized for typical 64-byte lines) and handed to w in at
+// Image goes last because it may contain spaces and commas; readers
+// reject a line with fewer than eight fields. The lines are built in
+// one slice (sized for typical 64-byte lines) and handed to w in at
 // most one Write.
 func WriteCounts(w io.Writer, counts map[Key]uint64, order []Key) error {
 	b := make([]byte, 0, 64*len(order))
@@ -139,48 +138,30 @@ func WriteCounts(w io.Writer, counts map[Key]uint64, order []Key) error {
 }
 
 // ReadCounts parses a sample file, summing duplicate keys (the daemon
-// appends deltas across flushes). It auto-detects the durable framed
-// format (each flush is one checksummed record, see internal/record)
-// and falls back to legacy plain-text parsing; a framed file with any
-// damage is a hard error here — use ReadCountsSalvage to recover the
-// intact records with loss accounting.
+// appends deltas across flushes). A sample file is a stream of framed
+// records (each flush is one checksummed record, see internal/record);
+// a file with any damage is a hard error here — use ReadCountsSalvage
+// to recover the intact records with loss accounting.
 func ReadCounts(r io.Reader) (map[Key]uint64, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	if record.IsFramed(data) {
-		counts, sal, err := ReadCountsSalvage(data)
-		if err != nil {
-			return nil, err
-		}
-		if sal.Lossy() {
-			return nil, fmt.Errorf("oprofile: sample file corrupt: %d records dropped (%d bytes)",
-				sal.DroppedRecords, sal.DroppedBytes)
-		}
-		return counts, nil
-	}
-	counts := make(map[Key]uint64)
-	if err := readCountsText(data, counts); err != nil {
+	counts, sal, err := ReadCountsSalvage(data)
+	if err != nil {
 		return nil, err
+	}
+	if sal.Lossy() {
+		return nil, fmt.Errorf("oprofile: sample file corrupt: %d records dropped (%d bytes)",
+			sal.DroppedRecords, sal.DroppedBytes)
 	}
 	return counts, nil
 }
 
 // ReadCountsSalvage parses a sample file, recovering every intact
-// framed record and accounting for damage instead of failing. Legacy
-// plain-text files parse as a single clean pseudo-record.
+// framed record and accounting for damage instead of failing.
 func ReadCountsSalvage(data []byte) (map[Key]uint64, record.Salvage, error) {
 	counts := make(map[Key]uint64)
-	if len(data) == 0 {
-		return counts, record.Salvage{}, nil
-	}
-	if !record.IsFramed(data) {
-		if err := readCountsText(data, counts); err != nil {
-			return nil, record.Salvage{}, err
-		}
-		return counts, record.Salvage{Records: 1}, nil
-	}
 	recs, sal := record.Scan(data)
 	for _, payload := range recs {
 		// A checksum-valid record that fails to parse is a writer bug,
@@ -246,17 +227,13 @@ func readCountsText(data []byte, counts map[Key]uint64) error {
 		}
 		f[nf] = text
 		nf++
-		if nf < 7 {
+		if nf < len(f) {
 			return fmt.Errorf("oprofile: sample line %d: %d fields", line, nf)
 		}
-		// 7-field lines predate the per-CPU pipeline: no cpu column,
-		// proc/image shifted left. Parse them as CPU 0.
-		cpu := 0
-		procIdx := nf - 2
 		// string(field) of a short numeric field stays on the stack:
 		// strconv copies whatever text it keeps in an error.
 		ev, err := strconv.Atoi(string(f[0]))
-		var jit, epoch int
+		var jit, epoch, cpu int
 		var off, cnt uint64
 		if err == nil {
 			jit, err = strconv.Atoi(string(f[1]))
@@ -270,7 +247,7 @@ func readCountsText(data []byte, counts map[Key]uint64) error {
 		if err == nil {
 			cnt, err = strconv.ParseUint(string(f[4]), 10, 64)
 		}
-		if err == nil && nf == 8 {
+		if err == nil {
 			cpu, err = strconv.Atoi(string(f[5]))
 		}
 		if err != nil {
@@ -278,8 +255,8 @@ func readCountsText(data []byte, counts map[Key]uint64) error {
 		}
 		k := Key{
 			Event: hpc.Event(ev),
-			Image: intern(f[procIdx+1]),
-			Proc:  intern(f[procIdx]),
+			Image: intern(f[7]),
+			Proc:  intern(f[6]),
 			JIT:   jit != 0,
 			Epoch: epoch,
 			CPU:   cpu,

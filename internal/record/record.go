@@ -14,10 +14,8 @@
 package record
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"strings"
 )
 
 // Magic starts every record (and therefore every framed file).
@@ -34,21 +32,6 @@ func Frame(payload []byte) []byte {
 	binary.LittleEndian.PutUint32(out[8:], crc32.ChecksumIEEE(payload))
 	copy(out[HeaderSize:], payload)
 	return out
-}
-
-// IsFramed reports whether data is a framed stream, which is how
-// readers distinguish framed files from legacy plain-text ones. A
-// framed file normally begins with the magic, but the very first
-// record can be torn mid-magic (an ENOSPC or crash on the file's
-// first write), leaving a short garbage prefix ahead of later intact
-// records — so the magic anywhere classifies the file as framed (Scan
-// resynchronizes past the damage), as does a file that is nothing but
-// a strict prefix of the magic (a first write torn inside it).
-func IsFramed(data []byte) bool {
-	if bytes.Contains(data, []byte(Magic)) {
-		return true
-	}
-	return len(data) > 0 && len(data) < len(Magic) && strings.HasPrefix(Magic, string(data))
 }
 
 // Salvage accounts for what a Scan recovered and what it had to drop.

@@ -23,12 +23,6 @@ func TestFrameScanRoundTrip(t *testing.T) {
 			t.Errorf("record %d = %q, want %q", i, recs[i], p)
 		}
 	}
-	if !IsFramed(file) {
-		t.Error("framed file not detected")
-	}
-	if IsFramed([]byte("plain text\n")) {
-		t.Error("plain text detected as framed")
-	}
 }
 
 // Truncating a framed file at any offset must recover exactly the
@@ -118,22 +112,18 @@ func TestScanBitFlipSweep(t *testing.T) {
 	}
 }
 
-// TestIsFramedTornFirstRecord: a file whose very FIRST record was torn
-// mid-magic must still classify as framed — Scan resynchronizes past
-// the stub — and a file that is nothing but a magic prefix (first
-// write torn inside the magic, nothing after) is framed damage, not
-// legacy text.
-func TestIsFramedTornFirstRecord(t *testing.T) {
+// TestScanTornFirstRecord: a file whose very FIRST record was torn
+// mid-magic resynchronizes past the stub to the intact record after
+// it, and a file that is nothing but a magic prefix (first write torn
+// inside the magic, nothing after) is all damage.
+func TestScanTornFirstRecord(t *testing.T) {
 	frame := Frame([]byte("event payload"))
 	for cut := 1; cut < len(Magic); cut++ {
 		stub := frame[:cut]
-		if !IsFramed(stub) {
-			t.Errorf("magic prefix %q not classified as framed", stub)
+		if recs, sal := Scan(stub); len(recs) != 0 || sal.DroppedBytes != cut {
+			t.Errorf("magic prefix %q: salvaged %d records, %+v", stub, len(recs), sal)
 		}
 		combined := append(append([]byte{}, stub...), frame...)
-		if !IsFramed(combined) {
-			t.Errorf("torn-first-record file %q not classified as framed", combined[:8])
-		}
 		recs, sal := Scan(combined)
 		if len(recs) != 1 || string(recs[0]) != "event payload" {
 			t.Errorf("cut %d: salvaged %d records, want the intact one", cut, len(recs))
@@ -141,11 +131,5 @@ func TestIsFramedTornFirstRecord(t *testing.T) {
 		if !sal.Lossy() || sal.DroppedBytes != cut {
 			t.Errorf("cut %d: salvage %+v, want %d dropped bytes", cut, sal, cut)
 		}
-	}
-	if IsFramed([]byte("VPX is not a magic prefix")) {
-		t.Error("non-magic text classified as framed")
-	}
-	if IsFramed(nil) {
-		t.Error("empty data classified as framed")
 	}
 }
