@@ -102,7 +102,12 @@ fleet-smoke:
 # (TestFaultStreamMatchesReferenceQuick: write, rename, read and listing
 # draws and the composed-plan arbitration; TestNetworkMatchesReferenceQuick:
 # the network's sends) over 20000 random plans and operation sequences
-# each (`make check` runs 100).
+# each (`make check` runs 100), and the multi-VM mode oracle
+# (TestMultiVMModesAgree: fused replay, DisableTrace and the per-op core
+# on 2-4 concurrent VMs over 2 or 4 cores must agree on every core's
+# cycles and instructions, the NMIs and the report bytes) over the
+# smp4-mix shape and 10 seeded shapes (`make check` runs the smp4-mix
+# shape and 1 more).
 chaos-nightly:
 	VIPROF_CHAOS_SEEDS=500 $(GO) test -race -run 'TestChaosNightly' -count=1 -timeout 30m ./internal/core/
 	VIPROF_FLEET_SEEDS=300 $(GO) test -race -run 'TestFleetChaosNightly' -count=1 -timeout 30m ./internal/harness/
@@ -113,6 +118,7 @@ chaos-nightly:
 	$(GO) test -race -run 'TestBatchDeterminismQuick$$|TestMemBatchDeterminismQuick$$|TestExecScatterDeterminismQuick$$|TestBatchRunDeterminismQuick$$' -count=1 -timeout 30m ./internal/cpu/ -args -quickchecks=5000
 	$(GO) test -race -run 'TestFaultStreamMatchesReferenceQuick$$' -count=1 -timeout 30m ./internal/kernel/ -args -quickchecks=20000
 	$(GO) test -race -run 'TestNetworkMatchesReferenceQuick$$' -count=1 -timeout 30m ./internal/fleet/ -args -quickchecks=20000
+	$(GO) test -race -run 'TestMultiVMModesAgree$$' -count=1 -timeout 30m . -args -quickchecks=500
 
 # One race-enabled iteration of each engine microbenchmark. Each fails
 # when its fast path and its reference path disagree: batched vs per-op

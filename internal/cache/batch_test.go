@@ -67,7 +67,7 @@ func TestDataBatchMatchesPerOpQuick(t *testing.T) {
 			for i, a := range mems {
 				var w outcome
 				w.extra, w.dmiss = perop.AccessData(a)
-				ce, l2, _ := perop.Access(a)
+				ce, l2 := perop.Access(a)
 				w.extra += ce
 				w.l2 = l2
 				noteworthy := w.dmiss || w.l2 || w.extra != 0

@@ -186,14 +186,10 @@ type Hierarchy struct {
 	DTLB, ITLB *Cache
 	TLBPenalty uint32
 
-	// Coh, when non-nil, is the coherency directory shared with the
-	// other cores' hierarchies (see coherency.go); CoreID is this
-	// hierarchy's core in that directory and CohPenalty the extra
-	// cycles a cross-core line transfer charges. A nil Coh (the
-	// single-core default) skips all directory bookkeeping.
-	Coh        *Directory
-	CoreID     int
-	CohPenalty uint32
+	// Coh is always nil: the machine models no coherency traffic
+	// (DESIGN §16). It and Directory are kept only for the benchmark
+	// module, which reads them for cache.coh_transfers.
+	Coh *Directory
 
 	lastIPage uint64 // last instruction page, to probe ITLB per page change
 
@@ -241,45 +237,43 @@ func newHierarchy(l2 *Cache) *Hierarchy {
 // the default L1 and L2 (see newL1) with data and instruction TLBs.
 func DefaultHierarchy() *Hierarchy { return newHierarchy(newL2()) }
 
-// DefaultCohPenalty is the cross-core transfer cost in cycles: an
-// invalidate round plus a cache-to-cache forward, between an L2 hit (8)
-// and a memory fill (120) on the default geometry.
-const DefaultCohPenalty = 40
+// SharedHierarchies builds n per-core hierarchies for an SMP machine:
+// each core gets a private L1, DTLB and ITLB with the default geometry,
+// and all cores share one L2. SharedHierarchies(1) is DefaultHierarchy.
+func SharedHierarchies(n int) []*Hierarchy {
+	l2 := newL2()
+	hs := make([]*Hierarchy, n)
+	for i := range hs {
+		hs[i] = newHierarchy(l2)
+	}
+	return hs
+}
 
-// Access sends one memory reference through the hierarchy. The coh
-// result reports a cross-core coherency transfer (always false without
-// a directory); its penalty is folded into extraCycles.
-func (h *Hierarchy) Access(a addr.Address) (extraCycles uint32, l2miss, coh bool) {
+// Directory stands in for the cross-core coherency directory the
+// machine no longer models; Hierarchy.Coh is always nil. Both are kept
+// only for the benchmark module, which reads them.
+type Directory struct{}
+
+// Transfers returns 0: no cross-core transfer is modelled.
+func (*Directory) Transfers() uint64 { return 0 }
+
+// Access sends one memory reference through the hierarchy.
+func (h *Hierarchy) Access(a addr.Address) (extraCycles uint32, l2miss bool) {
 	h.lastDLine = uint64(a) >> h.L1.lineBits
 	h.lastDLineGen = h.L1.gen
 	h.haveDLine = true
 	if h.L1.Access(a) {
-		return 0, false, false
+		return 0, false
 	}
 	return h.fill(a)
 }
 
-// fill is the L1-miss tail of a data access: the coherency directory,
-// then L2. If another core wrote the line last, this fill is the
-// transfer. L1 hits never check — a resident line was filled by us
-// after any prior transfer.
-func (h *Hierarchy) fill(a addr.Address) (extraCycles uint32, l2miss, coh bool) {
-	if h.Coh != nil && h.Coh.Transfer(a, h.CoreID) {
-		coh = true
-		extraCycles = h.CohPenalty
-	}
+// fill is the L1-miss tail of a data access: the L2 probe.
+func (h *Hierarchy) fill(a addr.Address) (extraCycles uint32, l2miss bool) {
 	if h.L2.Access(a) {
-		return extraCycles + h.L2Hit, false, coh
+		return h.L2Hit, false
 	}
-	return extraCycles + h.MemPenalty, true, coh
-}
-
-// MarkWrite records a store by this core in the shared coherency
-// directory. No-op on a single-core hierarchy (nil Coh).
-func (h *Hierarchy) MarkWrite(a addr.Address) {
-	if h.Coh != nil {
-		h.Coh.MarkWrite(a, h.CoreID)
-	}
+	return h.MemPenalty, true
 }
 
 // AccessData probes the DTLB for the data address and reports whether
@@ -303,8 +297,8 @@ func (h *Hierarchy) AccessData(a addr.Address) (extraCycles uint32, miss bool) {
 // per-op probe pair that the core's precise step and DataBatch share.
 func (h *Hierarchy) Data(a addr.Address) DataEvent {
 	extra, dmiss := h.AccessData(a)
-	cextra, l2miss, coh := h.Access(a)
-	return DataEvent{Extra: extra + cextra, DTLBMiss: dmiss, L2Miss: l2miss, Coh: coh}
+	cextra, l2miss := h.Access(a)
+	return DataEvent{Extra: extra + cextra, DTLBMiss: dmiss, L2Miss: l2miss}
 }
 
 // DataFree reports whether a data access at a is guaranteed to be an
@@ -347,8 +341,6 @@ type DataEvent struct {
 	Extra    uint32
 	DTLBMiss bool
 	L2Miss   bool
-	// Coh marks a cross-core coherency transfer (see coherency.go).
-	Coh bool
 }
 
 // DataRun replays n strided data accesses (mem, mem+stride, ...)
@@ -407,9 +399,9 @@ func (h *Hierarchy) DataRun(mem addr.Address, stride uint32, n int, buf []DataEv
 				k = h.L1.lineRun(la, stride, pn-j)
 			}
 			var cextra uint32
-			var l2miss, cohm bool
+			var l2miss bool
 			if !h.L1.Access(la) {
-				cextra, l2miss, cohm = h.fill(la)
+				cextra, l2miss = h.fill(la)
 			}
 			extra := cextra
 			dm := false
@@ -417,8 +409,8 @@ func (h *Hierarchy) DataRun(mem addr.Address, stride uint32, n int, buf []DataEv
 				extra += dExtra
 				dm = dmiss
 			}
-			if dm || l2miss || cohm || extra != 0 {
-				buf = append(buf, DataEvent{Index: i + j, Extra: extra, DTLBMiss: dm, L2Miss: l2miss, Coh: cohm})
+			if dm || l2miss || extra != 0 {
+				buf = append(buf, DataEvent{Index: i + j, Extra: extra, DTLBMiss: dm, L2Miss: l2miss})
 			}
 			h.L1.accesses += uint64(k - 1)
 			j += k
@@ -460,7 +452,7 @@ func (h *Hierarchy) DataBatch(mems []addr.Address, buf []DataEvent) []DataEvent 
 		if a == 0 {
 			continue
 		}
-		if ev := h.Data(a); ev.DTLBMiss || ev.L2Miss || ev.Coh || ev.Extra != 0 {
+		if ev := h.Data(a); ev.DTLBMiss || ev.L2Miss || ev.Extra != 0 {
 			ev.Index = i
 			buf = append(buf, ev)
 		}
@@ -531,18 +523,4 @@ func (h *Hierarchy) InstrRun(pc addr.Address, stride uint32, max uint64) uint64 
 		n = max
 	}
 	return n
-}
-
-// Flush empties the caches and TLBs (used at context switch to model
-// the cold state a newly scheduled process sees).
-func (h *Hierarchy) Flush() {
-	h.L1.Flush()
-	h.L2.Flush()
-	if h.DTLB != nil {
-		h.DTLB.Flush()
-	}
-	if h.ITLB != nil {
-		h.ITLB.Flush()
-		h.lastIPage = 0
-	}
 }

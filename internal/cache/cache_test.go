@@ -155,11 +155,11 @@ func TestDirectMappedShadowQuick(t *testing.T) {
 func TestHierarchy(t *testing.T) {
 	h := DefaultHierarchy()
 	a := addr.Address(0x20000)
-	cyc, miss, _ := h.Access(a)
+	cyc, miss := h.Access(a)
 	if !miss || cyc != h.MemPenalty {
 		t.Errorf("cold access: %d cycles, miss=%v", cyc, miss)
 	}
-	cyc, miss, _ = h.Access(a)
+	cyc, miss = h.Access(a)
 	if miss || cyc != 0 {
 		t.Errorf("warm access: %d cycles, miss=%v", cyc, miss)
 	}
@@ -173,12 +173,13 @@ func TestHierarchy(t *testing.T) {
 	if h.L1.Contains(a) {
 		t.Fatal("line survived L1 conflict sweep")
 	}
-	cyc, miss, _ = h.Access(a)
+	cyc, miss = h.Access(a)
 	if miss || cyc != h.L2Hit {
 		t.Errorf("L2 hit path: %d cycles, miss=%v; want %d,false", cyc, miss, h.L2Hit)
 	}
-	h.Flush()
-	if _, miss, _ := h.Access(a); !miss {
+	h.L1.Flush()
+	h.L2.Flush()
+	if _, miss := h.Access(a); !miss {
 		t.Error("access after Flush did not miss")
 	}
 }
@@ -219,7 +220,7 @@ func TestTLBs(t *testing.T) {
 	if _, miss := h.AccessInstr(0x20000); miss {
 		t.Error("warm ITLB page missed")
 	}
-	h.Flush()
+	h.DTLB.Flush()
 	if _, miss := h.AccessData(0x10000); !miss {
 		t.Error("DTLB survived Flush")
 	}

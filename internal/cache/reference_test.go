@@ -107,7 +107,6 @@ func randomConfig(r *rand.Rand) Config {
 type cachePair struct {
 	h                      *Hierarchy
 	l1, l2, dtlb, itlb     *refStampCache // dtlb nil when h.DTLB is
-	coh                    *Directory     // the reference's directory
 	lastIPage              uint64
 	deferrals, flushedDefs int // deferrals touched, and touched after a flush
 }
@@ -125,10 +124,6 @@ func newCachePair(t *testing.T, r *rand.Rand) *cachePair {
 		dtlb := randomConfig(r)
 		p.h.DTLB, p.dtlb = mustNew(t, dtlb), newRefStampCache(dtlb)
 	}
-	if r.Intn(2) == 0 {
-		p.h.Coh, p.h.CohPenalty = NewDirectory(l2.LineBits), DefaultCohPenalty
-		p.coh = NewDirectory(l2.LineBits)
-	}
 	return p
 }
 
@@ -142,16 +137,13 @@ func (p *cachePair) data(a addr.Address, i int) (DataEvent, bool) {
 		ev.Extra, ev.DTLBMiss = h.TLBPenalty, true
 	}
 	if !p.l1.access(a) {
-		if p.coh != nil && p.coh.Transfer(a, h.CoreID) {
-			ev.Extra, ev.Coh = ev.Extra+h.CohPenalty, true
-		}
 		if p.l2.access(a) {
 			ev.Extra += h.L2Hit
 		} else {
 			ev.Extra, ev.L2Miss = ev.Extra+h.MemPenalty, true
 		}
 	}
-	return ev, ev.DTLBMiss || ev.L2Miss || ev.Coh || ev.Extra != 0
+	return ev, ev.DTLBMiss || ev.L2Miss || ev.Extra != 0
 }
 
 // access is one precise data op, the probe pair Data runs.
@@ -242,13 +234,16 @@ func (p *cachePair) flush(r *rand.Rand) {
 			p.dtlb.flush()
 		}
 	default:
-		p.h.Flush()
-		for _, c := range []*refStampCache{p.l1, p.l2, p.dtlb, p.itlb} {
-			if c != nil {
-				c.flush()
-			}
+		p.h.L1.Flush()
+		p.h.L2.Flush()
+		p.h.ITLB.Flush()
+		p.l1.flush()
+		p.l2.flush()
+		p.itlb.flush()
+		if p.dtlb != nil {
+			p.h.DTLB.Flush()
+			p.dtlb.flush()
 		}
-		p.lastIPage = 0
 	}
 }
 
@@ -284,14 +279,14 @@ func (p *cachePair) compare() error {
 
 // TestCacheMatchesStampReferenceQuick is the recency-order oracle. Over
 // random geometries (1-16 ways, direct-mapped and single-set caches
-// included, with and without a DTLB and a coherency directory), random
-// schedules of precise data ops, strided DataRuns, scattered
-// DataBatches, DataFree-proven deferrals applied through DataTouch
-// (some with a flush between the deferral and its touch), flushes,
-// instruction fetches and remote writes must match the stamp-LRU
-// reference after every step: the same hits, misses and events, the
-// same statistics and flush generations, and every set's resident
-// lines in the same recency order. `-args -quickchecks=N` widens it.
+// included, with and without a DTLB), random schedules of precise data
+// ops, strided DataRuns, scattered DataBatches, DataFree-proven
+// deferrals applied through DataTouch (some with a flush between the
+// deferral and its touch), flushes and instruction fetches must match
+// the stamp-LRU reference after every step: the same hits, misses and
+// events, the same statistics and flush generations, and every set's
+// resident lines in the same recency order. `-args -quickchecks=N`
+// widens it.
 func TestCacheMatchesStampReferenceQuick(t *testing.T) {
 	var deferrals, flushedDefs, evictions int
 	f := func(seed int64) bool {
@@ -313,7 +308,7 @@ func TestCacheMatchesStampReferenceQuick(t *testing.T) {
 		}
 		for step := 0; step < 60; step++ {
 			var err error
-			switch k := r.Intn(12); {
+			switch k := r.Intn(11); {
 			case k < 3:
 				err = p.access(pick())
 			case k < 5:
@@ -330,14 +325,8 @@ func TestCacheMatchesStampReferenceQuick(t *testing.T) {
 				err = p.deferral(r, pick())
 			case k == 9:
 				p.flush(r)
-			case k == 10:
-				err = p.instr(0x6000_0000 + addr.Address(r.Intn(1<<14)))
 			default:
-				if p.coh != nil {
-					a, core := pick(), r.Intn(2)
-					p.h.Coh.MarkWrite(a, core)
-					p.coh.MarkWrite(a, core)
-				}
+				err = p.instr(0x6000_0000 + addr.Address(r.Intn(1<<14)))
 			}
 			if err == nil {
 				err = p.compare()

@@ -64,7 +64,7 @@ func TestDataRunMatchesPerOpQuick(t *testing.T) {
 				a := start + addr.Address(uint64(i)*uint64(stride))
 				var w outcome
 				w.extra, w.dmiss = perop.AccessData(a)
-				ce, l2, _ := perop.Access(a)
+				ce, l2 := perop.Access(a)
 				w.extra += ce
 				w.l2 = l2
 				noteworthy := w.dmiss || w.l2 || w.extra != 0

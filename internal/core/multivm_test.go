@@ -103,6 +103,66 @@ func TestTwoConcurrentVMs(t *testing.T) {
 	}
 }
 
+// memCounts are a single-core machine's memory-system counts.
+type memCounts struct {
+	Cycles, L2Misses, L2Accesses, DTLBMisses uint64
+}
+
+// twoVMCounts runs TestTwoConcurrentVMs' VM A alone, or A and B
+// timesharing one core, under a VIProf session and returns the
+// machine's counts after the session shuts down.
+func twoVMCounts(t *testing.T, withB bool) memCounts {
+	t.Helper()
+	m := newTestMachine()
+	s, err := Start(m, stdConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := []*classes.Program{buildWorkload(150, 300)}
+	if withB {
+		progs = append(progs, buildSecondWorkload(150, 300))
+	}
+	var vms []*jvm.VM
+	for _, prog := range progs {
+		vm, _, err := s.LaunchJVM(prog, jvm.Config{HeapBytes: 128 << 10, AOSThreshold: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vms = append(vms, vm)
+	}
+	if err := m.Kern.Run(40_000_000_000); err != nil {
+		t.Fatal(err)
+	}
+	for _, vm := range vms {
+		if !vm.Finished() {
+			t.Fatalf("VM failed: %v", vm.Err())
+		}
+	}
+	s.Shutdown()
+	h := m.Core.Mem
+	l2a, l2m := h.L2.Stats()
+	_, dm := h.DTLB.Stats()
+	return memCounts{Cycles: m.Core.Cycles(), L2Misses: l2m, L2Accesses: l2a, DTLBMisses: dm}
+}
+
+// Two VMs' anonymous memory is private: B's heap accesses cannot hit
+// lines VM A brought into the cache, so the pair misses in L2 more
+// than A does alone. When every process's heap started at the same
+// address, the pair read exactly A's solo misses (2573 of 47886
+// accesses, 941 DTLB misses). Both runs' counts are pinned.
+func TestTwoVMsMissMoreThanOne(t *testing.T) {
+	solo, pair := twoVMCounts(t, false), twoVMCounts(t, true)
+	if want := (memCounts{Cycles: 4_004_722, L2Misses: 2573, L2Accesses: 22_056, DTLBMisses: 920}); solo != want {
+		t.Errorf("VM A alone: %+v, want %+v", solo, want)
+	}
+	if want := (memCounts{Cycles: 8_244_213, L2Misses: 5927, L2Accesses: 48_134, DTLBMisses: 2430}); pair != want {
+		t.Errorf("VMs A and B: %+v, want %+v", pair, want)
+	}
+	if pair.L2Misses <= solo.L2Misses {
+		t.Errorf("two VMs miss in L2 %d times, VM A alone %d", pair.L2Misses, solo.L2Misses)
+	}
+}
+
 // buildSecondWorkload is a differently-named program so the two VMs'
 // reports are distinguishable.
 func buildSecondWorkload(outer, inner int32) *classes.Program {

@@ -32,10 +32,9 @@ func Seconds(cycles uint64) float64 { return float64(cycles) / ClockHz }
 // optionally touching memory at Mem (0 means no memory operand; the
 // simulated layout never maps page zero).
 type Op struct {
-	PC    addr.Address
-	Cost  uint32
-	Mem   addr.Address
-	Store bool
+	PC   addr.Address
+	Cost uint32
+	Mem  addr.Address
 }
 
 // Context identifies what the core is running, for sample attribution.
@@ -136,14 +135,6 @@ func New(bank *hpc.Bank, mem *cache.Hierarchy) *Core {
 	return c
 }
 
-// NewWithID is New for a core of an SMP machine: id is the CPU number
-// samples taken on this core carry.
-func NewWithID(id int, bank *hpc.Bank, mem *cache.Hierarchy) *Core {
-	c := New(bank, mem)
-	c.id = id
-	return c
-}
-
 // SetID assigns the CPU number; the kernel numbers cores at machine
 // construction.
 func (c *Core) SetID(id int) { c.id = id }
@@ -169,18 +160,14 @@ func (c *Core) Instructions() uint64 { return c.instrs }
 func (c *Core) PC() addr.Address { return c.pc }
 
 // Exec runs one micro-op precisely: it probes the data side of the
-// memory model for the op's operand (Hierarchy.Data), marks a store in
-// the coherency directory, and retires the op through the precise step
-// (execResolved). It advances time, ticks counters, and may deliver
-// NMIs before returning.
+// memory model for the op's operand (Hierarchy.Data) and retires the op
+// through the precise step (execResolved). It advances time, ticks
+// counters, and may deliver NMIs before returning.
 func (c *Core) Exec(op Op) {
 	var ev cache.DataEvent
 	if op.Mem != 0 && c.Mem != nil {
 		c.FlushBatch() // deferred guaranteed hits land before the probe
 		ev = c.Mem.Data(op.Mem)
-		if op.Store {
-			c.Mem.MarkWrite(op.Mem)
-		}
 	}
 	c.execResolved(op.PC, op.Cost, ev)
 }
@@ -193,7 +180,7 @@ func (c *Core) Exec(op Op) {
 // at kernel PCs and move the ITLB, so fetch accounting cannot be
 // precomputed, and the ITLB and the data structures share no state, so
 // probing the data first changes nothing. Counters tick in one order
-// (ITLB, DTLB, BSQ, coherency, then instructions and cycles) and the
+// (ITLB, DTLB, BSQ, then instructions and cycles) and the
 // cycle snapshot an overflow latches is taken before the op's cycles
 // land, as on the per-op path; latched NMIs are delivered before it
 // returns.
@@ -213,9 +200,6 @@ func (c *Core) execResolved(pc addr.Address, cost uint32, ev cache.DataEvent) {
 	}
 	if ev.L2Miss {
 		c.Bank.Tick(hpc.BSQCacheReference, 1)
-	}
-	if ev.Coh {
-		c.Bank.Tick(hpc.CoherencyTransfers, 1)
 	}
 	c.cycles += total
 	if c.slice >= total {
@@ -420,28 +404,6 @@ func (c *Core) BatchMemOp(pc addr.Address, cost uint32, mem addr.Address) {
 		c.bat.dtouch++
 		c.bat.daddr = mem
 	}
-}
-
-// BatchStoreOp is BatchMemOp for a micro-op that *writes* mem: the
-// retirement is identical, but the store is recorded in the shared
-// coherency directory so another core's next miss on the line pays the
-// cross-core transfer. A guaranteed-hit store can still accumulate into
-// the open batch — the line is resident in our L1, so ownership changes
-// hands without an observable event on this core — but the directory
-// mark must land eagerly, before any other core can access the line.
-// On a single-core hierarchy (nil directory) this is exactly
-// BatchMemOp.
-func (c *Core) BatchStoreOp(pc addr.Address, cost uint32, mem addr.Address) {
-	if c.Mem == nil || mem == 0 {
-		c.BatchOp(pc, cost)
-		return
-	}
-	if c.noBatch || !c.Mem.DataFree(mem) {
-		c.Exec(Op{PC: pc, Cost: cost, Mem: mem, Store: true})
-		return
-	}
-	c.Mem.MarkWrite(mem)
-	c.BatchMemOp(pc, cost, mem)
 }
 
 // openBatch closes any open batch and opens a fresh one at pc,

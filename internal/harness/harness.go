@@ -117,9 +117,9 @@ type Options struct {
 	// themselves can opt out.
 	NoRecovery bool
 	// Cores sets the simulated machine's core count (0 or 1 = the
-	// classic single-core machine). Multi-core machines share an L2
-	// and coherency directory; each core gets private L1/TLBs and its
-	// own counter bank, and the profiling pipeline shards per CPU.
+	// classic single-core machine). Multi-core machines share an L2;
+	// each core gets private L1/TLBs and its own counter bank, and the
+	// profiling pipeline shards per CPU.
 	Cores int
 	// legacyRun drives the run through the kernel's pre-SMP scheduler
 	// loop (RunLegacy), kept verbatim as the single-core differential
@@ -128,16 +128,13 @@ type Options struct {
 }
 
 // BuildMachine constructs a simulated machine with n cores (n <= 1
-// builds the classic single-core machine) sharing one L2 and coherency
-// directory, each with a private L1/TLB pair and its own counter bank.
+// builds the classic single-core machine) sharing one L2, each with a
+// private L1/TLB pair and its own counter bank.
 func BuildMachine(n int, seed int64) *kernel.Machine {
-	if n <= 1 {
-		return kernel.NewMachine(cpu.New(hpc.NewBank(), cache.DefaultHierarchy()), seed)
-	}
-	hs := cache.SharedHierarchies(n)
-	cores := make([]*cpu.Core, n)
-	for i := range cores {
-		cores[i] = cpu.NewWithID(i, hpc.NewBank(), hs[i])
+	hs := cache.SharedHierarchies(max(n, 1))
+	cores := make([]*cpu.Core, len(hs))
+	for i, h := range hs {
+		cores[i] = cpu.New(hpc.NewBank(), h)
 	}
 	return kernel.NewMachineN(seed, cores...)
 }

@@ -89,10 +89,10 @@ func TestSMPSingleCoreMatchesLegacyOracle(t *testing.T) {
 }
 
 // A fixed (seed, cores) pair must be exactly reproducible: the SMP
-// scheduler, the coherency directory, and the concurrent shard drain
-// may not leak host scheduling or map-iteration nondeterminism into
-// the simulation. Two identical runs per core count, compared through
-// the whole pipeline.
+// scheduler, the shared L2 and the concurrent shard drain may not leak
+// host scheduling or map-iteration nondeterminism into the simulation.
+// Two identical runs per core count, compared through the whole
+// pipeline.
 func TestSMPDeterminismSweep(t *testing.T) {
 	spec, err := workload.ByName("fop")
 	if err != nil {

@@ -26,11 +26,6 @@ const (
 	DTLBMiss
 	// InstrRetired counts retired instructions.
 	InstrRetired
-	// CoherencyTransfers counts cross-core cache-line transfers: a core
-	// touching a line last written by a different core pays the
-	// coherency penalty and this event fires once for the transfer.
-	// Always zero on a single-core machine.
-	CoherencyTransfers
 	numEvents
 )
 
@@ -50,8 +45,6 @@ func (e Event) String() string {
 		return "DTLB_REFERENCE"
 	case InstrRetired:
 		return "INSTR_RETIRED"
-	case CoherencyTransfers:
-		return "COHERENCY_TRANSFERS"
 	default:
 		return fmt.Sprintf("EVENT_%d", uint8(e))
 	}

@@ -135,7 +135,6 @@ func (vm *VM) stepInstr() error {
 	level := f.body.Level
 	cost := jit.OpCost(in.Op, level)
 	var mem addr.Address
-	var store bool // the memory operand is written, not read
 	nextPC := f.pc + 1
 	vm.stats.BytecodesRun++
 
@@ -323,7 +322,6 @@ func (vm *VM) stepInstr() error {
 		}
 		vm.faultIn(obj.Addr, obj.Size)
 		mem = obj.Addr
-		store = true
 		push(Value{R: obj})
 
 	case bytecode.ALoad:
@@ -373,7 +371,6 @@ func (vm *VM) stepInstr() error {
 			o.Scalars[i] = val.I
 		}
 		mem = o.FieldAddr(int(i))
-		store = true
 	case bytecode.ArrayLen:
 		ref, ok := pop()
 		if !ok {
@@ -417,7 +414,6 @@ func (vm *VM) stepInstr() error {
 		}
 		o.Scalars[in.A] = val.I
 		mem = o.FieldAddr(int(in.A))
-		store = true
 
 	case bytecode.GetRef:
 		ref, ok := pop()
@@ -448,7 +444,6 @@ func (vm *VM) stepInstr() error {
 		}
 		o.Refs[in.A] = val.R
 		mem = o.FieldAddr(int(in.A))
-		store = true
 
 	case bytecode.GetStatic:
 		mem = vm.staticsBase + addr.Address(in.A)*8
@@ -460,7 +455,6 @@ func (vm *VM) stepInstr() error {
 		}
 		mem = vm.staticsBase + addr.Address(in.A)*8
 		vm.statics[in.A] = v
-		store = true
 
 	case bytecode.Intrinsic:
 		if err := vm.intrinsic(f, in); err != nil {
@@ -472,18 +466,13 @@ func (vm *VM) stepInstr() error {
 	}
 
 	// All straight-line bytecodes stream through the batched engine:
-	// no-memory ops accumulate as before, memory ops accumulate when
-	// their access is provably a plain hit and take the precise path
-	// otherwise (cache probes and miss events happen in exact
-	// sequence either way). Stores additionally mark the line in the
-	// coherency directory, so another core touching it later pays the
-	// cross-core transfer.
-	switch {
-	case mem == 0:
+	// no-memory ops accumulate as before, memory ops (loads and stores
+	// alike) accumulate when their access is provably a plain hit and
+	// take the precise path otherwise (cache probes and miss events
+	// happen in exact sequence either way).
+	if mem == 0 {
 		vm.m.CPU().BatchOp(f.body.PC(f.pc), cost)
-	case store:
-		vm.m.CPU().BatchStoreOp(f.body.PC(f.pc), cost, mem)
-	default:
+	} else {
 		vm.m.CPU().BatchMemOp(f.body.PC(f.pc), cost, mem)
 	}
 	f.pc = nextPC

@@ -71,11 +71,9 @@ type Config struct {
 	DisableOSR bool
 	// DisableTrace turns off trace recording and fused superinstruction
 	// replay: every bytecode dispatches through stepInstr (the ablation
-	// baseline for the trace-batching benchmark). On a single-core
-	// machine simulated results are identical either way; only
-	// host-side speed differs. On a multi-core machine they can differ:
-	// stepInstr marks stores in the coherency directory and replay does
-	// not (see the equivalence contract in trace.go).
+	// baseline for the trace-batching benchmark). Simulated results are
+	// identical either way, on any core count; only host-side speed
+	// differs (see the equivalence contract in trace.go).
 	DisableTrace bool
 	// Agent, if set, receives VM events (the VIProf VM agent).
 	Agent Agent
@@ -456,15 +454,10 @@ func (vm *VM) workScatter(svc ServiceID, ops int, memBase addr.Address, memLen u
 				var mem addr.Address
 				if vm.memTick%6 == 0 && memLen > 0 {
 					if seq {
-						// The sequential sweep is the collector's semispace
-						// copy: it writes the destination, so mark the line
-						// in the coherency directory — a JIT body reading
-						// the object from another core pays the transfer.
+						// The sequential sweep is the collector's
+						// semispace copy.
 						mem = memBase + addr.Address((vm.copyTick*8)%memLen)
 						vm.copyTick++
-						if core.Mem != nil {
-							core.Mem.MarkWrite(mem)
-						}
 					} else {
 						mem = memBase + addr.Address((vm.memTick*88)%memLen)
 					}

@@ -15,22 +15,20 @@
 // per-op execution would have at that bytecode, so the per-op path can
 // always resume mid-trace.
 //
-// Equivalence contract: on a single-core machine a fused replay is
-// bit-for-bit identical to the per-op interpretation of the same
-// bytecodes. Every op retires through the streaming batch, as stepInstr
-// retires it: a segment in one BatchRun when the batch can take it
-// whole, everything else (the ops of a segment it refuses, branches,
-// memory ops) one at a time through BatchOp/BatchMemOp, which accumulate
-// only provably event-free ops (memory operands proven guaranteed hits
-// via Hierarchy.DataFree) and retire the rest through the precise step.
-// The scheduling slice is read from the core (Expired, SliceLeft), whose
-// clock the batch advances eagerly. With batching disabled (the per-op
-// oracle) replay does not run at all, so ablation comparisons exercise
-// identical simulated machines. The exception is a multi-core machine:
-// stepInstr retires stores through BatchStoreOp, which marks the line in
-// the coherency directory, and replay streams them through BatchMemOp,
-// which does not, so another core's miss on such a line can pay no
-// transfer under replay where it pays one stepped (ROADMAP item 1).
+// Equivalence contract: on any core count a fused replay is bit-for-bit
+// identical to the per-op interpretation of the same bytecodes. Every
+// op retires through the streaming batch, as stepInstr retires it: a
+// segment in one BatchRun when the batch can take it whole, everything
+// else (the ops of a segment it refuses, branches, memory ops) one at a
+// time through BatchOp/BatchMemOp, which accumulate only provably
+// event-free ops (memory operands proven guaranteed hits via
+// Hierarchy.DataFree) and retire the rest through the precise step.
+// Loads and stores retire alike: the machine models no coherency
+// traffic, so a store marks nothing. The scheduling slice is read from
+// the core (Expired, SliceLeft), whose clock the batch advances
+// eagerly. With batching disabled (the per-op oracle) replay does not
+// run at all, so ablation comparisons exercise identical simulated
+// machines.
 package jvm
 
 import (
@@ -918,9 +916,7 @@ pass:
 			}
 			// Architectural phase: into the batch when the op is provably
 			// event-free, otherwise precisely; a refusal never abandons
-			// the trace. Stores stream like loads, without the directory
-			// mark stepInstr's BatchStoreOp adds: on a multi-core machine
-			// replay therefore differs from stepping (ROADMAP item 1).
+			// the trace.
 			core.BatchMemOp(pc, op.cost, mem)
 			executed = j + 1
 			if diverged {

@@ -27,7 +27,8 @@ const (
 	UserBase addr.Address = 0x0804_8000
 	// LibBase is where shared libraries are mapped.
 	LibBase addr.Address = 0x4000_0000
-	// HeapBase is where anonymous heap mappings begin.
+	// HeapBase is where anonymous mappings begin: the first process to
+	// map anonymous memory gets it (see MapAnon).
 	HeapBase addr.Address = 0x6000_0000
 	// StackTop is the top of the user stack region.
 	StackTop addr.Address = 0xBFFF_F000
@@ -97,7 +98,6 @@ type Process struct {
 	cpu     int    // run-queue (core) this process is assigned to
 	pinned  bool   // affinity-pinned: the stealer must never migrate it
 
-	heapAlloc *addr.Allocator
 	libAlloc  *addr.Allocator
 	userAlloc *addr.Allocator
 }
@@ -155,6 +155,11 @@ type Kernel struct {
 	nmiHandler func(m *Machine, s cpu.Snapshot, ev hpc.Event)
 	m          *Machine
 
+	// anon hands out every process's anonymous mappings from one range
+	// (see MapAnon); anonPID is the process that mapped last.
+	anon    *addr.Allocator
+	anonPID int
+
 	disk      *Disk
 	rng       *rand.Rand
 	tickers   []*ticker
@@ -193,10 +198,11 @@ func NewMachine(core *cpu.Core, seed int64) *Machine {
 
 // NewMachineN builds an SMP machine over the given cores. Core i is
 // assigned CPU number i; processes are placed on run queues round-robin
-// by creation order and may later migrate via pull-based stealing. For
-// cross-core cache traffic to be modelled the cores should share an L2
-// and coherency directory (cache.SharedHierarchies); independent
-// hierarchies also work but see no coherency cost.
+// by creation order and may later migrate via pull-based stealing. The
+// cores should share an L2 (cache.SharedHierarchies), each over its own
+// L1 and TLBs. No coherency traffic is modelled: a process's anonymous
+// memory is its own (MapAnon) and a VM runs on one core at a time, so
+// no two cores share a written line.
 func NewMachineN(seed int64, cores ...*cpu.Core) *Machine {
 	if len(cores) == 0 {
 		panic("kernel: NewMachineN with no cores")
@@ -208,6 +214,7 @@ func NewMachineN(seed int64, cores ...*cpu.Core) *Machine {
 		modules:    make(map[string]*LoadedModule),
 		kernSyms:   make(map[string]addr.VMA),
 		kernSpace:  addr.NewSpace(),
+		anon:       addr.NewAllocator(HeapBase, StackTop-0x100_0000),
 		disk:       NewDisk(),
 		rng:        rand.New(rand.NewSource(seed)),
 		Timeslice:  DefaultTimeslice,

@@ -24,7 +24,6 @@ func (k *Kernel) NewProcess(name string, exec Executor) (*Process, error) {
 		exec:      exec,
 		state:     stateRunnable,
 		cpu:       k.spawned % len(k.cores),
-		heapAlloc: addr.NewAllocator(HeapBase, StackTop-0x100_0000),
 		libAlloc:  addr.NewAllocator(LibBase, HeapBase),
 		userAlloc: addr.NewAllocator(UserBase, LibBase),
 	}
@@ -58,14 +57,35 @@ func (k *Kernel) LoadImage(p *Process, im *image.Image, lib bool) (addr.Address,
 	return base, nil
 }
 
+// anonPeriod is the largest index period of the default cache
+// geometry: the L2's 512 sets of 128-byte lines, and the TLBs' 16 sets
+// of 4 KiB pages. A range starting on it indexes every cache and TLB
+// set exactly as one starting at HeapBase.
+const anonPeriod = 64 << 10
+
 // MapAnon maps size bytes of anonymous memory (heap) into the process
 // and returns the base. Executable anonymous mappings are where JIT
 // compilers put generated code — the regions OProfile cannot attribute.
+//
+// Anonymous memory is private, yet the caches and TLBs key lines by
+// virtual address alone, so every process's mappings come from one
+// machine-wide range and never overlap: no process hits, or evicts as
+// its own, a line another process brought in. The first process to map
+// gets the addresses it would get alone, and a process mapping right
+// after a different one starts on an anonPeriod boundary, so a VM that
+// maps its regions in one go (as jvm.Launch does) indexes the caches
+// as if it ran alone. File-backed images keep shared addresses, which
+// models page-cache sharing of read-only text.
 func (k *Kernel) MapAnon(p *Process, size uint64, exec bool) (addr.Address, error) {
-	base, err := p.heapAlloc.Alloc(size, 0x1000)
+	align := uint64(0x1000)
+	if k.anonPID != 0 && k.anonPID != p.PID {
+		align = anonPeriod
+	}
+	base, err := k.anon.Alloc(size, align)
 	if err != nil {
 		return 0, fmt.Errorf("kernel: anon map %d bytes in %s: %v", size, p.Name, err)
 	}
+	k.anonPID = p.PID
 	prot := addr.ProtRead | addr.ProtWrite
 	if exec {
 		prot |= addr.ProtExec
@@ -385,6 +405,13 @@ func (k *Kernel) RunLegacy(maxCycles uint64) error {
 // process sees a cold private cache). Per-core warm-cache ownership is
 // tracked in currents: re-running the same process on the same core
 // charges nothing, exactly the pre-SMP behavior on one core.
+//
+// The TLBs are not flushed: they behave as tagged TLBs, keeping each
+// process's entries across switches. Processes' anonymous ranges are
+// disjoint (MapAnon), so no entry translates another process's private
+// page. A Pentium 4 has no tags and flushes at each CR3 switch; the
+// simplification keeps single-core cycle counts, and Figures 2 and 3,
+// where they are.
 func (k *Kernel) switchTo(p *Process) {
 	ci := p.cpu
 	if k.currents[ci] != p {

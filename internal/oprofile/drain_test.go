@@ -25,7 +25,7 @@ func newDrainRig(t testing.TB, n int) (*kernel.Machine, *Driver, *Daemon) {
 	hs := cache.SharedHierarchies(n)
 	cores := make([]*cpu.Core, n)
 	for i := range cores {
-		cores[i] = cpu.NewWithID(i, hpc.NewBank(), hs[i])
+		cores[i] = cpu.New(hpc.NewBank(), hs[i])
 	}
 	m := kernel.NewMachineN(1, cores...)
 	drv, err := NewDriver(m, []EventConfig{{hpc.GlobalPowerEvents, MinPeriod}}, 0, nil)

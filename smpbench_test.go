@@ -43,9 +43,6 @@ type smpBenchResult struct {
 	WallCycles uint64
 	// Migrations counts pull-based steals the scheduler performed.
 	Migrations uint64
-	// CohTransfers counts cross-core cache-line transfers billed by the
-	// coherency directory.
-	CohTransfers uint64
 }
 
 // smpBenchRun executes the fixed SMP workload on a machine with the
@@ -54,13 +51,6 @@ type smpBenchResult struct {
 func smpBenchRun(cores int) (smpBenchResult, error) {
 	var res smpBenchResult
 	m := harness.BuildMachine(cores, int64(cores)*271+9)
-	// Count coherency traffic without sampling it: a huge period never
-	// overflows, so the counter is a pure event meter.
-	for _, c := range m.Cores {
-		if _, err := c.Bank.Program(hpc.CoherencyTransfers, 1<<62); err != nil {
-			return res, err
-		}
-	}
 	session, err := core.Start(m, core.Config{Events: []oprofile.EventConfig{
 		{Event: hpc.GlobalPowerEvents, Period: 45_000},
 		{Event: hpc.BSQCacheReference, Period: 90_000},
@@ -92,9 +82,6 @@ func smpBenchRun(cores int) (smpBenchResult, error) {
 		if c.Cycles() > res.WallCycles {
 			res.WallCycles = c.Cycles()
 		}
-		if ctr, ok := c.Bank.Counter(hpc.CoherencyTransfers); ok {
-			res.CohTransfers += ctr.Total()
-		}
 	}
 	res.Migrations = m.Kern.Migrations()
 
@@ -121,10 +108,10 @@ func TestSMPBenchScaling(t *testing.T) {
 		cores int
 		want  smpBenchResult
 	}{
-		{1, smpBenchResult{Samples: 880, WallCycles: 40_564_368}},
-		{2, smpBenchResult{Samples: 883, WallCycles: 20_410_001, Migrations: 1}},
-		{4, smpBenchResult{Samples: 863, WallCycles: 10_016_472}},
-		{8, smpBenchResult{Samples: 861, WallCycles: 9_969_794}},
+		{1, smpBenchResult{Samples: 1001, WallCycles: 45_984_537}},
+		{2, smpBenchResult{Samples: 996, WallCycles: 23_021_820}},
+		{4, smpBenchResult{Samples: 972, WallCycles: 11_300_344}},
+		{8, smpBenchResult{Samples: 969, WallCycles: 11_193_613}},
 	} {
 		if (cell.cores == 2 || cell.cores == 8) && testing.Short() {
 			continue
