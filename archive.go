@@ -40,11 +40,7 @@ func (o *Outcome) DumpProfile(dir string) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		var buf bytes.Buffer
-		if err := image.WriteRVMMap(&buf, images[name]); err != nil {
-			return err
-		}
-		disk.Append(imageMapDir+"/"+name+".map", buf.Bytes())
+		disk.Append(imageMapDir+"/"+name+".map", image.AppendRVMMap(nil, images[name]))
 	}
 	var man bytes.Buffer
 	for _, ev := range o.Events {

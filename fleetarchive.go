@@ -82,7 +82,9 @@ type foldItem struct {
 // chain — the whole point of shipping maps over the wire: a fleet
 // report names the compiled method, not an anonymous JIT bucket. Keys
 // no chain resolves fold under the JIT image name and count as
-// unresolved.
+// unresolved, and so do keys a lost map epoch leaves in doubt: an
+// epoch past the host's replicated chain, or a hit a missing epoch's
+// map could have shadowed (ResolveDurable).
 func (v *FleetView) folded() *fleetFold {
 	if v.fold != nil {
 		return v.fold
@@ -94,9 +96,7 @@ func (v *FleetView) folded() *fleetFold {
 	var tail strings.Builder
 	tail.WriteString("\nper-host:\n")
 	for _, h := range hosts {
-		if maps := agg.Maps(h); maps != nil {
-			chains[h] = core.NewMapChain(maps)
-		}
+		chains[h] = agg.MapChain(h)
 		fmt.Fprintf(&tail, "  host%02d  %8d samples  (max seq %d, %d map epoch(s))\n",
 			h, agg.HostTotal(h), agg.MaxSeq(h), agg.MapEpochs(h))
 	}
@@ -124,7 +124,7 @@ func (v *FleetView) folded() *fleetFold {
 				label = oprofile.JITImageName
 				if chain == nil {
 					fr.unresolved += c
-				} else if entry, _, ok := chain.Resolve(k.Epoch, k.Off); ok {
+				} else if entry, _, ok := chain.ResolveDurable(k.Epoch, k.Off); ok {
 					label = entry.Sig
 				} else {
 					fr.unresolved += c

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"viprof/internal/core"
 	"viprof/internal/fleet"
 	"viprof/internal/harness"
 	"viprof/internal/kernel"
@@ -239,15 +238,12 @@ func TestFleetArchiveRoundTrip(t *testing.T) {
 
 // refFleetRows is the scan-based fleetRows that the view's fold
 // replaced, kept as the reference: every call walks each host's
-// records in seq order and resolves every in-window JIT key through a
-// chain built from the host's maps.
+// records in seq order and resolves every in-window JIT key through
+// the host's replicated chain (ResolveDurable, as the fold does).
 func refFleetRows(v *FleetView, from, to uint64) (rows []fleetRow, unresolved uint64) {
 	cells := make(map[[2]string]uint64)
 	for _, h := range v.Aggregate.Hosts() {
-		var chain *core.MapChain
-		if maps := v.Aggregate.Maps(h); maps != nil {
-			chain = core.NewMapChain(maps)
-		}
+		chain := v.Aggregate.MapChain(h)
 		for _, rec := range v.Aggregate.Records(h) {
 			if rec.Kind != fleet.KindDelta || rec.At < from || rec.At >= to {
 				continue
@@ -257,7 +253,7 @@ func refFleetRows(v *FleetView, from, to uint64) (rows []fleetRow, unresolved ui
 				if k.JIT {
 					label = oprofile.JITImageName
 					if chain != nil {
-						if entry, _, ok := chain.Resolve(k.Epoch, k.Off); ok {
+						if entry, _, ok := chain.ResolveDurable(k.Epoch, k.Off); ok {
 							label = entry.Sig
 						} else {
 							unresolved += c
@@ -466,7 +462,7 @@ func TestFleetRenderMatchesScan(t *testing.T) {
 		{{Image: oprofile.JITImageName, Proc: "fleet", JIT: true, Epoch: 1, Off: 0x6000_0000}: 5, {Image: "zero.so", Proc: "fleet"}: 0},
 	} {
 		host := []int{v.Aggregate.Hosts()[0], 99}[i]
-		msg := &fleet.WireMsg{Kind: fleet.KindDelta, Host: host, Seq: 1_000_000, At: mid + uint64(i), Counts: counts}
+		msg := &fleet.Record{Kind: fleet.KindDelta, Host: host, Seq: 1_000_000, At: mid + uint64(i), Counts: counts}
 		if !v.Aggregate.Apply(msg) {
 			t.Fatalf("extra record for host %d not applied", host)
 		}

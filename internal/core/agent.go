@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
@@ -250,17 +249,14 @@ func (a *VMAgent) writeMap(epoch int) {
 	// Serialization + write cost, charged to the VM process at the
 	// agent's symbols plus the write syscall path.
 	a.exec("viprof_write_map", 30+12*len(entries))
-	var buf bytes.Buffer
-	if err := WriteMapFile(&buf, entries); err != nil {
-		return
-	}
+	data := AppendMapFile(nil, entries)
 	// Temp + rename: the final map path either holds a complete write
 	// or does not exist. A torn write tears the .tmp, which the chain
 	// reader counts as an orphan instead of misparsing.
 	path := MapPath(a.proc.PID, epoch)
 	tmp := path + ".tmp"
-	//viplint:allow record-frame WriteMapFile frames every record; the payload is a concatenation of frames
-	err := a.m.Kern.SysWriteSync(a.proc, tmp, buf.Bytes())
+	//viplint:allow record-frame AppendMapFile frames every record; the payload is a concatenation of frames
+	err := a.m.Kern.SysWriteSync(a.proc, tmp, data)
 	if err == nil {
 		err = a.m.Kern.SysRename(a.proc, tmp, path)
 	}
@@ -284,7 +280,7 @@ func (a *VMAgent) writeMap(epoch int) {
 	a.moved = make(map[*jit.CodeBody]addr.Address)
 	a.stats.MapsWritten++
 	a.stats.Entries += len(entries)
-	a.stats.MapBytes += uint64(buf.Len())
+	a.stats.MapBytes += uint64(len(data))
 
 	// Ratify the commit in the agent journal. The map is already
 	// durable, so a failed append loses nothing — it only weakens the

@@ -8,7 +8,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,26 +44,23 @@ func MapPath(pid, epoch int) string {
 	return fmt.Sprintf("%s/%d/map.%d", MapDir, pid, epoch)
 }
 
-// WriteMapFile serializes map entries, one framed + checksummed record
-// per entry (see internal/record):
+// AppendMapFile appends the map file of entries to dst: one framed +
+// checksummed record per entry (see internal/record),
 //
 //	<hex start> <size> <epoch> <level> <signature>
 //
-// and finishes with a framed trailer recording the entry count. A write
-// torn mid-file loses only the records past the tear — the salvage
-// reader recovers every intact entry and the missing trailer marks the
-// file as incomplete.
-func WriteMapFile(w io.Writer, entries []MapEntry) error {
+// then a framed trailer recording the entry count. A write torn
+// mid-file loses only the records past the tear — the salvage reader
+// recovers every intact entry and the missing trailer marks the file
+// as incomplete.
+func AppendMapFile(dst []byte, entries []MapEntry) []byte {
+	var line []byte
 	for _, e := range entries {
-		line := fmt.Sprintf("%08x %d %d %s %s\n",
+		line = fmt.Appendf(line[:0], "%08x %d %d %s %s\n",
 			uint64(e.Start), e.Size, e.Epoch, e.Level, e.Sig)
-		if _, err := w.Write(record.Frame([]byte(line))); err != nil {
-			return err
-		}
+		dst = append(dst, record.Frame(line)...)
 	}
-	trailer := fmt.Sprintf("#end %d\n", len(entries))
-	_, err := w.Write(record.Frame([]byte(trailer)))
-	return err
+	return append(dst, record.Frame(fmt.Appendf(line[:0], "#end %d\n", len(entries)))...)
 }
 
 // ReadMapFile parses map entries and verifies the trailer; any damage
@@ -284,11 +280,23 @@ type MapChain struct {
 // NewMapChain builds a chain from per-epoch entry lists (index =
 // epoch).
 func NewMapChain(perEpoch [][]MapEntry) *MapChain {
+	return NewLossyMapChain(perEpoch, nil)
+}
+
+// NewLossyMapChain builds a chain like NewMapChain that knows the maps
+// of the lost epochs existed and are gone (a torn, unreadable or
+// vanished file, an unreplicated epoch). The chain is poisoned at the
+// highest of them: ResolveDurable refuses any hit those maps could
+// have shadowed.
+func NewLossyMapChain(perEpoch [][]MapEntry, lost []int) *MapChain {
 	c := &MapChain{maps: make([][]MapEntry, len(perEpoch)), poisonCeil: -1}
 	for e, entries := range perEpoch {
 		sorted := append([]MapEntry(nil), entries...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
 		c.maps[e] = sorted
+	}
+	for _, e := range lost {
+		c.poisonCeil = max(c.poisonCeil, e)
 	}
 	return c
 }
@@ -301,7 +309,7 @@ func NewMapChain(perEpoch [][]MapEntry) *MapChain {
 func ReadMapChain(disk *kernel.Disk, pid int) (*MapChain, error) {
 	prefix := fmt.Sprintf("%s/%d/", MapDir, pid)
 	var integ ChainIntegrity
-	poison := -1
+	var lost []int
 	maxEpoch := -1
 	type loaded struct {
 		fileEpoch int
@@ -346,9 +354,7 @@ func ReadMapChain(disk *kernel.Disk, pid int) (*MapChain, error) {
 			// chain at this epoch instead, exactly as for a torn file.
 			integ.Files++
 			integ.UnreadableFiles++
-			if fileEpoch > poison {
-				poison = fileEpoch
-			}
+			lost = append(lost, fileEpoch)
 			if fileEpoch > maxEpoch {
 				maxEpoch = fileEpoch
 			}
@@ -364,9 +370,7 @@ func ReadMapChain(disk *kernel.Disk, pid int) (*MapChain, error) {
 		integ.DroppedBytes += sal.DroppedBytes
 		if sal.Lossy() || !trailerOK {
 			integ.TornFiles++
-			if fileEpoch > poison {
-				poison = fileEpoch
-			}
+			lost = append(lost, fileEpoch)
 		}
 		if fileEpoch > maxEpoch {
 			maxEpoch = fileEpoch
@@ -419,13 +423,11 @@ func ReadMapChain(disk *kernel.Disk, pid int) (*MapChain, error) {
 		for c := range journal.Committed {
 			if e := int(c); !present[e] {
 				integ.MissingCommitted++
-				if e > poison {
-					poison = e
-				}
+				lost = append(lost, e)
 			}
 		}
-		if !verified && maxEpoch > poison {
-			poison = maxEpoch
+		if !verified {
+			lost = append(lost, maxEpoch)
 		}
 	}
 	perEpoch := make([][]MapEntry, maxEpoch+1)
@@ -441,9 +443,8 @@ func ReadMapChain(disk *kernel.Disk, pid int) (*MapChain, error) {
 			perEpoch[ep] = append(perEpoch[ep], e)
 		}
 	}
-	c := NewMapChain(perEpoch)
+	c := NewLossyMapChain(perEpoch, lost)
 	c.integ = integ
-	c.poisonCeil = poison
 	return c, nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -23,11 +24,7 @@ func TestMapFileRoundTrip(t *testing.T) {
 		{Start: 0x6000_0040, Size: 512, Level: "base", Sig: "app.Main.main"},
 		{Start: 0x6000_0400, Size: 128, Level: "opt", Sig: "app.Worker.run"},
 	}
-	var buf bytes.Buffer
-	if err := WriteMapFile(&buf, entries); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadMapFile(buf.Bytes())
+	got, err := ReadMapFile(AppendMapFile(nil, entries))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +44,7 @@ func TestReadMapFileErrors(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 	// An empty entry set with a valid trailer is a legitimate empty map.
-	var empty bytes.Buffer
-	if err := WriteMapFile(&empty, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadMapFile(empty.Bytes())
+	got, err := ReadMapFile(AppendMapFile(nil, nil))
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty map: %v, %d entries", err, len(got))
 	}
@@ -133,12 +126,9 @@ func TestMapChainEmptyEpochs(t *testing.T) {
 
 func TestReadMapChainFromDisk(t *testing.T) {
 	disk := kernel.NewDisk()
-	var b0, b2 bytes.Buffer
-	WriteMapFile(&b0, []MapEntry{{Start: 10, Size: 5, Sig: "X", Level: "base"}})
-	WriteMapFile(&b2, []MapEntry{{Start: 20, Size: 5, Sig: "Y", Level: "opt"}})
-	disk.Append(MapPath(7, 0), b0.Bytes())
+	disk.Append(MapPath(7, 0), AppendMapFile(nil, []MapEntry{{Start: 10, Size: 5, Sig: "X", Level: "base"}}))
 	// epoch 1 missing, epoch 2 present
-	disk.Append(MapPath(7, 2), b2.Bytes())
+	disk.Append(MapPath(7, 2), AppendMapFile(nil, []MapEntry{{Start: 20, Size: 5, Sig: "Y", Level: "opt"}}))
 	chain, err := ReadMapChain(disk, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -201,11 +191,48 @@ func TestRuntimeRegistry(t *testing.T) {
 	}
 }
 
-// refMapLine is the map writer's line format (WriteMapFile's
-// fmt.Sprintf), kept as the reference the codec tests generate lines
-// with.
+// refMapLine is the map writer's line format (the fmt.Sprintf of the
+// io.Writer-based WriteMapFile that AppendMapFile replaced), kept as
+// the reference the codec tests generate lines with.
 func refMapLine(e MapEntry) string {
 	return fmt.Sprintf("%08x %d %d %s %s\n", uint64(e.Start), e.Size, e.Epoch, e.Level, e.Sig)
+}
+
+// refWriteMapFile is the io.Writer-based map writer AppendMapFile
+// replaced, kept as its byte-for-byte reference.
+func refWriteMapFile(w io.Writer, entries []MapEntry) error {
+	for _, e := range entries {
+		line := fmt.Sprintf("%08x %d %d %s %s\n",
+			uint64(e.Start), e.Size, e.Epoch, e.Level, e.Sig)
+		if _, err := w.Write(record.Frame([]byte(line))); err != nil {
+			return err
+		}
+	}
+	trailer := fmt.Sprintf("#end %d\n", len(entries))
+	_, err := w.Write(record.Frame([]byte(trailer)))
+	return err
+}
+
+// TestAppendMapFileMatchesReference: on random entry sets AppendMapFile
+// appends exactly the reference writer's bytes after whatever dst holds.
+func TestAppendMapFileMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for it := 0; it < 200; it++ {
+		entries := make([]MapEntry, rng.Intn(6))
+		for i := range entries {
+			entries[i] = MapEntry{Start: addr.Address(rng.Uint64() >> uint(rng.Intn(64))), Size: rng.Uint32(),
+				Epoch: rng.Intn(40) - 2, Level: [...]string{"base", "opt", ""}[rng.Intn(3)],
+				Sig: fmt.Sprintf("LA%d;.m(I)V", rng.Intn(1000))}
+		}
+		prefix := []byte(fmt.Sprint(it))
+		want := bytes.NewBuffer(append([]byte(nil), prefix...))
+		if err := refWriteMapFile(want, entries); err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendMapFile(prefix, entries); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("iter %d: got %q, want %q", it, got, want.Bytes())
+		}
+	}
 }
 
 // refSalvageMapData is the fmt.Sscanf map reader that salvageMapData
@@ -505,11 +532,7 @@ func TestMapEntriesDoNotAliasInput(t *testing.T) {
 		{Start: 0x6000_0400, Size: 128, Epoch: 2, Level: "opt", Sig: "LWorker;.run()V"},
 		{Start: 0x6000_0800, Size: 64, Epoch: 2, Level: "tier9", Sig: "LWorker;.spin()V"},
 	}
-	var buf bytes.Buffer
-	if err := WriteMapFile(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := AppendMapFile(nil, want)
 	got, err := ReadMapFile(data)
 	if err != nil {
 		t.Fatal(err)
@@ -532,11 +555,7 @@ func TestMapReadAllocs(t *testing.T) {
 		entries[i] = MapEntry{Start: addr.Address(0x6000_0000 + 64*i), Size: 64, Epoch: i / 8,
 			Level: [...]string{"base", "opt"}[i%2], Sig: fmt.Sprintf("LBench;.m%d(I)V", i)}
 	}
-	var buf bytes.Buffer
-	if err := WriteMapFile(&buf, entries); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := AppendMapFile(nil, entries)
 	scan := testing.AllocsPerRun(20, func() { record.Scan(data) })
 	read := testing.AllocsPerRun(20, func() {
 		if got, err := ReadMapFile(data); err != nil || len(got) != n {

@@ -5,7 +5,6 @@ package core
 // maps, sample-buffer overflow, samples in reclaimed code.
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -115,11 +114,7 @@ func TestTornWriteSweep(t *testing.T) {
 		{Start: 0x6000_0a00, Size: 256, Epoch: 2, Level: "opt", Sig: "LC;m4()V"},
 		{Start: 0x6000_1000, Size: 48, Epoch: 2, Level: "base", Sig: "LC;m5()V"},
 	}
-	var buf bytes.Buffer
-	if err := WriteMapFile(&buf, entries); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := AppendMapFile(nil, entries)
 	for cut := 0; cut <= len(full); cut++ {
 		got, sal, trailerOK, err := salvageMapData(full[:cut])
 		if err != nil {
@@ -159,11 +154,7 @@ func TestTornWriteByteFlips(t *testing.T) {
 	for _, e := range entries {
 		valid[e] = true
 	}
-	var buf bytes.Buffer
-	if err := WriteMapFile(&buf, entries); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := AppendMapFile(nil, entries)
 	for pos := 0; pos < len(full); pos++ {
 		mut := append([]byte(nil), full...)
 		mut[pos] ^= 0x41

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 )
@@ -29,15 +28,12 @@ func TestStartRunsStartupRecovery(t *testing.T) {
 	disk := m.Kern.Disk()
 	// An orphan temp with a complete payload and no final file: the
 	// canonical crash-between-write-and-rename artifact Start must adopt.
-	var buf bytes.Buffer
-	if err := WriteMapFile(&buf, []MapEntry{
+	data := AppendMapFile(nil, []MapEntry{
 		{Start: 0x6000_0040, Size: 256, Level: "base", Sig: "app.Main.main"},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	tmp := fmt.Sprintf("%s/42/map.0.tmp", MapDir)
 	final := fmt.Sprintf("%s/42/map.0", MapDir)
-	disk.Append(tmp, buf.Bytes())
+	disk.Append(tmp, data)
 
 	s, err := Start(m, stdConfig())
 	if err != nil {

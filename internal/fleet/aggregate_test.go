@@ -18,18 +18,14 @@ import (
 // Kept as the reference for the record fold.
 type refShardedAggregate struct {
 	shards  []map[oprofile.Key]uint64
-	applied map[int]map[uint64]*WireMsg
-	lastSeq map[int]uint64
+	applied map[int]map[uint64]*Record
 	totals  map[int]uint64
-
-	ingested, duplicates, outOfOrder, mapsApplied uint64
 }
 
 func newRefShardedAggregate(shards int) *refShardedAggregate {
 	r := &refShardedAggregate{
 		shards:  make([]map[oprofile.Key]uint64, shards),
-		applied: make(map[int]map[uint64]*WireMsg),
-		lastSeq: make(map[int]uint64),
+		applied: make(map[int]map[uint64]*Record),
 		totals:  make(map[int]uint64),
 	}
 	for i := range r.shards {
@@ -53,34 +49,25 @@ func (r *refShardedAggregate) shardOf(k oprofile.Key) int {
 	return int(h % uint64(len(r.shards)))
 }
 
-func (r *refShardedAggregate) apply(msg *WireMsg) bool {
+func (r *refShardedAggregate) apply(msg *Record) bool {
 	set := r.applied[msg.Host]
 	if set == nil {
-		set = make(map[uint64]*WireMsg)
+		set = make(map[uint64]*Record)
 		r.applied[msg.Host] = set
 	}
 	if set[msg.Seq] != nil {
-		r.duplicates++
 		return false
 	}
-	if msg.Seq < r.lastSeq[msg.Host] {
-		r.outOfOrder++
-	}
-	r.lastSeq[msg.Host] = msg.Seq
 	set[msg.Seq] = msg
 	for k, c := range msg.Counts {
 		r.shards[r.shardOf(k)][k] += c
 		r.totals[msg.Host] += c
 	}
-	if msg.Kind == KindMap {
-		r.mapsApplied++
-	}
-	r.ingested++
 	return true
 }
 
 // refMerge is MergeAggregates over references: hosts ascending, seqs
-// ascending, first part wins, merge absorptions not counted.
+// ascending, first part wins.
 func refMerge(shards int, parts ...*refShardedAggregate) *refShardedAggregate {
 	out := newRefShardedAggregate(shards)
 	for _, p := range parts {
@@ -100,7 +87,6 @@ func refMerge(shards int, parts ...*refShardedAggregate) *refShardedAggregate {
 			}
 		}
 	}
-	out.duplicates, out.outOfOrder = 0, 0
 	return out
 }
 
@@ -135,29 +121,23 @@ func checkAgainstRef(t *testing.T, label string, agg *Aggregate, ref *refSharded
 	if agg.Total() != total {
 		t.Fatalf("%s: total %d, reference %d", label, agg.Total(), total)
 	}
-	if agg.Ingested != ref.ingested || agg.Duplicates != ref.duplicates ||
-		agg.OutOfOrder != ref.outOfOrder || agg.MapsApplied != ref.mapsApplied {
-		t.Fatalf("%s: ingested/dups/out-of-order/maps %d/%d/%d/%d, reference %d/%d/%d/%d", label,
-			agg.Ingested, agg.Duplicates, agg.OutOfOrder, agg.MapsApplied,
-			ref.ingested, ref.duplicates, ref.outOfOrder, ref.mapsApplied)
-	}
 }
 
 // TestCountsMatchesShardedReferenceQuick drives the Aggregate and the
 // hash-sharded reference with the same hostile schedules — duplicates,
 // out-of-order seqs, map records, zero counts, keys shared between
-// hosts — and compares Counts, QueryWindow(0, ^0), the totals and the
-// ingest counters after every apply, then merges random splits of the
+// hosts — and compares Apply's freshness, Counts, QueryWindow(0, ^0)
+// and the totals after every apply, then merges random splits of the
 // schedule as the collector merges its shards.
 func TestCountsMatchesShardedReferenceQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for it := 0; it < 60; it++ {
 		hosts := 1 + rng.Intn(5)
-		var msgs []*WireMsg
+		var msgs []*Record
 		for h := 1; h <= hosts; h++ {
 			deltas := 1 + rng.Intn(10)
 			for seq := 1; seq <= deltas; seq++ {
-				msg := &WireMsg{Kind: KindDelta, Host: h, Seq: uint64(seq), At: uint64(rng.Intn(1000))}
+				msg := &Record{Kind: KindDelta, Host: h, Seq: uint64(seq), At: uint64(rng.Intn(1000))}
 				switch rng.Intn(6) {
 				case 0:
 					msg.Kind, msg.Epoch = KindMap, 1+rng.Intn(3)
@@ -171,7 +151,7 @@ func TestCountsMatchesShardedReferenceQuick(t *testing.T) {
 				msgs = append(msgs, msg)
 			}
 		}
-		schedule := append([]*WireMsg(nil), msgs...)
+		schedule := append([]*Record(nil), msgs...)
 		for _, m := range msgs {
 			for rng.Intn(3) == 0 {
 				schedule = append(schedule, m)
@@ -242,10 +222,8 @@ func TestDeltaFrameKeyOrderTotal(t *testing.T) {
 		for _, k := range keys {
 			counts[k] = uint64(1 + k.CPU)
 		}
-		frame, err := DeltaFrame(1, 1, 100, counts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := &Record{Kind: KindDelta, Host: 1, Seq: 1, At: 100, Counts: counts}
+		frame := rec.Encode()
 		if trial == 0 {
 			want = frame
 		} else if !bytes.Equal(frame, want) {

@@ -21,7 +21,7 @@ const (
 	// absence means the collector never shut down cleanly.
 	CollectorStatsFile = "var/fleet/collector.stats"
 	// AggregateFile is the merged aggregate's committed snapshot, a
-	// framed WriteCounts body committed temp-then-rename so vipreport
+	// framed AppendCounts body committed temp-then-rename so vipreport
 	// and vipdiff can query it like any sample file.
 	AggregateFile = "var/fleet/aggregate.samples"
 	// GenDir holds the compacted generations; ManifestPath is the
@@ -58,22 +58,6 @@ func SenderStatsPath(host int) string {
 	return fmt.Sprintf("%s/stats/host%02d.stats", FleetDir, host)
 }
 
-// DeltaRec is one applied wire record retained by the aggregate: the
-// unit the LSM store compacts, the windowed queries filter, and the
-// shard merge dedups on (Host, Seq).
-type DeltaRec struct {
-	Host int
-	Seq  uint64
-	At   uint64
-	Kind string
-	// Counts/Total are the sample body (deltas).
-	Counts map[oprofile.Key]uint64
-	Total  uint64
-	// Epoch/Entries are the replicated code map (maps).
-	Epoch   int
-	Entries []core.MapEntry
-}
-
 // Aggregate is a collector shard's pure in-memory state: the
 // per-(host, seq) record set that makes ingestion idempotent, merging
 // duplicate-suppressed, and windowed queries exact. It has no I/O and
@@ -81,29 +65,24 @@ type DeltaRec struct {
 // an oracle. Reads build state too (the window index and the window
 // result), so an Aggregate is not safe for concurrent readers.
 type Aggregate struct {
-	byHost map[int]map[uint64]*DeltaRec
+	byHost map[int]map[uint64]*Record
 	// byAt is every applied record ordered by (At, Host, Seq): built
 	// on the first windowed read, dropped by every apply.
-	byAt []*DeltaRec
+	byAt []*Record
 	// window is QueryWindow's result, cleared and refilled by each call.
 	window map[oprofile.Key]uint64
 	// hostTotals is samples applied per host; maxSeq the highest seq
-	// applied per host (gaps below it are loud).
+	// applied per host (gaps below it are loud); lastSeq the seq applied
+	// last per host (a shard counts arrivals below it out of order).
 	hostTotals map[int]uint64
 	maxSeq     map[int]uint64
 	lastSeq    map[int]uint64
-
-	// Ingested counts fresh applies; Duplicates seq-burned absorptions;
-	// OutOfOrder arrivals below the host's high-water mark (absorbed,
-	// counted as evidence the network reordered); MapsApplied fresh
-	// code-map applies (a subset of Ingested).
-	Ingested, Duplicates, OutOfOrder, MapsApplied uint64
 }
 
 // NewAggregate builds an empty aggregate.
 func NewAggregate() *Aggregate {
 	return &Aggregate{
-		byHost:     make(map[int]map[uint64]*DeltaRec),
+		byHost:     make(map[int]map[uint64]*Record),
 		window:     make(map[oprofile.Key]uint64),
 		hostTotals: make(map[int]uint64),
 		maxSeq:     make(map[int]uint64),
@@ -116,34 +95,21 @@ func (a *Aggregate) Applied(host int, seq uint64) bool {
 	return a.byHost[host][seq] != nil
 }
 
-// Apply ingests one decoded delta or replicated map. It is idempotent:
-// a seq already burned for the host is absorbed without touching the
-// counts, so duplicated or replayed records can never double-count.
-func (a *Aggregate) Apply(msg *WireMsg) (fresh bool) {
-	if msg.Kind != KindDelta && msg.Kind != KindMap {
+// Apply ingests one decoded delta or replicated map, retaining the
+// record by reference. It is idempotent: a seq already burned for the
+// host is absorbed without touching the counts, so duplicated or
+// replayed records can never double-count.
+func (a *Aggregate) Apply(rec *Record) (fresh bool) {
+	if rec.Kind != KindDelta && rec.Kind != KindMap {
 		return false
 	}
-	return a.applyRec(&DeltaRec{
-		Host: msg.Host, Seq: msg.Seq, At: msg.At, Kind: msg.Kind,
-		Counts: msg.Counts, Total: msg.Total(),
-		Epoch: msg.Epoch, Entries: msg.Entries,
-	})
-}
-
-// applyRec burns the seq and folds the record in (shared by Apply and
-// MergeAggregates; the rec is retained by reference).
-func (a *Aggregate) applyRec(rec *DeltaRec) bool {
 	set, ok := a.byHost[rec.Host]
 	if !ok {
-		set = make(map[uint64]*DeltaRec)
+		set = make(map[uint64]*Record)
 		a.byHost[rec.Host] = set
 	}
 	if set[rec.Seq] != nil {
-		a.Duplicates++
 		return false
-	}
-	if rec.Seq < a.lastSeq[rec.Host] {
-		a.OutOfOrder++
 	}
 	a.lastSeq[rec.Host] = rec.Seq
 	set[rec.Seq] = rec
@@ -151,11 +117,7 @@ func (a *Aggregate) applyRec(rec *DeltaRec) bool {
 	if rec.Seq > a.maxSeq[rec.Host] {
 		a.maxSeq[rec.Host] = rec.Seq
 	}
-	a.hostTotals[rec.Host] += rec.Total
-	if rec.Kind == KindMap {
-		a.MapsApplied++
-	}
-	a.Ingested++
+	a.hostTotals[rec.Host] += rec.Total()
 	return true
 }
 
@@ -183,17 +145,10 @@ func MergeAggregates(parts ...*Aggregate) *Aggregate {
 			}
 			sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 			for _, s := range seqs {
-				if out.byHost[h][s] != nil {
-					continue
-				}
-				out.applyRec(p.byHost[h][s])
+				out.Apply(p.byHost[h][s])
 			}
 		}
 	}
-	// The merge's own dedup absorptions are not protocol duplicates;
-	// reset the counter so the union reads like one clean aggregate.
-	out.Duplicates = 0
-	out.OutOfOrder = 0
 	return out
 }
 
@@ -213,13 +168,13 @@ func (a *Aggregate) Counts() map[oprofile.Key]uint64 {
 
 // index returns every applied record ordered by (At, Host, Seq),
 // building the slice on first use after an apply.
-func (a *Aggregate) index() []*DeltaRec {
+func (a *Aggregate) index() []*Record {
 	if a.byAt == nil {
 		n := 0
 		for _, recs := range a.byHost {
 			n += len(recs)
 		}
-		idx := make([]*DeltaRec, 0, n)
+		idx := make([]*Record, 0, n)
 		for _, recs := range a.byHost {
 			for _, rec := range recs {
 				idx = append(idx, rec)
@@ -244,7 +199,7 @@ func (a *Aggregate) index() []*DeltaRec {
 // [from, to) on the sender-side cycle clock, ordered by (At, Host,
 // Seq): two binary searches over the index. The slice is shared;
 // callers must not mutate it.
-func (a *Aggregate) Window(from, to uint64) []*DeltaRec {
+func (a *Aggregate) Window(from, to uint64) []*Record {
 	idx := a.index()
 	lo := sort.Search(len(idx), func(i int) bool { return idx[i].At >= from })
 	hi := lo + sort.Search(len(idx)-lo, func(i int) bool { return idx[lo+i].At >= to })
@@ -301,6 +256,32 @@ func (a *Aggregate) Maps(host int) [][]core.MapEntry {
 	return perEpoch
 }
 
+// MapChain returns the host's replicated code maps as a chain (nil if
+// the host replicated none). Map epochs start at 1 and a host
+// replicates every one, so an epoch missing below the newest replicated
+// one is a lost map: the chain is poisoned there, and ResolveDurable
+// refuses the hits that map could have shadowed, as it refuses keys
+// from an epoch past the chain.
+func (a *Aggregate) MapChain(host int) *core.MapChain {
+	perEpoch := a.Maps(host)
+	if perEpoch == nil {
+		return nil
+	}
+	replicated := make([]bool, len(perEpoch))
+	for _, rec := range a.byHost[host] {
+		if rec.Kind == KindMap {
+			replicated[rec.Epoch] = true
+		}
+	}
+	var lost []int
+	for e := 1; e < len(perEpoch); e++ {
+		if !replicated[e] {
+			lost = append(lost, e)
+		}
+	}
+	return core.NewLossyMapChain(perEpoch, lost)
+}
+
 // MapEpochs returns how many distinct epochs the host replicated maps
 // for.
 func (a *Aggregate) MapEpochs(host int) int {
@@ -315,8 +296,8 @@ func (a *Aggregate) MapEpochs(host int) int {
 
 // Records returns the host's applied records sorted by seq (shared
 // slices; callers must not mutate).
-func (a *Aggregate) Records(host int) []*DeltaRec {
-	recs := make([]*DeltaRec, 0, len(a.byHost[host]))
+func (a *Aggregate) Records(host int) []*Record {
+	recs := make([]*Record, 0, len(a.byHost[host]))
 	for _, rec := range a.byHost[host] {
 		recs = append(recs, rec)
 	}

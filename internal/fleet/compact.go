@@ -36,7 +36,8 @@ import (
 // of the journals is carried forward in the manifest's lost counters,
 // so offline integrity still sees cumulative loss no matter how many
 // generations later it runs. Checksum-valid records that will not
-// parse are a writer bug; the pass refuses to compact over them.
+// parse (the fragments a torn map frame sheds) are not copied either:
+// they too are carried forward as loss.
 //
 // Concurrency: the pass runs inside one executor Step of the
 // compactord daemon. The scheduler is cooperative — a Step is atomic —
@@ -161,7 +162,7 @@ func (io *kernelCompactIO) WriteSync(path string, data []byte) error {
 	// The target is always a fresh temp path; clear any leftover from
 	// an aborted pass first, because the write syscall appends.
 	io.m.Kern.Disk().Remove(path)
-	//viplint:allow record-frame compaction payloads are concatenations of already-framed records (encodeRec / manifestPayload)
+	//viplint:allow record-frame compaction payloads are concatenations of already-framed records (Record.Encode / manifestPayload)
 	return io.m.Kern.SysWriteSync(io.p, path, data)
 }
 
@@ -208,15 +209,6 @@ type CompactResult struct {
 	PrunedJournals, PrunedGenFiles int
 }
 
-// encodeRec re-frames one applied record canonically, so the same
-// store always compacts to the same bytes.
-func encodeRec(rec *DeltaRec) ([]byte, error) {
-	if rec.Kind == KindMap {
-		return MapFrame(rec.Host, rec.Seq, rec.Epoch, rec.At, rec.Entries)
-	}
-	return DeltaFrame(rec.Host, rec.Seq, rec.At, rec.Counts)
-}
-
 // compactPass runs one full compaction: scan, sort, write the new
 // generation temp-then-rename, commit the manifest, prune. See the
 // file comment for the crash-safety argument at each fault point.
@@ -240,7 +232,7 @@ func compactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
 		return res, nil // nothing new since the last pass
 	}
 	agg, rep := sc.replay()
-	var recs []*DeltaRec
+	var recs []*Record
 	for _, h := range agg.Hosts() {
 		recs = append(recs, agg.Records(h)...)
 	}
@@ -291,7 +283,7 @@ func compactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
 	cur := &chunk{}
 	chunks = append(chunks, cur)
 	for _, mk := range markers {
-		cur.buf.Write(RestartJournalFrame(mk.Shard, mk.Attempt))
+		cur.buf.Write(mk.Encode())
 		cur.frames++
 		res.Markers++
 	}
@@ -300,11 +292,9 @@ func compactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
 			cur = &chunk{}
 			chunks = append(chunks, cur)
 		}
-		frame, ferr := encodeRec(rec)
-		if ferr != nil {
-			return res, ferr
-		}
-		cur.buf.Write(frame)
+		// Re-encoding is canonical, so the same store always compacts
+		// to the same bytes.
+		cur.buf.Write(rec.Encode())
 		cur.frames++
 		if !cur.any || rec.At < cur.minAt {
 			cur.minAt = rec.At
@@ -373,20 +363,12 @@ func CompactDisk(disk *kernel.Disk) (CompactResult, error) {
 }
 
 // Compactor is the compactord daemon: one compaction pass per wake.
+// The supervisor restarts it like a shard, but a gave-up compactor
+// only stops compacting; it never fails the service (journals keep the
+// store complete, just unreclaimed).
 type Compactor struct {
-	c    *Collector
-	proc *kernel.Process
-	// Supervisor state, same shape as a shard's — but a gave-up
-	// compactor only stops compacting; it never fails the service
-	// (journals keep the store complete, just unreclaimed).
-	restarts      int
-	nextRestartAt uint64
-	gaveUp        bool
-}
-
-// Alive reports whether the compactor process is running.
-func (co *Compactor) Alive() bool {
-	return co.proc != nil && !co.proc.Killed() && !co.proc.Done()
+	supervised
+	c *Collector
 }
 
 // Step implements kernel.Executor: one atomic compaction pass, then
@@ -421,29 +403,4 @@ func (c *Collector) spawnCompactor(m *kernel.Machine) error {
 	proc.Daemon = true
 	c.compactor.proc = proc
 	return nil
-}
-
-// superviseCompactor restarts a dead compactor under the same bounded
-// jittered-backoff budget as a shard. Exhausting it is loud but not
-// fatal: stats show the give-up, and the unreclaimed journals keep the
-// store complete.
-func (c *Collector) superviseCompactor(m *kernel.Machine, now uint64) {
-	co := c.compactor
-	if co == nil || co.Alive() {
-		return
-	}
-	if co.restarts >= maxRestarts {
-		co.gaveUp = true
-		return
-	}
-	if co.nextRestartAt > now {
-		return
-	}
-	co.restarts++
-	c.stats.Restarts++
-	if err := c.spawnCompactor(m); err != nil {
-		co.nextRestartAt = now + c.restartBackoff(co.restarts)
-		return
-	}
-	co.nextRestartAt = 0
 }

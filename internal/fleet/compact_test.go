@@ -80,8 +80,8 @@ func sameCounts(a, b map[oprofile.Key]uint64) bool {
 // windowRecsOracle is the record-level reference for Window: a scan of
 // every applied record, filtered by generation time and sorted by
 // (At, Host, Seq).
-func windowRecsOracle(agg *Aggregate, from, to uint64) []*DeltaRec {
-	var out []*DeltaRec
+func windowRecsOracle(agg *Aggregate, from, to uint64) []*Record {
+	var out []*Record
 	for _, h := range agg.Hosts() {
 		for _, rec := range agg.Records(h) {
 			if rec.At >= from && rec.At < to {
@@ -194,11 +194,11 @@ func TestWindowedQueryOracle(t *testing.T) {
 		}
 
 		// An apply after a query must reach the next query and bounds.
-		late := &WireMsg{Kind: KindDelta, Host: 99, Seq: 1, At: max + 10,
+		late := &Record{Kind: KindDelta, Host: 99, Seq: 1, At: max + 10,
 			Counts: map[oprofile.Key]uint64{{Image: "late.so", Proc: "late"}: 3}}
-		early := &WireMsg{Kind: KindDelta, Host: 99, Seq: 2, At: min - 1,
+		early := &Record{Kind: KindDelta, Host: 99, Seq: 2, At: min - 1,
 			Counts: map[oprofile.Key]uint64{{Image: "early.so", Proc: "early"}: 5}}
-		for _, msg := range []*WireMsg{late, early} {
+		for _, msg := range []*Record{late, early} {
 			if !after.Apply(msg) || !before.Apply(msg) {
 				t.Fatalf("seed %d: fresh record at %d not applied", seed, msg.At)
 			}

@@ -20,10 +20,8 @@ type FleetConfig struct {
 	Seed int64
 	// Net is the network fault plan.
 	Net NetFaultPlan
-	// Collector and Sender are the component configs; Sender.Host,
-	// Sender.Seed, and Sender.Deltas are overridden per host.
+	// Collector is the collector service's config.
 	Collector CollectorConfig
-	Sender    SenderConfig
 }
 
 const (
@@ -81,10 +79,7 @@ func RunFleet(m *kernel.Machine, cfg FleetConfig) (*FleetResult, error) {
 	res := &FleetResult{Config: cfg, Collector: collector}
 
 	for h := 1; h <= cfg.Hosts; h++ {
-		scfg := cfg.Sender
-		scfg.Host = h
-		scfg.Deltas = cfg.DeltasPerHost
-		scfg.Seed = cfg.Seed*0x9E3779B9 + int64(h)
+		scfg := SenderConfig{Host: h, Deltas: cfg.DeltasPerHost, Seed: cfg.Seed*0x9E3779B9 + int64(h)}
 		s, err := NewSender(m, net, now, collector.RouteEndpoint, scfg)
 		if err != nil {
 			return nil, err
@@ -205,14 +200,15 @@ func CheckConservation(senders []*Sender, agg *Aggregate) *Conservation {
 	for _, s := range senders {
 		host := s.cfg.Host
 		for _, d := range s.Deltas {
-			c.GeneratedSamples += d.Total
+			total := d.Total()
+			c.GeneratedSamples += total
 			if agg.Applied(host, d.Seq) {
-				c.AppliedSamples += d.Total
+				c.AppliedSamples += total
 				for k, cnt := range d.Counts {
 					expected[k] += cnt
 				}
 			} else {
-				c.HeldSamples += d.Total
+				c.HeldSamples += total
 			}
 		}
 	}
@@ -240,21 +236,12 @@ func CheckConservation(senders []*Sender, agg *Aggregate) *Conservation {
 	for k := range keys {
 		ordered = append(ordered, k)
 	}
-	sort.Slice(ordered, func(i, j int) bool {
-		a, b := ordered[i], ordered[j]
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
-		if a.Image != b.Image {
-			return a.Image < b.Image
-		}
-		return a.Off < b.Off
-	})
+	sort.Slice(ordered, func(i, j int) bool { return keyLess(ordered[i], ordered[j]) })
 	for _, k := range ordered {
 		if expected[k] != got[k] {
 			c.Mismatches = append(c.Mismatches, fmt.Sprintf(
-				"key %s/%s ev=%d off=%#x: oracle %d, aggregate %d",
-				k.Proc, k.Image, k.Event, uint64(k.Off), expected[k], got[k]))
+				"key %s/%s ev=%d jit=%t epoch=%d cpu=%d off=%#x: oracle %d, aggregate %d",
+				k.Proc, k.Image, k.Event, k.JIT, k.Epoch, k.CPU, uint64(k.Off), expected[k], got[k]))
 		}
 	}
 	return c

@@ -2,8 +2,11 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"viprof/internal/addr"
@@ -42,10 +45,8 @@ func randomCounts(rng *rand.Rand, host, n int) map[oprofile.Key]uint64 {
 func TestWireRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	counts := randomCounts(rng, 3, 6)
-	frame, err := DeltaFrame(3, 41, 7500, counts)
-	if err != nil {
-		t.Fatalf("DeltaFrame: %v", err)
-	}
+	rec := &Record{Kind: KindDelta, Host: 3, Seq: 41, At: 7500, Counts: counts}
+	frame := rec.Encode()
 	msg, err := DecodeWire(frame)
 	if err != nil {
 		t.Fatalf("DecodeWire: %v", err)
@@ -62,19 +63,20 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 	}
 
-	ack, err := DecodeWire(AckFrame(3, 41))
+	ackRec := &Record{Kind: KindAck, Host: 3, Seq: 41}
+	ack, err := DecodeWire(ackRec.Encode())
 	if err != nil || ack.Kind != KindAck || ack.Host != 3 || ack.Seq != 41 {
 		t.Fatalf("ack round trip: %+v, %v", ack, err)
 	}
-	rm, err := DecodeWire(RestartJournalFrame(1, 2))
+	marker := &Record{Kind: KindRestart, Shard: 1, Attempt: 2}
+	rm, err := DecodeWire(marker.Encode())
 	if err != nil || rm.Kind != KindRestart || rm.Shard != 1 || rm.Attempt != 2 {
 		t.Fatalf("restart round trip: %+v, %v", rm, err)
 	}
 
 	// Determinism: the same delta must serialize to identical bytes.
-	again, err := DeltaFrame(3, 41, 7500, counts)
-	if err != nil || !bytes.Equal(frame, again) {
-		t.Fatalf("DeltaFrame not deterministic")
+	if again := rec.Encode(); !bytes.Equal(frame, again) {
+		t.Fatalf("delta encoding not deterministic")
 	}
 }
 
@@ -93,11 +95,8 @@ func TestDecodePayloadAllocs(t *testing.T) {
 		}
 		counts[k] = uint64(1 + i)
 	}
-	frame, err := DeltaFrame(3, 41, 7500, counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, _ := record.Scan(frame)
+	rec := &Record{Kind: KindDelta, Host: 3, Seq: 41, At: 7500, Counts: counts}
+	recs, _ := record.Scan(rec.Encode())
 	if len(recs) != 1 {
 		t.Fatalf("frame holds %d records", len(recs))
 	}
@@ -119,10 +118,8 @@ func TestDecodePayloadAllocs(t *testing.T) {
 }
 
 func TestWireRejectsDamage(t *testing.T) {
-	frame, err := DeltaFrame(1, 1, 0, map[oprofile.Key]uint64{{Proc: "host01", Image: "x"}: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := &Record{Kind: KindDelta, Host: 1, Seq: 1, Counts: map[oprofile.Key]uint64{{Proc: "host01", Image: "x"}: 3}}
+	frame := rec.Encode()
 	// Bit damage anywhere in the frame must fail the checksum.
 	for _, idx := range []int{0, 8, len(frame) / 2, len(frame) - 1} {
 		mangled := append([]byte(nil), frame...)
@@ -155,13 +152,13 @@ func TestAggregateIdempotentOrderInsensitive(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(it)*0x9E3779B9 + 5))
 		hosts := 1 + rng.Intn(5)
 		oracle := make(map[oprofile.Key]uint64)
-		var msgs []*WireMsg
+		var msgs []*Record
 		var oracleTotal uint64
 		for h := 1; h <= hosts; h++ {
 			deltas := 1 + rng.Intn(8)
 			for seq := 1; seq <= deltas; seq++ {
 				counts := randomCounts(rng, h, 1+rng.Intn(5))
-				msgs = append(msgs, &WireMsg{Kind: KindDelta, Host: h, Seq: uint64(seq), Counts: counts})
+				msgs = append(msgs, &Record{Kind: KindDelta, Host: h, Seq: uint64(seq), Counts: counts})
 				for k, c := range counts {
 					oracle[k] += c
 					oracleTotal += c
@@ -170,7 +167,7 @@ func TestAggregateIdempotentOrderInsensitive(t *testing.T) {
 		}
 		// Build a hostile delivery schedule: every message at least
 		// once, many twice or more, then shuffle.
-		schedule := append([]*WireMsg(nil), msgs...)
+		schedule := append([]*Record(nil), msgs...)
 		for _, m := range msgs {
 			for rng.Intn(2) == 0 {
 				schedule = append(schedule, m)
@@ -181,8 +178,11 @@ func TestAggregateIdempotentOrderInsensitive(t *testing.T) {
 		})
 
 		agg := NewAggregate()
+		var absorbed int
 		for _, m := range schedule {
-			agg.Apply(m)
+			if !agg.Apply(m) {
+				absorbed++
+			}
 		}
 		if got := agg.Total(); got != oracleTotal {
 			t.Fatalf("iter %d: total %d, oracle %d", it, got, oracleTotal)
@@ -196,8 +196,8 @@ func TestAggregateIdempotentOrderInsensitive(t *testing.T) {
 				t.Fatalf("iter %d: key %+v: got %d, oracle %d", it, k, got[k], c)
 			}
 		}
-		if wantDups := uint64(len(schedule) - len(msgs)); agg.Duplicates != wantDups {
-			t.Fatalf("iter %d: absorbed %d duplicates, want %d", it, agg.Duplicates, wantDups)
+		if wantDups := len(schedule) - len(msgs); absorbed != wantDups {
+			t.Fatalf("iter %d: absorbed %d duplicates, want %d", it, absorbed, wantDups)
 		}
 		for h := 1; h <= hosts; h++ {
 			if gaps := agg.Gaps(h); len(gaps) != 0 {
@@ -211,7 +211,7 @@ func TestAggregateGapsPoison(t *testing.T) {
 	agg := NewAggregate()
 	counts := map[oprofile.Key]uint64{{Proc: "host01", Image: "x", Off: 8}: 2}
 	for _, seq := range []uint64{1, 2, 5} {
-		agg.Apply(&WireMsg{Kind: KindDelta, Host: 1, Seq: seq, Counts: counts})
+		agg.Apply(&Record{Kind: KindDelta, Host: 1, Seq: seq, Counts: counts})
 	}
 	gaps := agg.Gaps(1)
 	if len(gaps) != 2 || gaps[0] != 3 || gaps[1] != 4 {
@@ -324,15 +324,13 @@ func TestFleetPartitionHeal(t *testing.T) {
 
 // TestFleetPartitionSpillReingest drives a partition past the retry
 // budget so hosts spill, then recovers the parked deltas offline:
-// degradation is loud, per-event accounted, and fully reversible.
+// degradation is loud, per-event accounted, and fully reversible. The
+// partition outlasts a record's whole retry budget (about 7.6 M cycles
+// of timeouts and backoff) several times over.
 func TestFleetPartitionSpillReingest(t *testing.T) {
 	m := newTestMachine(31)
 	res, err := RunFleet(m, FleetConfig{
 		Hosts: 3, DeltasPerHost: 5, Seed: 31,
-		Sender: SenderConfig{
-			TimeoutCycles: 200_000, BackoffBaseCycles: 20_000,
-			BackoffCapCycles: 80_000, MaxAttempts: 3,
-		},
 		Net: NetFaultPlan{
 			Seed:       31,
 			Partitions: []Partition{{Host: PartitionAll, Start: 0, End: 40_000_000}},
@@ -416,5 +414,76 @@ func TestFleetCollectorCrashRecovery(t *testing.T) {
 	}
 	if res.Integrity.Journal.Markers == 0 {
 		t.Fatal("journal carries no restart marker evidence")
+	}
+}
+
+// TestOutOfRangeEventIsWireDamage: a checksum-valid delta naming an
+// event past the last defined one fails to decode, so a shard counts it
+// WireDamaged and neither journals, applies nor acks it.
+func TestOutOfRangeEventIsWireDamage(t *testing.T) {
+	for _, line := range []string{"9\t0\t0\t256\t3\t0\tapp\tapp.bin\n", "-1\t0\t0\t256\t3\t0\tapp\tapp.bin\n"} {
+		frame := record.Frame([]byte("#delta host=1 seq=1 at=0\n" + line))
+		if msg, err := DecodeWire(frame); err == nil {
+			t.Fatalf("%q decoded as %+v", line, msg)
+		}
+		m := newTestMachine(5)
+		net := NewNetwork(func() uint64 { return m.CPU().Cycles() }, NetFaultPlan{})
+		c, err := NewCollector(m, net, CollectorConfig{Procs: 1}, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := c.shards[0]
+		sh.ingest(m, sh.proc, frame)
+		if st := c.Stats(); st.WireDamaged != 1 || st.Ingested != 0 || st.AcksSent != 0 {
+			t.Fatalf("%q: stats %+v", line, st)
+		}
+		if sh.agg.Applied(1, 1) || m.Kern.Disk().Exists(ShardJournalPath(0)) {
+			t.Fatalf("%q: applied or journaled", line)
+		}
+	}
+}
+
+// TestConservationMismatchesInKeyOrder: keys that tie on proc, image
+// and offset and differ in event, epoch, CPU or JIT flag each get a
+// message of their own that names those fields, and the messages come
+// out in the wire's key order on every call.
+func TestConservationMismatchesInKeyOrder(t *testing.T) {
+	oracle := make(map[oprofile.Key]uint64)
+	applied := make(map[oprofile.Key]uint64)
+	for ev := 0; ev < 2; ev++ {
+		for epoch := 1; epoch <= 2; epoch++ {
+			for cpu := 0; cpu < 2; cpu++ {
+				for _, jit := range []bool{false, true} {
+					k := oprofile.Key{Event: hpc.Event(ev), Image: oprofile.JITImageName, Proc: "host01",
+						JIT: jit, Epoch: epoch, CPU: cpu, Off: 0x1010}
+					oracle[k], applied[k] = 2, 1
+				}
+			}
+		}
+	}
+	s := &Sender{cfg: SenderConfig{Host: 1}, Deltas: []*Delta{{Record: Record{Kind: KindDelta, Host: 1, Seq: 1, Counts: oracle}}}}
+	agg := NewAggregate()
+	agg.Apply(&Record{Kind: KindDelta, Host: 1, Seq: 1, Counts: applied})
+	first := CheckConservation([]*Sender{s}, agg).Mismatches
+	if want := 1 + len(oracle); len(first) != want {
+		t.Fatalf("%d mismatches, want %d: %v", len(first), want, first)
+	}
+	seen := make(map[string]bool)
+	for _, msg := range first[1:] {
+		if seen[msg] {
+			t.Fatalf("two keys share the message %q", msg)
+		}
+		seen[msg] = true
+	}
+	want := first[1:]
+	for i, k := range sortedKeys(oracle) {
+		if !strings.Contains(want[i], fmt.Sprintf("ev=%d jit=%t epoch=%d cpu=%d", k.Event, k.JIT, k.Epoch, k.CPU)) {
+			t.Fatalf("message %d %q is not key %+v", i, want[i], k)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if got := CheckConservation([]*Sender{s}, agg).Mismatches; !reflect.DeepEqual(got, first) {
+			t.Fatalf("call %d: messages differ:\n%v\nfirst:\n%v", i, got, first)
+		}
 	}
 }

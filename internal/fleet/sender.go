@@ -19,22 +19,23 @@ type SenderConfig struct {
 	Host int
 	// Deltas is how many sample deltas the host generates (default 12).
 	Deltas int
-	// TimeoutCycles is the ack timeout per attempt (default 600_000 —
-	// comfortably above the network's worst stacked delay plus the
-	// collector's poll period, so latency alone never times out).
-	TimeoutCycles uint64
-	// BackoffBaseCycles/BackoffCapCycles shape the capped exponential
-	// backoff between retries (defaults 40_000 / 640_000); jitter comes
-	// from the sender's seeded RNG.
-	BackoffBaseCycles, BackoffCapCycles uint64
-	// MaxAttempts is the retry budget before a delta spills (default 8).
-	MaxAttempts int
 	// Seed drives workload generation and backoff jitter.
 	Seed int64
 }
 
 // The sender's fixed shape.
 const (
+	// ackTimeoutCycles is the ack timeout per attempt: comfortably above
+	// the network's worst stacked delay plus the collector's poll
+	// period, so latency alone never times out.
+	ackTimeoutCycles = 600_000
+	// retryBaseCycles and retryCapCycles shape the capped exponential
+	// backoff between retries; jitter comes from the sender's seeded
+	// RNG.
+	retryBaseCycles = 40_000
+	retryCapCycles  = 640_000
+	// maxSendAttempts is the retry budget before a delta spills.
+	maxSendAttempts = 8
 	// keysPerDelta is the keys per generated sample delta.
 	keysPerDelta = 4
 	// mapEpochs is how many epoch code maps a host replicates before
@@ -50,18 +51,6 @@ const (
 func (c *SenderConfig) fill() {
 	if c.Deltas == 0 {
 		c.Deltas = 12
-	}
-	if c.TimeoutCycles == 0 {
-		c.TimeoutCycles = 600_000
-	}
-	if c.BackoffBaseCycles == 0 {
-		c.BackoffBaseCycles = 40_000
-	}
-	if c.BackoffCapCycles == 0 {
-		c.BackoffCapCycles = 640_000
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 8
 	}
 }
 
@@ -83,20 +72,11 @@ const (
 	HoldLost = "lost"
 )
 
-// Delta is one generated delta and its full lifecycle record: the
-// in-memory list doubles as the per-host oracle the chaos sweep checks
-// the collector against.
+// Delta is one generated record (a sample delta or a replicated code
+// map) and its full lifecycle: the in-memory list doubles as the
+// per-host oracle the chaos sweep checks the collector against.
 type Delta struct {
-	Seq    uint64
-	Counts map[oprofile.Key]uint64
-	Total  uint64
-	// Kind is KindDelta or KindMap; At the generation timestamp in
-	// machine cycles (the windowed-query axis); Epoch/Entries the
-	// replicated code map for KindMap.
-	Kind    string
-	At      uint64
-	Epoch   int
-	Entries []core.MapEntry
+	Record
 
 	frame    []byte
 	attempts int
@@ -210,14 +190,13 @@ func (s *Sender) generate(at uint64) *Delta {
 	seq := uint64(s.generated + 1)
 	if int(seq) <= mapEpochs {
 		epoch := int(seq)
-		return &Delta{
-			Seq: seq, Kind: KindMap, At: at,
+		return &Delta{Record: Record{
+			Kind: KindMap, Host: s.cfg.Host, Seq: seq, At: at,
 			Epoch: epoch, Entries: mapEntries(epoch),
-		}
+		}}
 	}
 	images := []string{"fleet.app", "libfleet.so", "vmlinux"}
 	counts := make(map[oprofile.Key]uint64, keysPerDelta)
-	var total uint64
 	for i := 0; i < keysPerDelta; i++ {
 		k := oprofile.Key{
 			Event: hpc.Event(s.rng.Intn(2)),
@@ -230,11 +209,9 @@ func (s *Sender) generate(at uint64) *Delta {
 			k.JIT = true
 			k.Epoch = 1 + s.rng.Intn(3)
 		}
-		c := uint64(1 + s.rng.Intn(4))
-		counts[k] += c
-		total += c
+		counts[k] += uint64(1 + s.rng.Intn(4))
 	}
-	return &Delta{Seq: seq, Kind: KindDelta, At: at, Counts: counts, Total: total}
+	return &Delta{Record: Record{Kind: KindDelta, Host: s.cfg.Host, Seq: seq, At: at, Counts: counts}}
 }
 
 // backoff sizes the wait before retry attempt n (1-based): base
@@ -282,11 +259,11 @@ func (s *Sender) unhold(d *Delta) {
 	switch d.Hold {
 	case HoldSpilled:
 		s.stats.Spilled--
-		s.stats.SpilledSamples -= d.Total
+		s.stats.SpilledSamples -= d.Total()
 		unholdEvents(s.stats.SpilledByEvent, d)
 	case HoldLost:
 		s.stats.Lost--
-		s.stats.LostSamples -= d.Total
+		s.stats.LostSamples -= d.Total()
 		unholdEvents(s.stats.LostByEvent, d)
 	}
 	d.Hold = ""
@@ -307,7 +284,7 @@ func unholdEvents(byEvent map[string]uint64, d *Delta) {
 
 // spill parks a delta durably after the retry budget runs out.
 func (s *Sender) spill(m *kernel.Machine, p *kernel.Process, d *Delta) {
-	//viplint:allow record-frame d.frame is the DeltaFrame-built wire record, framed once at generation and reused for sends and spills
+	//viplint:allow record-frame d.frame is the Record.Encode-built wire record, framed once at generation and reused for sends and spills
 	err := m.Kern.SysWriteSync(p, SpillPath(s.cfg.Host), d.frame)
 	if p.Killed() {
 		// Crash mid-spill: the delta stays pending; whether the frame
@@ -318,7 +295,7 @@ func (s *Sender) spill(m *kernel.Machine, p *kernel.Process, d *Delta) {
 		d.Hold = HoldLost
 		s.stats.SpillErrors++
 		s.stats.Lost++
-		s.stats.LostSamples += d.Total
+		s.stats.LostSamples += d.Total()
 		for k, c := range d.Counts {
 			s.stats.LostByEvent[k.Event.String()] += c
 		}
@@ -326,7 +303,7 @@ func (s *Sender) spill(m *kernel.Machine, p *kernel.Process, d *Delta) {
 	}
 	d.Hold = HoldSpilled
 	s.stats.Spilled++
-	s.stats.SpilledSamples += d.Total
+	s.stats.SpilledSamples += d.Total()
 	for k, c := range d.Counts {
 		s.stats.SpilledByEvent[k.Event.String()] += c
 	}
@@ -340,31 +317,14 @@ func (s *Sender) Step(m *kernel.Machine, p *kernel.Process) kernel.StepResult {
 	// Generate due records (maps first, then sample deltas).
 	for s.generated < s.totalMsgs() && now >= s.nextGen {
 		d := s.generate(now)
-		var frame []byte
-		var err error
-		if d.Kind == KindMap {
-			frame, err = MapFrame(s.cfg.Host, d.Seq, d.Epoch, d.At, d.Entries)
-		} else {
-			frame, err = DeltaFrame(s.cfg.Host, d.Seq, d.At, d.Counts)
-		}
-		if err != nil {
-			// Serialization of our own record cannot fail; treat it as
-			// lost rather than crash the fleet.
-			d.Hold = HoldLost
-			s.stats.Lost++
-			s.stats.LostSamples += d.Total
-			for k, c := range d.Counts {
-				s.stats.LostByEvent[k.Event.String()] += c
-			}
-		}
-		d.frame = frame
+		d.frame = d.Encode()
 		s.Deltas = append(s.Deltas, d)
 		s.generated++
 		s.stats.Generated++
 		if d.Kind == KindMap {
 			s.stats.MapsGenerated++
 		}
-		m.Kern.ExecKernel("sys_write", 15+len(frame)/32, 1)
+		m.Kern.ExecKernel("sys_write", 15+len(d.frame)/32, 1)
 		s.nextGen = now + genEveryCycles
 	}
 
@@ -399,14 +359,14 @@ func (s *Sender) Step(m *kernel.Machine, p *kernel.Process) kernel.StepResult {
 			d.inflight = false
 			inflight--
 			s.stats.Timeouts++
-			if d.attempts >= s.cfg.MaxAttempts {
+			if d.attempts >= maxSendAttempts {
 				s.spill(m, p, d)
 				if p.Killed() {
 					return kernel.StepBlocked
 				}
 				continue
 			}
-			d.nextTry = now + backoff(s.rng, s.cfg.BackoffBaseCycles, s.cfg.BackoffCapCycles, d.attempts)
+			d.nextTry = now + backoff(s.rng, retryBaseCycles, retryCapCycles, d.attempts)
 			s.stats.Deferred++
 		}
 		if now < d.nextTry {
@@ -417,7 +377,7 @@ func (s *Sender) Step(m *kernel.Machine, p *kernel.Process) kernel.StepResult {
 			continue
 		}
 		d.attempts++
-		d.deadline = now + s.cfg.TimeoutCycles
+		d.deadline = now + ackTimeoutCycles
 		d.inflight = true
 		inflight++
 		// Route queried per attempt: after a failover the rendezvous

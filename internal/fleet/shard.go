@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 
@@ -33,8 +32,25 @@ import (
 // shards listen on the negative ids.
 func ShardEndpoint(i int) int { return -(i + 1) }
 
+// supervised is what the supervisor keeps for one daemon process it
+// restarts: a shard or the compactor.
+type supervised struct {
+	proc *kernel.Process
+	// restarts is the restart attempts consumed; nextRestartAt the
+	// jittered backoff gate; gaveUp the exhausted-budget flag.
+	restarts      int
+	nextRestartAt uint64
+	gaveUp        bool
+}
+
+// Alive reports whether the process is running.
+func (s *supervised) Alive() bool {
+	return s.proc != nil && !s.proc.Killed() && !s.proc.Done()
+}
+
 // Shard is one collector shard process.
 type Shard struct {
+	supervised
 	c   *Collector
 	idx int
 	agg *Aggregate
@@ -42,29 +58,19 @@ type Shard struct {
 	// peer durably applied. A matching record is re-acked without
 	// journaling or applying.
 	handoff map[int]map[uint64]bool
-	proc    *kernel.Process
 	// serving: the rendezvous hash includes this shard. Cleared by a
 	// completed failover, restored by a completed restart.
 	serving bool
-	// restarts is the supervisor attempts consumed; nextRestartAt the
-	// jittered backoff gate; gaveUp the exhausted-budget flag.
-	restarts      int
-	nextRestartAt uint64
-	gaveUp        bool
 
-	// Cumulative ingest counters. They live on the shard, not the
-	// aggregate, because a restart replaces the aggregate (replay
-	// rebuilds its counters from disk) while the service's
-	// self-accounting must stay cumulative across incarnations.
+	// Ingest counters: fresh applies, seq-burned duplicates (own and
+	// handoff), arrivals below the host's last applied seq, and fresh
+	// map applies. They live on the shard because a restart replaces
+	// the aggregate while the service's self-accounting must stay
+	// cumulative across incarnations.
 	ingested, duplicates, outOfOrder, mapsApplied uint64
 }
 
 func (sh *Shard) procName() string { return fmt.Sprintf("shard%02d", sh.idx) }
-
-// Alive reports whether the shard process is running.
-func (sh *Shard) Alive() bool {
-	return sh.proc != nil && !sh.proc.Killed() && !sh.proc.Done()
-}
 
 // Step implements kernel.Executor: drain this shard's endpoint,
 // ingest, sleep.
@@ -103,7 +109,6 @@ func (sh *Shard) ingest(m *kernel.Machine, p *kernel.Process, data []byte) {
 		// Seq already burned here: absorb the duplicate but re-ack it —
 		// the retry usually means the previous ack was lost.
 		sh.duplicates++
-		sh.agg.Duplicates++
 		sh.ack(msg)
 		return
 	}
@@ -145,8 +150,9 @@ func (sh *Shard) ingest(m *kernel.Machine, p *kernel.Process, data []byte) {
 	sh.ack(msg)
 }
 
-func (sh *Shard) ack(msg *WireMsg) {
-	sh.c.net.Send(ShardEndpoint(sh.idx), msg.Host, AckFrame(msg.Host, msg.Seq))
+func (sh *Shard) ack(msg *Record) {
+	ack := Record{Kind: KindAck, Host: msg.Host, Seq: msg.Seq}
+	sh.c.net.Send(ShardEndpoint(sh.idx), msg.Host, ack.Encode())
 	sh.c.stats.AcksSent++
 }
 
@@ -159,25 +165,20 @@ func (sh *Shard) ack(msg *WireMsg) {
 // under backoff.
 func (sh *Shard) restart(m *kernel.Machine) error {
 	c := sh.c
-	c.stats.Restarts++
 	c.stats.DeadLetters += uint64(c.net.Flush(ShardEndpoint(sh.idx)))
-	disk := m.Kern.Disk()
-	own, err := scanStore(disk, []string{ShardJournalPath(sh.idx)})
+	own, err := scanStore(m.Kern.Disk(), []string{ShardJournalPath(sh.idx)})
 	if err != nil {
 		c.stats.ReplayErrors++
 		return err
 	}
 	agg, rep := own.replay()
-	// Handoff burn: every (host, seq) anywhere in the durable store —
-	// peers' journals included — is re-ack-only here. An unreadable
-	// peer journal aborts the rejoin; serving blind would risk
-	// double-applying a record the peer already owns.
-	all, err := scanStore(disk, storeJournals)
+	// Every (host, seq) anywhere in the durable store — peers' journals
+	// included — is re-ack-only here: serving blind would risk
+	// double-applying a record a peer already owns.
+	burn, err := c.handoffBurn(m)
 	if err != nil {
-		c.stats.HandoffErrors++
 		return err
 	}
-	burn := all.burnSet()
 	for h, seqs := range burn {
 		for s := range seqs {
 			if !agg.Applied(h, s) {
@@ -195,7 +196,8 @@ func (sh *Shard) restart(m *kernel.Machine) error {
 	proc.Daemon = true
 	m.Kern.Pin(proc, sh.idx)
 	sh.proc = proc
-	if werr := m.Kern.SysWrite(proc, ShardJournalPath(sh.idx), RestartJournalFrame(sh.idx, sh.restarts)); werr != nil {
+	marker := Record{Kind: KindRestart, Shard: sh.idx, Attempt: sh.restarts}
+	if werr := m.Kern.SysWrite(proc, ShardJournalPath(sh.idx), marker.Encode()); werr != nil {
 		// The marker is evidence, not state: a failed append is counted
 		// (and may itself have crashed the fresh process — the
 		// supervisor will see that and come around again).
@@ -298,17 +300,29 @@ func (c *Collector) RouteEndpoint(host int) int {
 	return ShardEndpoint(c.Route(host))
 }
 
+// handoffBurn reads every (host, seq) in the durable store: the set a
+// failover burns into the surviving peers' handoff sets and a restart
+// into the rejoining shard's. An unreadable journal counts a
+// HandoffError and aborts the transition, which the supervisor retries
+// rather than let a shard serve blind.
+func (c *Collector) handoffBurn(m *kernel.Machine) (map[int]map[uint64]bool, error) {
+	sc, err := scanStore(m.Kern.Disk(), storeJournals)
+	if err != nil {
+		c.stats.HandoffErrors++
+		return nil, err
+	}
+	return sc.burnSet(), nil
+}
+
 // failover removes a dead shard from the serving set after burning its
 // durable state into every surviving serving peer's handoff set. An
 // unreadable journal aborts the whole transition (no peer absorbs the
 // hosts blind); the supervisor retries on its next tick.
 func (c *Collector) failover(m *kernel.Machine, dead *Shard) error {
-	sc, err := scanStore(m.Kern.Disk(), storeJournals)
+	burn, err := c.handoffBurn(m)
 	if err != nil {
-		c.stats.HandoffErrors++
 		return err
 	}
-	burn := sc.burnSet()
 	for _, p := range c.shards {
 		if p == dead || !p.serving {
 			continue
@@ -329,16 +343,10 @@ func (c *Collector) failover(m *kernel.Machine, dead *Shard) error {
 	return nil
 }
 
-// restartBackoff sizes the wait before restart attempt n (1-based),
-// jittered from the service's seeded RNG.
-func (c *Collector) restartBackoff(attempt int) uint64 {
-	return backoff(c.rng, restartBackoffCycles, 8*restartBackoffCycles, attempt)
-}
-
 // Supervise is the periodic crash check: fail dead serving shards over
 // to their peers, restart them under bounded attempts with jittered
-// backoff, and respawn the compactor. Idempotent and safe to call from
-// both the in-run ticker and the shutdown drain loop.
+// backoff, and respawn the compactor the same way. Idempotent and safe
+// to call from both the in-run ticker and the shutdown drain loop.
 func (c *Collector) Supervise(m *kernel.Machine) {
 	now := c.now()
 	for _, sh := range c.shards {
@@ -350,21 +358,33 @@ func (c *Collector) Supervise(m *kernel.Machine) {
 				continue
 			}
 		}
-		if sh.restarts >= maxRestarts {
-			sh.gaveUp = true
-			continue
-		}
-		if sh.nextRestartAt > now {
-			continue
-		}
-		sh.restarts++
-		if err := sh.restart(m); err != nil {
-			sh.nextRestartAt = now + c.restartBackoff(sh.restarts)
-			continue
-		}
-		sh.nextRestartAt = 0
+		c.restartStep(m, &sh.supervised, now, sh.restart)
 	}
-	c.superviseCompactor(m, now)
+	if co := c.compactor; co != nil && !co.Alive() {
+		c.restartStep(m, &co.supervised, now, c.spawnCompactor)
+	}
+}
+
+// restartStep is the supervisor's visit to one dead process: give up
+// once maxRestarts attempts are spent, wait out the backoff gate, else
+// spend an attempt on restart. A failed restart gates the next attempt
+// behind a capped exponential backoff jittered from the service's
+// seeded RNG.
+func (c *Collector) restartStep(m *kernel.Machine, s *supervised, now uint64, restart func(*kernel.Machine) error) {
+	if s.restarts >= maxRestarts {
+		s.gaveUp = true
+		return
+	}
+	if s.nextRestartAt > now {
+		return
+	}
+	s.restarts++
+	c.stats.Restarts++
+	if err := restart(m); err != nil {
+		s.nextRestartAt = now + backoff(c.rng, restartBackoffCycles, 8*restartBackoffCycles, s.restarts)
+		return
+	}
+	s.nextRestartAt = 0
 }
 
 // Alive reports whether every shard process is running.
@@ -464,16 +484,11 @@ func (c *Collector) Finalize(m *kernel.Machine) {
 		return
 	}
 	counts := c.Aggregate().Counts()
-	var buf bytes.Buffer
-	if err := oprofile.WriteCounts(&buf, counts, sortedKeys(counts)); err == nil {
-		frame := record.Frame(buf.Bytes())
-		tmp := AggregateFile + ".tmp"
-		if err := m.Kern.SysWriteSync(proc, tmp, frame); err != nil {
-			c.stats.SnapshotErrors++
-		} else if err := m.Kern.SysRename(proc, tmp, AggregateFile); err != nil {
-			c.stats.SnapshotErrors++
-		}
-	} else {
+	frame := record.Frame(oprofile.AppendCounts(nil, counts, sortedKeys(counts)))
+	tmp := AggregateFile + ".tmp"
+	if err := m.Kern.SysWriteSync(proc, tmp, frame); err != nil {
+		c.stats.SnapshotErrors++
+	} else if err := m.Kern.SysRename(proc, tmp, AggregateFile); err != nil {
 		c.stats.SnapshotErrors++
 	}
 	if proc.Killed() {

@@ -261,7 +261,7 @@ func randSenderStats(r *rand.Rand) *SenderStats {
 	}
 	var held []*Delta
 	for i := r.Intn(8); i > 0; i-- {
-		d := &Delta{Counts: make(map[oprofile.Key]uint64), Hold: HoldSpilled}
+		d := &Delta{Record: Record{Counts: make(map[oprofile.Key]uint64)}, Hold: HoldSpilled}
 		for j := 1 + r.Intn(4); j > 0; j-- {
 			k := oprofile.Key{Event: hpc.Event(r.Intn(6)), Image: "fleet.app", Off: addr.Address(8 * r.Intn(4))}
 			d.Counts[k] += uint64(1 + r.Intn(4))
@@ -271,15 +271,14 @@ func randSenderStats(r *rand.Rand) *SenderStats {
 			d.Hold, byEvent = HoldLost, st.LostByEvent
 		}
 		for k, c := range d.Counts {
-			d.Total += c
 			byEvent[k.Event.String()] += c
 		}
 		if d.Hold == HoldSpilled {
 			st.Spilled++
-			st.SpilledSamples += d.Total
+			st.SpilledSamples += d.Total()
 		} else {
 			st.Lost++
-			st.LostSamples += d.Total
+			st.LostSamples += d.Total()
 		}
 		held = append(held, d)
 	}

@@ -40,7 +40,7 @@ type storeScan struct {
 	journals            []string
 	// msgs are the delta and map records in read order, duplicates
 	// included; markers the restart markers, one per (shard, attempt).
-	msgs, markers []*WireMsg
+	msgs, markers []*Record
 	markerSeen    map[[2]int]bool
 	// sal sums the salvage loss of every file read; unparsed counts the
 	// checksum-valid records that would not parse.
@@ -181,7 +181,7 @@ func readManifest(disk *kernel.Disk) (man *Manifest, merr, err error) {
 // from that host in file order, the file's salvage loss, and how many
 // checksum-valid records would not parse or belong elsewhere. A missing
 // file reads as empty.
-func readSpill(disk *kernel.Disk, host int) (msgs []*WireMsg, sal record.Salvage, bad int, err error) {
+func readSpill(disk *kernel.Disk, host int) (msgs []*Record, sal record.Salvage, bad int, err error) {
 	path := SpillPath(host)
 	if !disk.Exists(path) {
 		return nil, sal, 0, nil

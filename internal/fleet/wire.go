@@ -20,53 +20,71 @@ import (
 // followed by a kind-specific body:
 //
 //	#delta host=<id> seq=<n> at=<cycles>
-//	event<TAB>jit<TAB>epoch<TAB>offset<TAB>count<TAB>proc<TAB>image
+//	event<TAB>jit<TAB>epoch<TAB>offset<TAB>count<TAB>cpu<TAB>proc<TAB>image
 //	...
 //
 //	#map host=<id> seq=<n> epoch=<e> at=<cycles>
-//	<core.WriteMapFile body: framed entries + framed #end trailer>
+//	<a core.AppendMapFile body: one framed record per entry, then a framed #end trailer>
 //
 // Code maps ride the same seq space, retry protocol, and journal as
 // sample deltas — replication is just delivery plus the WAL. The map
-// body reuses the VM agent's map-file framing verbatim, so a replicated
-// map is parsed (and salvaged) by exactly the reader the per-host
-// chain loader uses.
+// body is a VM agent map file, so a replicated map is parsed (and
+// salvaged) by exactly the reader the per-host chain loader uses.
 //
 // Acks are header-only: "#ack host=<id> seq=<n>". Restart markers
 // ("#restart shard=<i> attempt=<n>") appear only in shard journals (and
 // compacted generations), as durable evidence of supervisor restarts.
+//
+// Every kind is one Record, written by Record.Encode and read by
+// DecodePayload.
 
-// Wire message kinds.
+// Kind is a record's kind, the word after the header's '#'.
+type Kind uint8
+
+// Record kinds. The zero Kind is none of them.
 const (
-	KindDelta   = "delta"
-	KindAck     = "ack"
-	KindMap     = "map"
-	KindRestart = "restart"
+	KindDelta Kind = iota + 1
+	KindAck
+	KindMap
+	KindRestart
 )
 
-// WireMsg is one decoded wire record.
-type WireMsg struct {
-	Kind string
-	Host int
-	Seq  uint64
-	// At is the sender-side generation timestamp in machine cycles
-	// (deltas and maps) — the time axis windowed queries cut on.
-	At uint64
-	// Attempt is the restart ordinal and Shard the restarting shard
-	// (restart markers only).
-	Attempt int
-	Shard   int
-	// Counts is the delta body (deltas only).
-	Counts map[oprofile.Key]uint64
-	// Epoch and Entries are the map body (maps only).
-	Epoch   int
-	Entries []core.MapEntry
+var kindNames = [...]string{KindDelta: "delta", KindAck: "ack", KindMap: "map", KindRestart: "restart"}
+
+func (k Kind) String() string {
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Total returns the message's sample total.
-func (m *WireMsg) Total() uint64 {
+// Record is the one fleet record: what a sender generates and
+// retries, what crosses the wire, what a shard journals and its
+// aggregate keeps as decoded, what a compaction pass re-encodes. The
+// aggregate's records are the unit the LSM store compacts, the
+// windowed queries filter, and the shard merge dedups on (Host, Seq).
+type Record struct {
+	Kind Kind
+	// Host and Seq identify a delta, map or ack. At is the sender-side
+	// generation timestamp in machine cycles (deltas and maps) — the
+	// time axis windowed queries cut on.
+	Host int
+	Seq  uint64
+	At   uint64
+	// Counts is the sample body (deltas only).
+	Counts map[oprofile.Key]uint64
+	// Epoch and Entries are the replicated code map (maps only).
+	Epoch   int
+	Entries []core.MapEntry
+	// Shard is the restarting shard and Attempt the restart ordinal
+	// (restart markers only).
+	Shard, Attempt int
+}
+
+// Total returns the record's sample total (0 for all but deltas).
+func (r *Record) Total() uint64 {
 	var n uint64
-	for _, c := range m.Counts {
+	for _, c := range r.Counts {
 		n += c
 	}
 	return n
@@ -80,73 +98,58 @@ func sortedKeys(counts map[oprofile.Key]uint64) []oprofile.Key {
 	for k := range counts {
 		order = append(order, k)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.Event != b.Event {
-			return a.Event < b.Event
-		}
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
-		if a.Image != b.Image {
-			return a.Image < b.Image
-		}
-		if a.JIT != b.JIT {
-			return !a.JIT
-		}
-		if a.Epoch != b.Epoch {
-			return a.Epoch < b.Epoch
-		}
-		if a.Off != b.Off {
-			return a.Off < b.Off
-		}
-		return a.CPU < b.CPU
-	})
+	sort.Slice(order, func(i, j int) bool { return keyLess(order[i], order[j]) })
 	return order
 }
 
-// DeltaFrame builds the framed wire record for one sample delta.
-func DeltaFrame(host int, seq, at uint64, counts map[oprofile.Key]uint64) ([]byte, error) {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "#%s host=%d seq=%d at=%d\n", KindDelta, host, seq, at)
-	if err := oprofile.WriteCounts(&buf, counts, sortedKeys(counts)); err != nil {
-		return nil, err
+// keyLess is the wire's total order on keys: event, proc, image, JIT
+// (non-JIT first), epoch, offset, CPU.
+func keyLess(a, b oprofile.Key) bool {
+	if a.Event != b.Event {
+		return a.Event < b.Event
 	}
-	return record.Frame(buf.Bytes()), nil
-}
-
-// MapFrame builds the framed wire record replicating one epoch code
-// map. The body is a verbatim core.WriteMapFile stream (per-entry
-// frames plus the #end trailer), so the receiver parses it with the
-// same strict reader — and the same salvage discipline — the VM agent's
-// own map files get.
-func MapFrame(host int, seq uint64, epoch int, at uint64, entries []core.MapEntry) ([]byte, error) {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "#%s host=%d seq=%d epoch=%d at=%d\n", KindMap, host, seq, epoch, at)
-	if err := core.WriteMapFile(&buf, entries); err != nil {
-		return nil, err
+	if a.Proc != b.Proc {
+		return a.Proc < b.Proc
 	}
-	return record.Frame(buf.Bytes()), nil
+	if a.Image != b.Image {
+		return a.Image < b.Image
+	}
+	if a.JIT != b.JIT {
+		return !a.JIT
+	}
+	if a.Epoch != b.Epoch {
+		return a.Epoch < b.Epoch
+	}
+	if a.Off != b.Off {
+		return a.Off < b.Off
+	}
+	return a.CPU < b.CPU
 }
 
-// AckFrame builds the framed wire record acknowledging (host, seq).
-func AckFrame(host int, seq uint64) []byte {
-	return record.Frame([]byte(fmt.Sprintf("#%s host=%d seq=%d\n", KindAck, host, seq)))
-}
-
-// RestartJournalFrame builds the framed restart marker the supervisor
-// appends to the restarting shard's journal as durable evidence.
-// Markers survive compaction: the compactor copies them into the new
-// generation, so "restarts happened" stays visible to offline replay
-// no matter how many generations later it runs.
-func RestartJournalFrame(shard, attempt int) []byte {
-	return record.Frame([]byte(fmt.Sprintf("#%s shard=%d attempt=%d\n", KindRestart, shard, attempt)))
+// Encode returns the record framed for the wire, a journal or a
+// generation file. Deltas write their keys in the wire's total order,
+// so the same record always encodes to the same bytes.
+func (r *Record) Encode() []byte {
+	b := make([]byte, 0, 64+64*(len(r.Counts)+len(r.Entries)))
+	switch r.Kind {
+	case KindDelta:
+		b = fmt.Appendf(b, "#%s host=%d seq=%d at=%d\n", r.Kind, r.Host, r.Seq, r.At)
+		b = oprofile.AppendCounts(b, r.Counts, sortedKeys(r.Counts))
+	case KindMap:
+		b = fmt.Appendf(b, "#%s host=%d seq=%d epoch=%d at=%d\n", r.Kind, r.Host, r.Seq, r.Epoch, r.At)
+		b = core.AppendMapFile(b, r.Entries)
+	case KindAck:
+		b = fmt.Appendf(b, "#%s host=%d seq=%d\n", r.Kind, r.Host, r.Seq)
+	case KindRestart:
+		b = fmt.Appendf(b, "#%s shard=%d attempt=%d\n", r.Kind, r.Shard, r.Attempt)
+	}
+	return record.Frame(b)
 }
 
 // DecodeWire decodes one framed wire record. A torn, mangled, or
 // multi-record payload is an error — the caller drops it (and, for
 // deltas, withholds the ack so the sender retries).
-func DecodeWire(data []byte) (*WireMsg, error) {
+func DecodeWire(data []byte) (*Record, error) {
 	recs, sal := record.Scan(data)
 	if sal.Lossy() || len(recs) != 1 {
 		return nil, fmt.Errorf("fleet: wire record damaged (%d intact, %d dropped)",
@@ -156,14 +159,21 @@ func DecodeWire(data []byte) (*WireMsg, error) {
 }
 
 // DecodePayload decodes one already-unframed wire payload (a single
-// record's bytes, e.g. one journal entry out of record.Scan).
-func DecodePayload(payload []byte) (*WireMsg, error) {
+// record's bytes, e.g. one journal entry out of record.Scan): the one
+// decoder, for every kind.
+func DecodePayload(payload []byte) (*Record, error) {
 	header, body, _ := bytes.Cut(payload, []byte("\n"))
 	fields := strings.Fields(string(header))
 	if len(fields) == 0 || !strings.HasPrefix(fields[0], "#") {
 		return nil, fmt.Errorf("fleet: wire payload has no #header")
 	}
-	msg := &WireMsg{Kind: strings.TrimPrefix(fields[0], "#")}
+	name := strings.TrimPrefix(fields[0], "#")
+	msg := &Record{}
+	for k, n := range kindNames {
+		if n == name {
+			msg.Kind = Kind(k) // a bare "#" matches slot 0: no kind
+		}
+	}
 	for _, f := range fields[1:] {
 		k, v, ok := strings.Cut(f, "=")
 		if !ok {
@@ -217,7 +227,7 @@ func DecodePayload(payload []byte) (*WireMsg, error) {
 		}
 	case KindRestart:
 	default:
-		return nil, fmt.Errorf("fleet: unknown wire kind %q", msg.Kind)
+		return nil, fmt.Errorf("fleet: unknown wire kind %q", name)
 	}
 	return msg, nil
 }

@@ -97,11 +97,6 @@ func (c *Counter) Add(n uint64) int {
 // Reset rearms the counter at a full period.
 func (c *Counter) Reset() { c.remaining = c.Period }
 
-// Remaining returns how many further events will cause the next
-// overflow: adding Remaining() events overflows, adding fewer does not.
-// It is always >= 1 for an armed counter.
-func (c *Counter) Remaining() uint64 { return c.remaining }
-
 // Total returns the lifetime event count.
 func (c *Counter) Total() uint64 { return c.total }
 

@@ -150,11 +150,7 @@ func TestRVMMapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteRVMMap(&buf, im); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRVMMap(&buf, "RVM.code.image")
+	got, err := ReadRVMMap(bytes.NewReader(AppendRVMMap(nil, im)), "RVM.code.image")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,16 +20,14 @@ import (
 //
 // Lines beginning with '#' are comments.
 
-// WriteRVMMap writes the image's symbol table in RVM.map format.
-func WriteRVMMap(w io.Writer, im *Image) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# RVM.map for %s (size %d)\n", im.Name, im.Size)
+// AppendRVMMap appends the image's symbol table in RVM.map format to
+// dst.
+func AppendRVMMap(dst []byte, im *Image) []byte {
+	dst = fmt.Appendf(dst, "# RVM.map for %s (size %d)\n", im.Name, im.Size)
 	for _, s := range im.symbols {
-		if _, err := fmt.Fprintf(bw, "%08x %d %s\n", uint64(s.Off), s.Size, s.Name); err != nil {
-			return err
-		}
+		dst = fmt.Appendf(dst, "%08x %d %s\n", uint64(s.Off), s.Size, s.Name)
 	}
-	return bw.Flush()
+	return dst
 }
 
 // ReadRVMMap parses an RVM.map stream into an image with the given name.

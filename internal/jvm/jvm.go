@@ -246,11 +246,7 @@ func Launch(m *kernel.Machine, prog *classes.Program, cfg Config) (*VM, *kernel.
 	// The boot image (and hence its map) is the same build artifact for
 	// every VM instance of a personality; write it once per machine.
 	if !m.Kern.Disk().Exists(cfg.Personality.MapFileName) {
-		var mapBuf writerBuf
-		if err := image.WriteRVMMap(&mapBuf, vm.bootImg); err != nil {
-			return nil, nil, err
-		}
-		m.Kern.Disk().Append(cfg.Personality.MapFileName, mapBuf.b)
+		m.Kern.Disk().Append(cfg.Personality.MapFileName, image.AppendRVMMap(nil, vm.bootImg))
 	}
 
 	// Statics block and native scratch buffer.
@@ -320,18 +316,8 @@ func Launch(m *kernel.Machine, prog *classes.Program, cfg Config) (*VM, *kernel.
 	return vm, proc, nil
 }
 
-type writerBuf struct{ b []byte }
-
-func (w *writerBuf) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
 // Heap exposes the VM heap (examples and tests).
 func (vm *VM) Heap() *gc.Heap { return vm.heap }
-
-// Process returns the VM's OS process.
-func (vm *VM) Process() *kernel.Process { return vm.proc }
 
 // Stats returns activity counters.
 func (vm *VM) Stats() Stats {

@@ -297,9 +297,6 @@ func (k *Kernel) Vmlinux() *image.Image { return k.vmlinux }
 // Disk returns the simulated disk.
 func (k *Kernel) Disk() *Disk { return k.disk }
 
-// Rand returns the kernel's noise source.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
-
 // ContextSwitches returns the number of scheduler context switches.
 func (k *Kernel) ContextSwitches() uint64 { return k.ctxSwitches }
 

@@ -219,9 +219,6 @@ func (k *Kernel) Wake(p *Process) {
 	}
 }
 
-// Exit marks the process terminated.
-func (k *Kernel) Exit(p *Process) { p.state = stateDone }
-
 // Kill marks the process crashed: its pending and future writes fail
 // with ErrCrashed, it cannot be woken, and the scheduler reaps it at
 // the end of its current slice (the executor may still be on the stack

@@ -495,7 +495,7 @@ func (st *rfState) scanCall(call *ast.CallExpr, bound bool) {
 		return
 	}
 
-	// A tracked buffer passed to any other call — WriteMapFile(&buf, …),
+	// A tracked buffer passed to any other call — io.Copy(&buf, …),
 	// fmt.Fprintf(&buf, …) — takes on bytes this pass cannot see; it is
 	// no longer a clean framed accumulator.
 	for _, a := range call.Args {

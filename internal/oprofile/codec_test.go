@@ -21,7 +21,7 @@ import (
 
 // refWriteCounts is the original sample-line writer (fmt.Fprintf
 // through a bufio.Writer), kept as the byte-for-byte reference for
-// WriteCounts.
+// AppendCounts.
 func refWriteCounts(w io.Writer, counts map[Key]uint64, order []Key) error {
 	bw := bufio.NewWriter(w)
 	for _, k := range order {
@@ -158,29 +158,30 @@ func randKeys(r *rand.Rand) (map[Key]uint64, []Key) {
 	return counts, order
 }
 
-// Property: on random key sets, WriteCounts emits exactly the
-// reference writer's bytes, and readCountsText parses them (and a
-// CRLF-converted copy) exactly as the reference reader does.
+// Property: on random key sets, AppendCounts emits exactly the
+// reference writer's bytes after whatever dst already holds, and
+// readCountsText parses them (and a CRLF-converted copy) exactly as the
+// reference reader does.
 func TestCodecMatchesReferenceQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		counts, order := randKeys(r)
-		var got, want bytes.Buffer
-		if err := WriteCounts(&got, counts, order); err != nil {
-			t.Errorf("seed %d: WriteCounts: %v", seed, err)
-			return false
-		}
+		prefix := []byte(randName(r))
+		var want bytes.Buffer
+		want.Write(prefix)
 		if err := refWriteCounts(&want, counts, order); err != nil {
 			t.Errorf("seed %d: reference writer: %v", seed, err)
 			return false
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("seed %d: writer output differs:\n got %q\nwant %q", seed, got.Bytes(), want.Bytes())
+		got := AppendCounts(prefix, counts, order)
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("seed %d: writer output differs:\n got %q\nwant %q", seed, got, want.Bytes())
 			return false
 		}
+		got = got[len(prefix):]
 		name := fmt.Sprintf("seed %d", seed)
-		checkReadMatchesRef(t, name, got.Bytes())
-		checkReadMatchesRef(t, name+" crlf", bytes.ReplaceAll(got.Bytes(), []byte("\n"), []byte("\r\n")))
+		checkReadMatchesRef(t, name, got)
+		checkReadMatchesRef(t, name+" crlf", bytes.ReplaceAll(got, []byte("\n"), []byte("\r\n")))
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -249,9 +250,9 @@ func TestCodecMatchesReferenceFixed(t *testing.T) {
 	}
 }
 
-// TestWriteCountsMatchesReferenceFixed pins the writer's edge cases
+// TestAppendCountsMatchesReferenceFixed pins the writer's edge cases
 // byte for byte: nothing to write, zero counts, extreme values.
-func TestWriteCountsMatchesReferenceFixed(t *testing.T) {
+func TestAppendCountsMatchesReferenceFixed(t *testing.T) {
 	ks := []Key{
 		{Event: hpc.Event(255), Image: "a\tb", Proc: "p q,r", JIT: true, Epoch: -3, CPU: -1, Off: math.MaxUint64},
 		{Image: "", Proc: ""},
@@ -269,15 +270,12 @@ func TestWriteCountsMatchesReferenceFixed(t *testing.T) {
 		"zero mixed": {map[Key]uint64{ks[0]: 0, ks[1]: 2, ks[2]: 0}, ks},
 	}
 	for name, c := range cases {
-		var got, want bytes.Buffer
-		if err := WriteCounts(&got, c.counts, c.order); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		var want bytes.Buffer
 		if err := refWriteCounts(&want, c.counts, c.order); err != nil {
 			t.Fatalf("%s: reference: %v", name, err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("%s: got %q, want %q", name, got.Bytes(), want.Bytes())
+		if got := AppendCounts(nil, c.counts, c.order); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: got %q, want %q", name, got, want.Bytes())
 		}
 	}
 }
@@ -328,11 +326,7 @@ func TestReadCountsSalvageAllocs(t *testing.T) {
 			counts[k] = uint64(rec + i + 1)
 			order = append(order, k)
 		}
-		var buf bytes.Buffer
-		if err := WriteCounts(&buf, counts, order); err != nil {
-			t.Fatal(err)
-		}
-		file = append(file, record.Frame(buf.Bytes())...)
+		file = append(file, record.Frame(AppendCounts(nil, counts, order))...)
 	}
 	const reads = 10
 	var sal record.Salvage

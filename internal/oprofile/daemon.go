@@ -1,7 +1,6 @@
 package oprofile
 
 import (
-	"bytes"
 	"cmp"
 	"errors"
 	"slices"
@@ -70,7 +69,7 @@ type Daemon struct {
 	// record body.
 	order   []Key
 	groups  [][]Key
-	payload bytes.Buffer
+	payload []byte
 
 	flushes     uint64
 	flushErrors uint64
@@ -208,14 +207,8 @@ func (d *Daemon) flush(m *kernel.Machine) {
 		if len(g) == 0 {
 			continue
 		}
-		d.payload.Reset()
-		if err := WriteCounts(&d.payload, d.dirty, g); err != nil {
-			// Serialization into memory cannot fail; treat it as a flush
-			// error anyway so a future bug is loud rather than silent.
-			d.flushErrors++
-			return
-		}
-		err := m.Kern.SysWrite(d.proc, SampleFile, record.Frame(d.payload.Bytes()))
+		d.payload = AppendCounts(d.payload[:0], d.dirty, g)
+		err := m.Kern.SysWrite(d.proc, SampleFile, record.Frame(d.payload))
 		switch {
 		case err == nil:
 			for _, k := range g {
@@ -267,13 +260,7 @@ func (d *Daemon) spillExcess(m *kernel.Machine, order []Key) {
 	// a torn earlier write.
 	seq := d.spillSeq
 	d.spillSeq++
-	frames, err := buildSpillFrames(seq, d.dirty, tail)
-	if err != nil {
-		d.spillErrors++
-		d.hardCap(order)
-		return
-	}
-	if err := m.Kern.SysWrite(d.proc, SpillFile, frames); err != nil {
+	if err := m.Kern.SysWrite(d.proc, SpillFile, buildSpillFrames(seq, d.dirty, tail)); err != nil {
 		if errors.Is(err, kernel.ErrCrashed) {
 			d.crashed = true
 			d.stopped = true

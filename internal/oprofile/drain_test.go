@@ -82,11 +82,7 @@ func refFlushBytes(t *testing.T, delta map[Key]uint64) []byte {
 	for _, ci := range cpus {
 		keys := byCPU[ci]
 		sort.Slice(keys, func(i, j int) bool { return refKeyLess(keys[i], keys[j]) })
-		var buf bytes.Buffer
-		if err := WriteCounts(&buf, delta, keys); err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, record.Frame(buf.Bytes())...)
+		out = append(out, record.Frame(AppendCounts(nil, delta, keys))...)
 	}
 	return out
 }
@@ -233,12 +229,11 @@ func warmCycleAllocs(t *testing.T, ncpu, keys int) float64 {
 
 // TestDaemonWarmCycleAllocs pins a warm drain → aggregate → flush
 // cycle: the per-CPU drain buffers and flush's order, groups and
-// payload are kept, so what allocates is the
-// record each CPU's group is written as (WriteCounts' line buffer and
-// record.Frame's copy) plus the sample file's growth — a constant per
-// flushed CPU, whatever the number of keys.
+// payload are kept, so what allocates is the record each CPU's group
+// is written as (record.Frame's copy) plus the sample file's growth —
+// a constant per flushed CPU, whatever the number of keys.
 func TestDaemonWarmCycleAllocs(t *testing.T) {
-	const perGroup = 2
+	const perGroup = 1
 	for _, cell := range []struct{ ncpu, keys int }{{1, 8}, {1, 400}, {4, 8}, {4, 400}} {
 		n := warmCycleAllocs(t, cell.ncpu, cell.keys)
 		t.Logf("%d CPU(s), %d keys each: %v allocations per cycle", cell.ncpu, cell.keys, n)

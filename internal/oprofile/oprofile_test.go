@@ -2,6 +2,7 @@ package oprofile
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -52,11 +53,7 @@ func TestCountsRoundTrip(t *testing.T) {
 	for k := range counts {
 		order = append(order, k)
 	}
-	var buf bytes.Buffer
-	if err := WriteCounts(&buf, counts, order); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCounts(bytes.NewReader(record.Frame(buf.Bytes())))
+	got, err := ReadCounts(bytes.NewReader(record.Frame(AppendCounts(nil, counts, order))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +86,11 @@ func TestReadCountsErrors(t *testing.T) {
 		{"malformed line", "garbage line\n"},
 		{"non-numeric event", "x\t0\t0\t1\t1\t0\tp\timg\n"},
 		{"7-field line", "0\t0\t0\t64\t5\tapp\tlibc.so\n"},
+		{"event past the last", "9\t0\t0\t256\t3\t0\tapp\tapp.bin\n"},
+		{"event one past the last", fmt.Sprintf("%d\t0\t0\t256\t3\t0\tapp\tapp.bin\n", hpc.NumEvents)},
+		{"negative event", "-1\t0\t0\t256\t3\t0\tapp\tapp.bin\n"},
 	} {
-		if _, err := ReadCounts(bytes.NewReader(record.Frame([]byte(in.data)))); err == nil {
+		if _, _, err := ReadCountsSalvage(record.Frame([]byte(in.data))); err == nil {
 			t.Errorf("%s accepted", in.what)
 		}
 	}
@@ -99,7 +99,7 @@ func TestReadCountsErrors(t *testing.T) {
 	}
 }
 
-// Property: WriteCounts/ReadCounts round-trips arbitrary key content,
+// Property: AppendCounts/ReadCounts round-trips arbitrary key content,
 // including image names with spaces, commas and parens.
 func TestCountsRoundTripQuick(t *testing.T) {
 	f := func(off uint32, cnt uint16, epoch uint8, jit bool) bool {
@@ -112,11 +112,7 @@ func TestCountsRoundTripQuick(t *testing.T) {
 			Off:   addr.Address(off),
 		}
 		counts := map[Key]uint64{k: uint64(cnt) + 1}
-		var buf bytes.Buffer
-		if err := WriteCounts(&buf, counts, []Key{k}); err != nil {
-			return false
-		}
-		got, err := ReadCounts(bytes.NewReader(record.Frame(buf.Bytes())))
+		got, err := ReadCounts(bytes.NewReader(record.Frame(AppendCounts(nil, counts, []Key{k}))))
 		if err != nil {
 			return false
 		}

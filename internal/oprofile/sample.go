@@ -49,10 +49,6 @@ type Sample struct {
 	CPU int
 }
 
-// Anonymous reports whether the sample fell in anonymous memory that no
-// JIT registry claimed.
-func (s Sample) Anonymous() bool { return s.Image == "" && !s.JIT }
-
 // AnonName formats the anonymous-region pseudo-image name the way
 // OProfile's reports show it: "anon (range:0xA-0xB),proc".
 func (s Sample) AnonName() string {
@@ -96,16 +92,15 @@ func KeyOf(s Sample) Key {
 // SampleFile is the on-disk path prefix for sample data.
 const SampleFile = "var/lib/oprofile/samples.log"
 
-// WriteCounts serializes aggregated counts as sample-file lines:
+// AppendCounts appends aggregated counts to dst as sample-file lines:
 //
 //	event<TAB>jit<TAB>epoch<TAB>offset<TAB>count<TAB>cpu<TAB>proc<TAB>image
 //
 // Image goes last because it may contain spaces and commas; readers
-// reject a line with fewer than eight fields. The lines are built in
-// one slice (sized for typical 64-byte lines) and handed to w in at
-// most one Write.
-func WriteCounts(w io.Writer, counts map[Key]uint64, order []Key) error {
-	b := make([]byte, 0, 64*len(order))
+// reject a line with fewer than eight fields. Keys with a zero count
+// are skipped.
+func AppendCounts(dst []byte, counts map[Key]uint64, order []Key) []byte {
+	b := dst
 	for _, k := range order {
 		c := counts[k]
 		if c == 0 {
@@ -130,11 +125,7 @@ func WriteCounts(w io.Writer, counts map[Key]uint64, order []Key) error {
 		b = append(b, k.Image...)
 		b = append(b, '\n')
 	}
-	if len(b) == 0 {
-		return nil
-	}
-	_, err := w.Write(b)
-	return err
+	return b
 }
 
 // ReadCounts parses a sample file, summing duplicate keys (the daemon
@@ -173,10 +164,10 @@ func ReadCountsSalvage(data []byte) (map[Key]uint64, record.Salvage, error) {
 	return counts, sal, nil
 }
 
-// ParseCountsText parses plain sample-file lines (the WriteCounts
+// ParseCountsText parses plain sample-file lines (the AppendCounts
 // format) into counts, summing duplicate keys. It is the payload parser
 // for contexts where framing is handled out of line — the fleet wire
-// protocol ships one WriteCounts body per framed delta record.
+// protocol ships one AppendCounts body per framed delta record.
 func ParseCountsText(data []byte, counts map[Key]uint64) error {
 	return readCountsText(data, counts)
 }
@@ -249,6 +240,9 @@ func readCountsText(data []byte, counts map[Key]uint64) error {
 		}
 		if err == nil {
 			cpu, err = strconv.Atoi(string(f[5]))
+		}
+		if err == nil && (ev < 0 || ev >= hpc.NumEvents) {
+			err = fmt.Errorf("event %d out of range [0, %d)", ev, hpc.NumEvents)
 		}
 		if err != nil {
 			return fmt.Errorf("oprofile: sample line %d: %v", line, err)

@@ -63,21 +63,16 @@ const (
 
 // buildSpillFrames serializes counts for the given keys into framed
 // chunks, every payload opening with "#spill <seq>".
-func buildSpillFrames(seq uint64, counts map[Key]uint64, order []Key) ([]byte, error) {
+func buildSpillFrames(seq uint64, counts map[Key]uint64, order []Key) []byte {
 	var out bytes.Buffer
+	var payload []byte
 	for start := 0; start < len(order); start += spillChunkKeys {
-		end := start + spillChunkKeys
-		if end > len(order) {
-			end = len(order)
-		}
-		var payload bytes.Buffer
-		fmt.Fprintf(&payload, "%s%d\n", spillHeaderPrefix, seq)
-		if err := WriteCounts(&payload, counts, order[start:end]); err != nil {
-			return nil, err
-		}
-		out.Write(record.Frame(payload.Bytes()))
+		end := min(start+spillChunkKeys, len(order))
+		payload = fmt.Appendf(payload[:0], "%s%d\n", spillHeaderPrefix, seq)
+		payload = AppendCounts(payload, counts, order[start:end])
+		out.Write(record.Frame(payload))
 	}
-	return out.Bytes(), nil
+	return out.Bytes()
 }
 
 // JournalRecoveryBegin formats the framed marker the recovery pass
@@ -220,12 +215,7 @@ func RecoverSpill(m *kernel.Machine, proc *kernel.Process) (SpillRecovery, error
 		order = append(order, k)
 	}
 	slices.SortFunc(order, compareKeys)
-	var buf bytes.Buffer
-	if err := WriteCounts(&buf, st.OnDisk, order); err != nil {
-		sr.MergeErrors++
-		return sr, nil
-	}
-	err := m.Kern.SysWrite(proc, SampleFile, record.Frame(buf.Bytes()))
+	err := m.Kern.SysWrite(proc, SampleFile, record.Frame(AppendCounts(nil, st.OnDisk, order)))
 	if err != nil {
 		sr.MergeErrors++
 		if errors.Is(err, kernel.ErrCrashed) {

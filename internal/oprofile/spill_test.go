@@ -57,10 +57,7 @@ func TestSpillTornSuffixSalvage(t *testing.T) {
 		nKeys := 1 + rng.Intn(200) // spans 1..5 frames at 48 keys/frame
 		counts, order := makeSpillCounts(rng, nKeys)
 		const seq = 7
-		frames, err := buildSpillFrames(seq, counts, order)
-		if err != nil {
-			t.Fatalf("seed %d: buildSpillFrames: %v", seed, err)
-		}
+		frames := buildSpillFrames(seq, counts, order)
 		// Per-frame running totals: frameTotal[i] = samples in the first
 		// i frames (whole-frame prefixes are the only legal salvages).
 		prefixTotals := map[uint64]bool{0: true}
@@ -111,10 +108,7 @@ func TestSpillTornSuffixSalvage(t *testing.T) {
 func TestSpillUncommittedDiscarded(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	counts, order := makeSpillCounts(rng, 60) // two frames
-	frames, err := buildSpillFrames(3, counts, order)
-	if err != nil {
-		t.Fatalf("buildSpillFrames: %v", err)
-	}
+	frames := buildSpillFrames(3, counts, order)
 	disk := kernel.NewDisk()
 	disk.Append(SpillFile, frames)
 	st := ReadSpillState(disk)
@@ -134,11 +128,8 @@ func TestSpillSeqBurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	stale, staleOrder := makeSpillCounts(rng, 10)
 	fresh, freshOrder := makeSpillCounts(rand.New(rand.NewSource(3)), 10)
-	staleFrames, err1 := buildSpillFrames(4, stale, staleOrder)
-	freshFrames, err2 := buildSpillFrames(5, fresh, freshOrder)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("buildSpillFrames: %v / %v", err1, err2)
-	}
+	staleFrames := buildSpillFrames(4, stale, staleOrder)
+	freshFrames := buildSpillFrames(5, fresh, freshOrder)
 	disk := kernel.NewDisk()
 	disk.Append(SpillFile, staleFrames)
 	disk.Append(SpillFile, freshFrames)
