@@ -78,14 +78,19 @@ chaos-smoke:
 # the readers it replaced on crash-built stores and at every fault
 # point, the damaged-manifest path, the supervisor's failure paths
 # (failed restarts, backoff gates, a shard and the compactor giving
-# up), and the one record encoder against the five encoders it
-# replaced (TestEncodeMatchesReferenceQuick, 100 random records). The
-# third leg renders 200+ windows of a 16-host crash cell through the
-# fleet view and checks each against the per-render scan that the
-# view's fold replaced.
+# up), the one record encoder against the five encoders it replaced
+# (TestEncodeMatchesReferenceQuick, 100 random records), and the
+# encoding's canonical form that compaction's frame copy rests on
+# (TestEncodeIsCanonicalQuick: a decoded frame re-encodes to itself,
+# 100 random records). The store-scan leg also holds the frame-copying
+# pass to the decode-and-re-encode pass byte for byte, and every fleet
+# chaos seed checks that each stored frame decodes and re-encodes to
+# itself (fleet.CheckStoreFrames). The third leg renders 200+ windows
+# of a 16-host crash cell through the fleet view and checks each
+# against the per-render scan that the view's fold replaced.
 fleet-smoke:
 	$(GO) test -race -run 'TestFleetChaos$$' -count=1 ./internal/harness/
-	$(GO) test -race -run 'TestCompactionFaultPointSweep|TestWindowedQueryOracle|TestFleetMapReplication|TestStoreScanMatchesReference|TestDamagedManifest|TestSuperviseShardFailurePaths|TestCompactorGivesUpWithoutFailingService|TestEncodeMatchesReferenceQuick' -count=1 ./internal/fleet/
+	$(GO) test -race -run 'TestCompactionFaultPointSweep|TestWindowedQueryOracle|TestFleetMapReplication|TestStoreScanMatchesReference|TestDamagedManifest|TestSuperviseShardFailurePaths|TestCompactorGivesUpWithoutFailingService|TestEncodeMatchesReferenceQuick|TestEncodeIsCanonicalQuick' -count=1 ./internal/fleet/
 	$(GO) test -race -run 'TestFleetRenderMatchesScan$$' -count=1 .
 
 # Wide sweeps (hundreds of seeds or programs, minutes). Out of
@@ -108,8 +113,10 @@ fleet-smoke:
 # the network's sends) over 20000 random plans and operation sequences
 # each (`make check` runs 100), the fleet record encoder against the
 # five encoders it replaced (TestEncodeMatchesReferenceQuick: delta,
-# map, ack and restart records byte for byte) over 20000 random records
-# (`make check` runs 100), and the multi-VM mode oracle
+# map, ack and restart records byte for byte) and its canonical form
+# (TestEncodeIsCanonicalQuick: a decoded delta, map or restart frame
+# re-encodes to itself) over 20000 random records each (`make check`
+# runs 100), and the multi-VM mode oracle
 # (TestMultiVMModesAgree: fused replay, DisableTrace and the per-op core
 # on 2-4 concurrent VMs over 2 or 4 cores must agree on every core's
 # cycles and instructions, the NMIs and the report bytes) over the
@@ -125,7 +132,7 @@ chaos-nightly:
 	$(GO) test -race -run 'TestBatchDeterminismQuick$$|TestMemBatchDeterminismQuick$$|TestExecScatterDeterminismQuick$$|TestBatchRunDeterminismQuick$$' -count=1 -timeout 30m ./internal/cpu/ -args -quickchecks=5000
 	$(GO) test -race -run 'TestFaultStreamMatchesReferenceQuick$$' -count=1 -timeout 30m ./internal/kernel/ -args -quickchecks=20000
 	$(GO) test -race -run 'TestNetworkMatchesReferenceQuick$$' -count=1 -timeout 30m ./internal/fleet/ -args -quickchecks=20000
-	$(GO) test -race -run 'TestEncodeMatchesReferenceQuick$$' -count=1 -timeout 30m ./internal/fleet/ -args -quickchecks=20000
+	$(GO) test -race -run 'TestEncodeMatchesReferenceQuick$$|TestEncodeIsCanonicalQuick$$' -count=1 -timeout 30m ./internal/fleet/ -args -quickchecks=20000
 	$(GO) test -race -run 'TestMultiVMModesAgree$$' -count=1 -timeout 30m . -args -quickchecks=500
 
 # One race-enabled iteration of each engine microbenchmark. Each fails

@@ -58,9 +58,9 @@ func AppendMapFile(dst []byte, entries []MapEntry) []byte {
 	for _, e := range entries {
 		line = fmt.Appendf(line[:0], "%08x %d %d %s %s\n",
 			uint64(e.Start), e.Size, e.Epoch, e.Level, e.Sig)
-		dst = append(dst, record.Frame(line)...)
+		dst = record.AppendFrame(dst, line)
 	}
-	return append(dst, record.Frame(fmt.Appendf(line[:0], "#end %d\n", len(entries)))...)
+	return record.AppendFrame(dst, fmt.Appendf(line[:0], "#end %d\n", len(entries)))
 }
 
 // ReadMapFile parses map entries and verifies the trailer; any damage

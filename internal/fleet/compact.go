@@ -2,8 +2,9 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -35,9 +36,14 @@ import (
 // copied into the new generation, and record-level damage salvaged out
 // of the journals is carried forward in the manifest's lost counters,
 // so offline integrity still sees cumulative loss no matter how many
-// generations later it runs. Checksum-valid records that will not
-// parse (the fragments a torn map frame sheds) are not copied either:
-// they too are carried forward as loss.
+// generations later it runs. Checksum-valid records whose header will
+// not parse (the fragments a torn map frame sheds) are not copied
+// either: they too are carried forward as loss.
+//
+// A pass parses no record body. It dedups and orders the store's
+// frames by their headers and copies each kept frame's payload into
+// the new generation, which writes the bytes re-encoding the record
+// would: every frame in the store is Record.Encode output (store.go).
 //
 // Concurrency: the pass runs inside one executor Step of the
 // compactord daemon. The scheduler is cooperative — a Step is atomic —
@@ -162,7 +168,7 @@ func (io *kernelCompactIO) WriteSync(path string, data []byte) error {
 	// The target is always a fresh temp path; clear any leftover from
 	// an aborted pass first, because the write syscall appends.
 	io.m.Kern.Disk().Remove(path)
-	//viplint:allow record-frame compaction payloads are concatenations of already-framed records (Record.Encode / manifestPayload)
+	//viplint:allow record-frame compaction payloads are concatenations of already-framed records (record.AppendFrame / manifestPayload)
 	return io.m.Kern.SysWriteSync(io.p, path, data)
 }
 
@@ -217,8 +223,8 @@ type CompactResult struct {
 // of a record wins the dedup — and never builds a generation from a
 // store it could not fully read: an EIO or a damaged manifest aborts
 // before the first write, because committing would prune files whose
-// content the pass missed. Checksum-valid records that fail to parse
-// are carried forward as loss instead.
+// content the pass missed. Checksum-valid records whose header fails
+// to parse are carried forward as loss instead.
 func compactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
 	var res CompactResult
 	sc, err := scanStore(disk, storeJournals)
@@ -231,49 +237,56 @@ func compactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
 	if len(sc.journals) == 0 {
 		return res, nil // nothing new since the last pass
 	}
-	agg, rep := sc.replay()
-	var recs []*Record
-	for _, h := range agg.Hosts() {
-		recs = append(recs, agg.Records(h)...)
+	// Keep the first copy of each (host, seq), the one a replay applies.
+	seen := make(map[[2]uint64]bool, len(sc.frames))
+	recs := make([]storeFrame, 0, len(sc.frames))
+	for _, f := range sc.frames {
+		key := [2]uint64{uint64(f.rec.Host), f.rec.Seq}
+		if !seen[key] {
+			seen[key] = true
+			recs = append(recs, f)
+		}
 	}
 
 	// Sort by (At, Host, Seq): the time axis first, so a windowed query
 	// over a generation is a contiguous run and ManifestFile.MinAt/MaxAt
 	// bounds are tight.
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.At != b.At {
-			return a.At < b.At
+	slices.SortFunc(recs, func(x, y storeFrame) int {
+		a, b := x.rec, y.rec
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
 		}
-		if a.Host != b.Host {
-			return a.Host < b.Host
+		if c := cmp.Compare(a.Host, b.Host); c != 0 {
+			return c
 		}
-		return a.Seq < b.Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
 	markers := sc.markers
-	sort.Slice(markers, func(i, j int) bool {
-		a, b := markers[i], markers[j]
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
+	slices.SortFunc(markers, func(x, y storeFrame) int {
+		a, b := x.rec, y.rec
+		if c := cmp.Compare(a.Shard, b.Shard); c != 0 {
+			return c
 		}
-		return a.Attempt < b.Attempt
+		return cmp.Compare(a.Attempt, b.Attempt)
 	})
 
-	newGen := 1
-	if sc.man != nil {
-		newGen = sc.man.Gen + 1
-	}
-	// The replay's salvage loss includes what the old manifest carried.
+	// The new manifest carries the scan's salvage loss and unparseable
+	// records forward, with what the old manifest carried.
 	man := &Manifest{
-		Gen:       newGen,
-		LostRecs:  rep.Salvage.DroppedRecords + sc.unparsed.DroppedRecords,
-		LostBytes: rep.Salvage.DroppedBytes + sc.unparsed.DroppedBytes,
+		Gen:       1,
+		LostRecs:  sc.sal.DroppedRecords + sc.unparsed.DroppedRecords,
+		LostBytes: sc.sal.DroppedBytes + sc.unparsed.DroppedBytes,
+	}
+	if sc.man != nil {
+		man.Gen = sc.man.Gen + 1
+		man.LostRecs += sc.man.LostRecs
+		man.LostBytes += sc.man.LostBytes
 	}
 
 	// Chunk into data files. Restart markers lead the first file (they
 	// carry no timestamp and must survive every generation).
 	type chunk struct {
-		buf    bytes.Buffer
+		buf    []byte
 		frames int
 		minAt  uint64
 		maxAt  uint64
@@ -283,24 +296,23 @@ func compactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
 	cur := &chunk{}
 	chunks = append(chunks, cur)
 	for _, mk := range markers {
-		cur.buf.Write(mk.Encode())
+		cur.buf = record.AppendFrame(cur.buf, mk.payload)
 		cur.frames++
 		res.Markers++
 	}
-	for _, rec := range recs {
+	for _, f := range recs {
 		if cur.frames >= compactFileFrames {
 			cur = &chunk{}
 			chunks = append(chunks, cur)
 		}
-		// Re-encoding is canonical, so the same store always compacts
-		// to the same bytes.
-		cur.buf.Write(rec.Encode())
+		at := f.rec.At
+		cur.buf = record.AppendFrame(cur.buf, f.payload)
 		cur.frames++
-		if !cur.any || rec.At < cur.minAt {
-			cur.minAt = rec.At
+		if !cur.any || at < cur.minAt {
+			cur.minAt = at
 		}
-		if !cur.any || rec.At > cur.maxAt {
-			cur.maxAt = rec.At
+		if !cur.any || at > cur.maxAt {
+			cur.maxAt = at
 		}
 		cur.any = true
 	}
@@ -309,9 +321,9 @@ func compactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
 		if ch.frames == 0 {
 			continue // an empty store still prunes its empty journals
 		}
-		path := GenFilePath(newGen, idx)
+		path := GenFilePath(man.Gen, idx)
 		tmp := path + ".tmp"
-		if err := io.WriteSync(tmp, ch.buf.Bytes()); err != nil {
+		if err := io.WriteSync(tmp, ch.buf); err != nil {
 			return res, err
 		}
 		if err := io.Rename(tmp, path); err != nil {
@@ -335,7 +347,7 @@ func compactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
 		return res, err
 	}
 	res.Committed = true
-	res.Gen = newGen
+	res.Gen = man.Gen
 
 	// Persist-before-prune: only now reclaim the inputs.
 	if sc.man != nil {

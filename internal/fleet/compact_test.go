@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -214,6 +216,179 @@ func TestWindowedQueryOracle(t *testing.T) {
 	}
 }
 
+// refCompactPass is the compaction pass as it was before passes copied
+// frames: it decodes every record of the store (refCollectStore reads
+// what that pass's scan read) and writes each kept record re-encoded.
+// The pass that copies frames must write the same bytes.
+func refCompactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
+	var res CompactResult
+	st, err := refCollectStore(disk)
+	if err != nil {
+		return res, err
+	}
+	if len(st.journals) == 0 {
+		return res, nil // nothing new since the last pass
+	}
+	recs := st.recs
+
+	// Sort by (At, Host, Seq): the time axis first, so a windowed query
+	// over a generation is a contiguous run and ManifestFile.MinAt/MaxAt
+	// bounds are tight.
+	sort.Slice(recs, func(i, j int) bool {
+		a, b := recs[i], recs[j]
+		if a.At != b.At {
+			return a.At < b.At
+		}
+		if a.Host != b.Host {
+			return a.Host < b.Host
+		}
+		return a.Seq < b.Seq
+	})
+	markers := st.markers
+	sort.Slice(markers, func(i, j int) bool {
+		a, b := markers[i], markers[j]
+		if a.Shard != b.Shard {
+			return a.Shard < b.Shard
+		}
+		return a.Attempt < b.Attempt
+	})
+
+	newGen := 1
+	if st.man != nil {
+		newGen = st.man.Gen + 1
+	}
+	// The read's salvage loss includes what the old manifest carried.
+	man := &Manifest{
+		Gen:       newGen,
+		LostRecs:  st.lostRecs,
+		LostBytes: st.lostBytes,
+	}
+
+	// Chunk into data files. Restart markers lead the first file (they
+	// carry no timestamp and must survive every generation).
+	type chunk struct {
+		buf    bytes.Buffer
+		frames int
+		minAt  uint64
+		maxAt  uint64
+		any    bool
+	}
+	var chunks []*chunk
+	cur := &chunk{}
+	chunks = append(chunks, cur)
+	for _, mk := range markers {
+		cur.buf.Write(mk.Encode())
+		cur.frames++
+		res.Markers++
+	}
+	for _, rec := range recs {
+		if cur.frames >= compactFileFrames {
+			cur = &chunk{}
+			chunks = append(chunks, cur)
+		}
+		// Re-encoding is canonical, so the same store always compacts
+		// to the same bytes.
+		cur.buf.Write(rec.Encode())
+		cur.frames++
+		if !cur.any || rec.At < cur.minAt {
+			cur.minAt = rec.At
+		}
+		if !cur.any || rec.At > cur.maxAt {
+			cur.maxAt = rec.At
+		}
+		cur.any = true
+	}
+
+	for idx, ch := range chunks {
+		if ch.frames == 0 {
+			continue // an empty store still prunes its empty journals
+		}
+		path := GenFilePath(newGen, idx)
+		tmp := path + ".tmp"
+		if err := io.WriteSync(tmp, ch.buf.Bytes()); err != nil {
+			return res, err
+		}
+		if err := io.Rename(tmp, path); err != nil {
+			return res, err
+		}
+		man.Files = append(man.Files, ManifestFile{
+			Path: path, Frames: ch.frames, MinAt: ch.minAt, MaxAt: ch.maxAt,
+		})
+		res.Files++
+		res.Frames += ch.frames
+	}
+
+	// COMMIT POINT: the manifest rename atomically switches the current
+	// generation. Everything before it left the old generation live;
+	// everything after is reclaim that replay tolerates losing.
+	mtmp := ManifestPath + ".tmp"
+	if err := io.WriteSync(mtmp, manifestPayload(man)); err != nil {
+		return res, err
+	}
+	if err := io.Rename(mtmp, ManifestPath); err != nil {
+		return res, err
+	}
+	res.Committed = true
+	res.Gen = newGen
+
+	// Persist-before-prune: only now reclaim the inputs.
+	if st.man != nil {
+		for _, mf := range st.man.Files {
+			if err := io.Remove(mf.Path); err != nil {
+				return res, err
+			}
+			res.PrunedGenFiles++
+		}
+	}
+	for _, path := range st.journals {
+		if err := io.Remove(path); err != nil {
+			return res, err
+		}
+		res.PrunedJournals++
+	}
+	return res, nil
+}
+
+// checkPassMatchesReference runs compactPass and refCompactPass, each
+// cut at the failAt-th mutation (0: never), on copies of disk and
+// requires the same result, the same error, the same mutation count
+// and the same files byte for byte. It returns compactPass's copy.
+func checkPassMatchesReference(t *testing.T, disk *kernel.Disk, failAt int) (*kernel.Disk, CompactResult, *failingIO, error) {
+	t.Helper()
+	work, refWork := cloneDisk(t, disk), cloneDisk(t, disk)
+	fio := &failingIO{inner: &diskCompactIO{d: work}, failAt: failAt}
+	rio := &failingIO{inner: &diskCompactIO{d: refWork}, failAt: failAt}
+	res, err := compactPass(work, fio)
+	rres, rerr := refCompactPass(refWork, rio)
+	if res != rres || fmt.Sprint(err) != fmt.Sprint(rerr) || fio.ops != rio.ops {
+		t.Fatalf("pass cut at %d: %+v, %v after %d mutations; reference %+v, %v after %d",
+			failAt, res, err, fio.ops, rres, rerr, rio.ops)
+	}
+	if err := sameFiles(work, refWork); err != nil {
+		t.Fatalf("pass cut at %d: %v", failAt, err)
+	}
+	return work, res, fio, err
+}
+
+// sameFiles compares two disks file by file, byte for byte.
+func sameFiles(got, want *kernel.Disk) error {
+	paths, wantPaths := got.List(), want.List()
+	if !reflect.DeepEqual(paths, wantPaths) {
+		return fmt.Errorf("files %v, reference %v", paths, wantPaths)
+	}
+	for _, p := range paths {
+		a, aerr := got.Read(p)
+		b, berr := want.Read(p)
+		if aerr != nil || berr != nil {
+			return fmt.Errorf("%s: read %v, reference read %v", p, aerr, berr)
+		}
+		if !bytes.Equal(a, b) {
+			return fmt.Errorf("%s differs from the reference's (%d vs %d bytes)", p, len(a), len(b))
+		}
+	}
+	return nil
+}
+
 // failingIO wraps a compactIO and fails cleanly at the k-th mutation,
 // counting operations — the sweep driver for every fault point a
 // compaction pass has.
@@ -275,7 +450,7 @@ func TestCompactionFaultPointSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if orep.Markers == 0 {
-		t.Fatal("store has no restart markers — the sweep would not cover marker re-encoding")
+		t.Fatal("store has no restart markers — the sweep would not cover marker copying")
 	}
 
 	// Count the pass's total mutations on a throwaway copy.

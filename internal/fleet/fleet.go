@@ -1,12 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
-	"sort"
 
 	"viprof/internal/kernel"
 	"viprof/internal/oprofile"
+	"viprof/internal/record"
 )
 
 // FleetConfig describes one fleet run: N hosts shipping deltas over a
@@ -236,7 +237,7 @@ func CheckConservation(senders []*Sender, agg *Aggregate) *Conservation {
 	for k := range keys {
 		ordered = append(ordered, k)
 	}
-	sort.Slice(ordered, func(i, j int) bool { return keyLess(ordered[i], ordered[j]) })
+	slices.SortFunc(ordered, keyCompare)
 	for _, k := range ordered {
 		if expected[k] != got[k] {
 			c.Mismatches = append(c.Mismatches, fmt.Sprintf(
@@ -245,6 +246,36 @@ func CheckConservation(senders []*Sender, agg *Aggregate) *Conservation {
 		}
 	}
 	return c
+}
+
+// CheckStoreFrames verifies the invariant a compaction pass's frame
+// copy rests on: every intact frame in the store's generation and
+// journals whose header parses — each delta and map frame, duplicates
+// included, and each restart marker a pass would copy — also decodes,
+// and encodes back to the same frame. Returns the violations (empty ==
+// every frame is canonical) or the error that stopped the read.
+func CheckStoreFrames(disk *kernel.Disk) ([]string, error) {
+	sc, err := scanStore(disk, storeJournals)
+	if err != nil {
+		return nil, err
+	}
+	name := func(h *Record) string {
+		if h.Kind == KindRestart {
+			return fmt.Sprintf("restart marker shard %d attempt %d", h.Shard, h.Attempt)
+		}
+		return fmt.Sprintf("%s host %d seq %d", h.Kind, h.Host, h.Seq)
+	}
+	var bad []string
+	for _, f := range slices.Concat(sc.markers, sc.frames) {
+		rec, err := DecodePayload(f.payload)
+		switch {
+		case err != nil:
+			bad = append(bad, fmt.Sprintf("%s: header parses, body does not: %v", name(f.rec), err))
+		case !bytes.Equal(rec.Encode(), record.Frame(f.payload)):
+			bad = append(bad, fmt.Sprintf("%s: frame differs from its record's encoding", name(f.rec)))
+		}
+	}
+	return bad, nil
 }
 
 // CheckMapReplication verifies code-map replication against the

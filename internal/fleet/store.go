@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"slices"
+
 	"viprof/internal/kernel"
 	"viprof/internal/record"
 )
@@ -8,14 +10,20 @@ import (
 // The store scan. Every reader of the durable store reads it one way:
 // MANIFEST, then the generation files it names, then the given shard
 // journals in slot order, each file salvage-scanned as it is read and
-// every intact payload decoded once. The callers differ only in what
-// they do with the result: offline replay (LoadStore) and a shard's
-// restart replay apply the records, the handoff burn of a failover or
-// restart keeps their (host, seq) pairs, and a compaction pass
-// re-encodes them, refusing a damaged manifest and carrying
-// unparseable records forward as loss. The fixed read order means every
-// caller draws the read-fault schedule the same way; an EIO anywhere
-// fails the scan.
+// every intact frame classified by its header alone. Bodies are parsed
+// only where records are applied: offline replay (LoadStore) and a
+// shard's restart replay. The handoff burn of a failover or restart
+// keeps the headers' (host, seq) pairs, and a compaction pass dedups
+// and sorts by header and copies each kept frame verbatim, refusing a
+// damaged manifest and carrying records whose header will not parse
+// forward as loss. The fixed read order means every caller draws the
+// read-fault schedule the same way; an EIO anywhere fails the scan.
+//
+// Copying a frame writes what re-encoding its record would, because
+// every frame in the store is Record.Encode output: a shard journals
+// the exact bytes DecodeWire accepted from a sender's Encode, restart
+// markers are encoded where they are written, and generation frames
+// are copies of those. CheckStoreFrames checks the invariant.
 
 // storeJournals is every shard-journal slot, probed by direct path so a
 // damaged directory listing can never hide a journal.
@@ -26,6 +34,14 @@ var storeJournals = func() []string {
 	}
 	return paths
 }()
+
+// storeFrame is one intact frame of the store as its header reads: rec
+// holds the header's fields (and the body once replay decodes it into
+// it), payload the frame's payload.
+type storeFrame struct {
+	rec     *Record
+	payload []byte
+}
 
 // storeScan is one read of the durable store.
 type storeScan struct {
@@ -38,12 +54,12 @@ type storeScan struct {
 	// journal paths that existed.
 	genFiles, genFrames int
 	journals            []string
-	// msgs are the delta and map records in read order, duplicates
+	// frames are the delta and map frames in read order, duplicates
 	// included; markers the restart markers, one per (shard, attempt).
-	msgs, markers []*Record
-	markerSeen    map[[2]int]bool
+	frames, markers []storeFrame
+	markerSeen      map[[2]int]bool
 	// sal sums the salvage loss of every file read; unparsed counts the
-	// checksum-valid records that would not parse.
+	// checksum-valid records whose header would not parse.
 	sal, unparsed record.Salvage
 }
 
@@ -88,33 +104,35 @@ func (sc *storeScan) scanFile(disk *kernel.Disk, path string) (int, error) {
 	recs, sal := record.Scan(data)
 	sc.sal.DroppedRecords += sal.DroppedRecords
 	sc.sal.DroppedBytes += sal.DroppedBytes
+	sc.frames = slices.Grow(sc.frames, len(recs))
 	for _, payload := range recs {
-		msg, derr := DecodePayload(payload)
+		msg, herr := parseHeader(payload)
 		switch {
-		case derr != nil:
+		case herr != nil:
 			// Checksum-valid but unparseable: the torn tail of a map
 			// frame sheds its inner entry records as intact-looking
-			// fragments (the map body is itself a framed stream). The
-			// torn record was never acked, so its intact retry copy is
-			// also in the store; the fragment is loss evidence, not
-			// content.
+			// fragments (the map body is itself a framed stream), and
+			// none of them starts with a record header. The torn record
+			// was never acked, so its intact retry copy is also in the
+			// store; the fragment is loss evidence, not content.
 			sc.unparsed.DroppedRecords++
 			sc.unparsed.DroppedBytes += len(payload)
 		case msg.Kind == KindDelta || msg.Kind == KindMap:
-			sc.msgs = append(sc.msgs, msg)
+			sc.frames = append(sc.frames, storeFrame{msg, payload})
 		case msg.Kind == KindRestart:
 			key := [2]int{msg.Shard, msg.Attempt}
 			if !sc.markerSeen[key] {
 				sc.markerSeen[key] = true
-				sc.markers = append(sc.markers, msg)
+				sc.markers = append(sc.markers, storeFrame{msg, payload})
 			}
 		}
 	}
 	return len(recs), nil
 }
 
-// replay applies the scanned records to a fresh aggregate and
-// classifies them.
+// replay decodes the first copy of each (host, seq) into a fresh
+// aggregate and classifies every scanned frame. A body that will not
+// parse is a parse error, like a header that will not.
 func (sc *storeScan) replay() (*Aggregate, JournalReplay) {
 	agg := NewAggregate()
 	rep := JournalReplay{
@@ -133,14 +151,19 @@ func (sc *storeScan) replay() (*Aggregate, JournalReplay) {
 		rep.Salvage.DroppedRecords += sc.man.LostRecs
 		rep.Salvage.DroppedBytes += sc.man.LostBytes
 	}
-	for _, msg := range sc.msgs {
+	for _, f := range sc.frames {
 		switch {
-		case !agg.Apply(msg):
+		case agg.Applied(f.rec.Host, f.rec.Seq):
 			rep.Duplicates++
-		case msg.Kind == KindMap:
-			rep.Maps++
+		case f.rec.decodeBody(f.payload) != nil:
+			rep.ParseErrors++
 		default:
-			rep.Deltas++
+			agg.Apply(f.rec)
+			if f.rec.Kind == KindMap {
+				rep.Maps++
+			} else {
+				rep.Deltas++
+			}
 		}
 	}
 	return agg, rep
@@ -151,13 +174,13 @@ func (sc *storeScan) replay() (*Aggregate, JournalReplay) {
 // peer's hosts or rejoining the serving set.
 func (sc *storeScan) burnSet() map[int]map[uint64]bool {
 	burn := make(map[int]map[uint64]bool)
-	for _, msg := range sc.msgs {
-		set := burn[msg.Host]
+	for _, f := range sc.frames {
+		set := burn[f.rec.Host]
 		if set == nil {
 			set = make(map[uint64]bool)
-			burn[msg.Host] = set
+			burn[f.rec.Host] = set
 		}
-		set[msg.Seq] = true
+		set[f.rec.Seq] = true
 	}
 	return burn
 }

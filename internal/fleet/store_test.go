@@ -313,6 +313,15 @@ func markerKeys(ms []*Record) [][2]int {
 	return out
 }
 
+// frameRecs lists the scanned frames' records in order.
+func frameRecs(fs []storeFrame) []*Record {
+	out := make([]*Record, len(fs))
+	for i, f := range fs {
+		out[i] = f.rec
+	}
+	return out
+}
+
 // checkStoreAgainstReference runs every reference reader and its
 // replacement over one store, and reports whether the reference
 // LoadStore counted a restart marker twice.
@@ -383,12 +392,11 @@ func checkStoreAgainstReference(t *testing.T, disk *kernel.Disk) (doubled bool) 
 		t.Fatalf("burn set differs:\nreference %v\nscan      %v", oburn, nburn)
 	}
 
-	// Compaction: the pass must refuse exactly what the reference
-	// refused, and otherwise write the reference's markers, records and
-	// carried loss and prune the reference's inputs.
-	work := cloneDisk(t, disk)
-	fio := &failingIO{inner: &diskCompactIO{d: work}}
-	res, cerr := compactPass(work, fio)
+	// Compaction: the pass must write what the reference pass writes,
+	// byte for byte, refuse exactly what the reference read refused,
+	// and otherwise write the reference's markers, records and carried
+	// loss and prune the reference's inputs.
+	work, res, fio, cerr := checkPassMatchesReference(t, disk, 0)
 	if refCollectErr != nil {
 		if cerr == nil || cerr.Error() != refCollectErr.Error() || fio.ops != 0 {
 			t.Fatalf("reference refused (%v), pass returned %v after %d mutations", refCollectErr, cerr, fio.ops)
@@ -401,8 +409,8 @@ func checkStoreAgainstReference(t *testing.T, disk *kernel.Disk) (doubled bool) 
 	if !reflect.DeepEqual(sc.journals, ref.journals) {
 		t.Fatalf("journals read: scan %v, reference %v", sc.journals, ref.journals)
 	}
-	if !reflect.DeepEqual(markerKeys(sc.markers), markerKeys(ref.markers)) {
-		t.Fatalf("markers: scan %v, reference %v", markerKeys(sc.markers), markerKeys(ref.markers))
+	if got := markerKeys(frameRecs(sc.markers)); !reflect.DeepEqual(got, markerKeys(ref.markers)) {
+		t.Fatalf("markers: scan %v, reference %v", got, markerKeys(ref.markers))
 	}
 	if len(ref.journals) == 0 {
 		if res != (CompactResult{}) || fio.ops != 0 {
@@ -455,7 +463,7 @@ func checkStoreAgainstReference(t *testing.T, disk *kernel.Disk) (doubled bool) 
 	sort.Slice(want, func(i, j int) bool {
 		return want[i][0] < want[j][0] || want[i][0] == want[j][0] && want[i][1] < want[j][1]
 	})
-	if got := markerKeys(after.markers); !reflect.DeepEqual(got, want) {
+	if got := markerKeys(frameRecs(after.markers)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("compacted markers %v, reference %v", got, want)
 	}
 	return doubled
@@ -496,8 +504,7 @@ func TestStoreScanMatchesReference(t *testing.T) {
 	doubled := 0
 	for k := 1; k <= probe.ops; k++ {
 		t.Run(fmt.Sprintf("fault-at-%d", k), func(t *testing.T) {
-			disk := cloneDisk(t, sweep)
-			res, err := compactPass(disk, &failingIO{inner: &diskCompactIO{d: disk}, failAt: k})
+			disk, res, _, err := checkPassMatchesReference(t, sweep, k)
 			if err == nil {
 				t.Fatalf("pass cut at %d reported no error", k)
 			}

@@ -2,8 +2,9 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -60,7 +61,7 @@ func (k Kind) String() string {
 
 // Record is the one fleet record: what a sender generates and
 // retries, what crosses the wire, what a shard journals and its
-// aggregate keeps as decoded, what a compaction pass re-encodes. The
+// aggregate keeps as decoded, what a compaction pass copies. The
 // aggregate's records are the unit the LSM store compacts, the
 // windowed queries filter, and the shard merge dedups on (Host, Seq).
 type Record struct {
@@ -98,32 +99,35 @@ func sortedKeys(counts map[oprofile.Key]uint64) []oprofile.Key {
 	for k := range counts {
 		order = append(order, k)
 	}
-	sort.Slice(order, func(i, j int) bool { return keyLess(order[i], order[j]) })
+	slices.SortFunc(order, keyCompare)
 	return order
 }
 
-// keyLess is the wire's total order on keys: event, proc, image, JIT
+// keyCompare is the wire's total order on keys: event, proc, image, JIT
 // (non-JIT first), epoch, offset, CPU.
-func keyLess(a, b oprofile.Key) bool {
-	if a.Event != b.Event {
-		return a.Event < b.Event
+func keyCompare(a, b oprofile.Key) int {
+	if c := cmp.Compare(a.Event, b.Event); c != 0 {
+		return c
 	}
-	if a.Proc != b.Proc {
-		return a.Proc < b.Proc
+	if c := strings.Compare(a.Proc, b.Proc); c != 0 {
+		return c
 	}
-	if a.Image != b.Image {
-		return a.Image < b.Image
+	if c := strings.Compare(a.Image, b.Image); c != 0 {
+		return c
 	}
 	if a.JIT != b.JIT {
-		return !a.JIT
+		if a.JIT {
+			return 1
+		}
+		return -1
 	}
-	if a.Epoch != b.Epoch {
-		return a.Epoch < b.Epoch
+	if c := cmp.Compare(a.Epoch, b.Epoch); c != 0 {
+		return c
 	}
-	if a.Off != b.Off {
-		return a.Off < b.Off
+	if c := cmp.Compare(a.Off, b.Off); c != 0 {
+		return c
 	}
-	return a.CPU < b.CPU
+	return cmp.Compare(a.CPU, b.CPU)
 }
 
 // Encode returns the record framed for the wire, a journal or a
@@ -162,28 +166,45 @@ func DecodeWire(data []byte) (*Record, error) {
 // record's bytes, e.g. one journal entry out of record.Scan): the one
 // decoder, for every kind.
 func DecodePayload(payload []byte) (*Record, error) {
-	header, body, _ := bytes.Cut(payload, []byte("\n"))
-	fields := strings.Fields(string(header))
-	if len(fields) == 0 || !strings.HasPrefix(fields[0], "#") {
+	msg, err := parseHeader(payload)
+	if err != nil {
+		return nil, err
+	}
+	if err := msg.decodeBody(payload); err != nil {
+		return nil, err
+	}
+	return msg, nil
+}
+
+// parseHeader parses a payload's '#' header line into a record with
+// every header field set and no body. It makes every check
+// DecodePayload makes short of parsing the body, so a store scan can
+// classify, dedup and order frames by header alone.
+func parseHeader(payload []byte) (*Record, error) {
+	header, _, _ := bytes.Cut(payload, []byte("\n"))
+	fields := bytes.Fields(header)
+	if len(fields) == 0 || fields[0][0] != '#' {
 		return nil, fmt.Errorf("fleet: wire payload has no #header")
 	}
-	name := strings.TrimPrefix(fields[0], "#")
+	name := fields[0][1:]
 	msg := &Record{}
 	for k, n := range kindNames {
-		if n == name {
+		if n == string(name) {
 			msg.Kind = Kind(k) // a bare "#" matches slot 0: no kind
 		}
 	}
 	for _, f := range fields[1:] {
-		k, v, ok := strings.Cut(f, "=")
+		k, v, ok := bytes.Cut(f, []byte("="))
 		if !ok {
 			return nil, fmt.Errorf("fleet: malformed wire header field %q", f)
 		}
-		n, err := strconv.ParseUint(v, 10, 64)
+		// string(v) of a short numeric field stays on the stack:
+		// strconv copies whatever text it keeps in an error.
+		n, err := strconv.ParseUint(string(v), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: wire header %s: %v", k, err)
 		}
-		switch k {
+		switch string(k) {
 		case "host":
 			msg.Host = int(n)
 		case "seq":
@@ -199,35 +220,38 @@ func DecodePayload(payload []byte) (*Record, error) {
 		}
 	}
 	switch msg.Kind {
-	case KindDelta:
-		msg.Counts = make(map[oprofile.Key]uint64)
-		if err := oprofile.ParseCountsText(body, msg.Counts); err != nil {
-			return nil, fmt.Errorf("fleet: delta body: %v", err)
-		}
+	case KindDelta, KindMap, KindAck:
 		if msg.Seq == 0 {
-			return nil, fmt.Errorf("fleet: delta with seq 0")
+			return nil, fmt.Errorf("fleet: %s with seq 0", msg.Kind)
 		}
-	case KindMap:
-		// The outer CRC already passed, so a body that will not parse is
-		// a writer bug, not wire damage — strict read, loud error.
-		entries, err := core.ReadMapFile(body)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: map body: %v", err)
-		}
-		msg.Entries = entries
-		if msg.Seq == 0 {
-			return nil, fmt.Errorf("fleet: map with seq 0")
-		}
-		if msg.Epoch <= 0 {
+		if msg.Kind == KindMap && msg.Epoch <= 0 {
 			return nil, fmt.Errorf("fleet: map with epoch %d", msg.Epoch)
-		}
-	case KindAck:
-		if msg.Seq == 0 {
-			return nil, fmt.Errorf("fleet: ack with seq 0")
 		}
 	case KindRestart:
 	default:
 		return nil, fmt.Errorf("fleet: unknown wire kind %q", name)
 	}
 	return msg, nil
+}
+
+// decodeBody parses the body of payload, a delta's sample lines or a
+// map's entries, into the record parseHeader returned for it.
+func (msg *Record) decodeBody(payload []byte) error {
+	_, body, _ := bytes.Cut(payload, []byte("\n"))
+	switch msg.Kind {
+	case KindDelta:
+		msg.Counts = make(map[oprofile.Key]uint64)
+		if err := oprofile.ParseCountsText(body, msg.Counts); err != nil {
+			return fmt.Errorf("fleet: delta body: %v", err)
+		}
+	case KindMap:
+		// The outer CRC already passed, so a body that will not parse is
+		// a writer bug, not wire damage — strict read, loud error.
+		entries, err := core.ReadMapFile(body)
+		if err != nil {
+			return fmt.Errorf("fleet: map body: %v", err)
+		}
+		msg.Entries = entries
+	}
+	return nil
 }

@@ -282,6 +282,9 @@ type FleetChaosResult struct {
 	Seed     int64
 	Schedule FleetSchedule
 	Result   *fleet.FleetResult
+	// Disk is the collector machine's disk as the run left it, with the
+	// read and listing injectors cleared.
+	Disk *kernel.Disk
 	// Injector accounting: disk write/rename faults, listing damage,
 	// and read EIOs (the network's own counters are in Result.Net).
 	Faults     kernel.FaultStats
@@ -344,6 +347,7 @@ func RunFleetChaosSchedule(seed int64, sched FleetSchedule) (*FleetChaosResult, 
 		Seed:       seed,
 		Schedule:   sched,
 		Result:     res,
+		Disk:       disk,
 		Faults:     machine.Kern.FaultStats(),
 		ListFaults: listStats,
 		ReadFaults: readStats,

@@ -41,6 +41,16 @@ func checkFleetInvariants(t *testing.T, r *FleetChaosResult) {
 		}
 	}
 
+	// Compaction copies frames by header, so every stored frame whose
+	// header parses must decode and re-encode to itself, faults or not.
+	bad, err := fleet.CheckStoreFrames(r.Disk)
+	if err != nil {
+		t.Fatalf("store frames unreadable: %v", err)
+	}
+	if len(bad) > 0 {
+		t.Errorf("store frames not canonical:\n%v", bad)
+	}
+
 	destructive := r.TotalDestructive()
 	degraded := res.Integrity.Degraded()
 

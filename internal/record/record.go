@@ -26,12 +26,17 @@ const HeaderSize = 12
 
 // Frame wraps a payload in the record header.
 func Frame(payload []byte) []byte {
-	out := make([]byte, HeaderSize+len(payload))
-	copy(out, Magic)
-	binary.LittleEndian.PutUint32(out[4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[8:], crc32.ChecksumIEEE(payload))
-	copy(out[HeaderSize:], payload)
-	return out
+	return AppendFrame(make([]byte, 0, HeaderSize+len(payload)), payload)
+}
+
+// AppendFrame appends the payload, wrapped in the record header, to
+// dst and returns the extended slice. payload must not overlap dst's
+// spare capacity.
+func AppendFrame(dst, payload []byte) []byte {
+	dst = append(dst, Magic...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
 }
 
 // Salvage accounts for what a Scan recovered and what it had to drop.

@@ -7,9 +7,13 @@ import (
 
 func TestFrameScanRoundTrip(t *testing.T) {
 	payloads := [][]byte{[]byte("alpha"), []byte(""), []byte("gamma delta")}
-	var file []byte
+	var file, appended []byte
 	for _, p := range payloads {
 		file = append(file, Frame(p)...)
+		appended = AppendFrame(appended, p)
+	}
+	if !bytes.Equal(appended, file) {
+		t.Fatalf("AppendFrame built %q, Frame %q", appended, file)
 	}
 	recs, sal := Scan(file)
 	if sal.Lossy() {
