@@ -79,18 +79,27 @@ chaos-smoke:
 # point, the damaged-manifest path, the supervisor's failure paths
 # (failed restarts, backoff gates, a shard and the compactor giving
 # up), the one record encoder against the five encoders it replaced
-# (TestEncodeMatchesReferenceQuick, 100 random records), and the
+# (TestEncodeMatchesReferenceQuick, 100 random records), the
 # encoding's canonical form that compaction's frame copy rests on
 # (TestEncodeIsCanonicalQuick: a decoded frame re-encodes to itself,
-# 100 random records). The store-scan leg also holds the frame-copying
-# pass to the decode-and-re-encode pass byte for byte, and every fleet
-# chaos seed checks that each stored frame decodes and re-encodes to
-# itself (fleet.CheckStoreFrames). The third leg renders 200+ windows
+# 100 random records), and the count-run record against the map-based
+# code it replaced, 100 random cases each: the run decoder against the
+# map decoder (TestCountRunMatchesMapDecodeQuick: shuffled, repeated,
+# zero-count, CRLF, blank and malformed lines), the aggregate snapshot
+# against the map fold and key sort (TestSnapshotMatchesReferenceQuick),
+# the in-place header walk against bytes.Fields
+# (TestParseHeaderMatchesReferenceQuick: ASCII and Unicode white space,
+# missing '=', bad and overflowing numbers, unknown kinds) and the
+# conservation check against its map-based form
+# (TestConservationMatchesReferenceQuick). The store-scan leg also
+# holds the frame-copying pass to the decode-and-re-encode pass byte
+# for byte, and every fleet chaos seed checks that each stored frame
+# decodes and re-encodes to itself (fleet.CheckStoreFrames). The third leg renders 200+ windows
 # of a 16-host crash cell through the fleet view and checks each
 # against the per-render scan that the view's fold replaced.
 fleet-smoke:
 	$(GO) test -race -run 'TestFleetChaos$$' -count=1 ./internal/harness/
-	$(GO) test -race -run 'TestCompactionFaultPointSweep|TestWindowedQueryOracle|TestFleetMapReplication|TestStoreScanMatchesReference|TestDamagedManifest|TestSuperviseShardFailurePaths|TestCompactorGivesUpWithoutFailingService|TestEncodeMatchesReferenceQuick|TestEncodeIsCanonicalQuick' -count=1 ./internal/fleet/
+	$(GO) test -race -run 'TestCompactionFaultPointSweep|TestWindowedQueryOracle|TestFleetMapReplication|TestStoreScanMatchesReference|TestDamagedManifest|TestSuperviseShardFailurePaths|TestCompactorGivesUpWithoutFailingService|TestEncodeMatchesReferenceQuick|TestEncodeIsCanonicalQuick|TestCountRunMatchesMapDecodeQuick|TestSnapshotMatchesReferenceQuick|TestParseHeaderMatchesReferenceQuick|TestConservationMatchesReferenceQuick' -count=1 ./internal/fleet/
 	$(GO) test -race -run 'TestFleetRenderMatchesScan$$' -count=1 .
 
 # Wide sweeps (hundreds of seeds or programs, minutes). Out of
@@ -116,7 +125,13 @@ fleet-smoke:
 # map, ack and restart records byte for byte) and its canonical form
 # (TestEncodeIsCanonicalQuick: a decoded delta, map or restart frame
 # re-encodes to itself) over 20000 random records each (`make check`
-# runs 100), and the multi-VM mode oracle
+# runs 100), the count-run record against the map-based code it
+# replaced (TestCountRunMatchesMapDecodeQuick: the run decoder against
+# the map decoder; TestSnapshotMatchesReferenceQuick: the aggregate
+# snapshot; TestParseHeaderMatchesReferenceQuick: the header walk
+# against bytes.Fields; TestConservationMatchesReferenceQuick: the
+# conservation check) over 20000 random cases each (`make check` runs
+# 100), and the multi-VM mode oracle
 # (TestMultiVMModesAgree: fused replay, DisableTrace and the per-op core
 # on 2-4 concurrent VMs over 2 or 4 cores must agree on every core's
 # cycles and instructions, the NMIs and the report bytes) over the
@@ -133,6 +148,7 @@ chaos-nightly:
 	$(GO) test -race -run 'TestFaultStreamMatchesReferenceQuick$$' -count=1 -timeout 30m ./internal/kernel/ -args -quickchecks=20000
 	$(GO) test -race -run 'TestNetworkMatchesReferenceQuick$$' -count=1 -timeout 30m ./internal/fleet/ -args -quickchecks=20000
 	$(GO) test -race -run 'TestEncodeMatchesReferenceQuick$$|TestEncodeIsCanonicalQuick$$' -count=1 -timeout 30m ./internal/fleet/ -args -quickchecks=20000
+	$(GO) test -race -run 'TestCountRunMatchesMapDecodeQuick$$|TestSnapshotMatchesReferenceQuick$$|TestParseHeaderMatchesReferenceQuick$$|TestConservationMatchesReferenceQuick$$' -count=1 -timeout 30m ./internal/fleet/ -args -quickchecks=20000
 	$(GO) test -race -run 'TestMultiVMModesAgree$$' -count=1 -timeout 30m . -args -quickchecks=500
 
 # One race-enabled iteration of each engine microbenchmark. Each fails

@@ -118,7 +118,8 @@ func (v *FleetView) folded() *fleetFold {
 		first := len(f.items)
 		fr := foldRec{at: rec.At}
 		chain := chains[rec.Host]
-		for k, c := range rec.Counts {
+		for _, kc := range rec.Counts {
+			k, c := kc.Key, kc.Count
 			label := k.Image
 			if k.JIT {
 				label = oprofile.JITImageName

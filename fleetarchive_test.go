@@ -41,7 +41,7 @@ func TestFleetViewLostMapEpochs(t *testing.T) {
 	jit := func(host, epoch int, n uint64) {
 		key := oprofile.Key{Event: hpc.GlobalPowerEvents, Image: oprofile.JITImageName,
 			Proc: fmt.Sprintf("host%02d", host), JIT: true, Epoch: epoch, Off: 0x1010}
-		apply(&fleet.Record{Kind: fleet.KindDelta, Host: host, Counts: map[oprofile.Key]uint64{key: n}})
+		apply(&fleet.Record{Kind: fleet.KindDelta, Host: host, Counts: []oprofile.KeyCount{{Key: key, Count: n}}})
 	}
 	jit(1, 3, 5) // past host 1's chain
 	jit(2, 2, 7) // in host 2's gap

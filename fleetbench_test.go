@@ -248,7 +248,8 @@ func refFleetRows(v *FleetView, from, to uint64) (rows []fleetRow, unresolved ui
 			if rec.Kind != fleet.KindDelta || rec.At < from || rec.At >= to {
 				continue
 			}
-			for k, c := range rec.Counts {
+			for _, kc := range rec.Counts {
+				k, c := kc.Key, kc.Count
 				label := k.Image
 				if k.JIT {
 					label = oprofile.JITImageName
@@ -457,9 +458,10 @@ func TestFleetRenderMatchesScan(t *testing.T) {
 	// rest: a JIT key no chain entry covers, a host with no maps, and
 	// a key at 0 samples, whose cell must still be a row.
 	mid := ats[len(ats)/2]
-	for i, counts := range []map[oprofile.Key]uint64{
-		{{Image: oprofile.JITImageName, Proc: "fleet", JIT: true, Epoch: 1, Off: 1}: 7},
-		{{Image: oprofile.JITImageName, Proc: "fleet", JIT: true, Epoch: 1, Off: 0x6000_0000}: 5, {Image: "zero.so", Proc: "fleet"}: 0},
+	for i, counts := range [][]oprofile.KeyCount{
+		{{Key: oprofile.Key{Image: oprofile.JITImageName, Proc: "fleet", JIT: true, Epoch: 1, Off: 1}, Count: 7}},
+		{{Key: oprofile.Key{Image: oprofile.JITImageName, Proc: "fleet", JIT: true, Epoch: 1, Off: 0x6000_0000}, Count: 5},
+			{Key: oprofile.Key{Image: "zero.so", Proc: "fleet"}, Count: 0}},
 	} {
 		host := []int{v.Aggregate.Hosts()[0], 99}[i]
 		msg := &fleet.Record{Kind: fleet.KindDelta, Host: host, Seq: 1_000_000, At: mid + uint64(i), Counts: counts}

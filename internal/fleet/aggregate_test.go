@@ -59,9 +59,9 @@ func (r *refShardedAggregate) apply(msg *Record) bool {
 		return false
 	}
 	set[msg.Seq] = msg
-	for k, c := range msg.Counts {
-		r.shards[r.shardOf(k)][k] += c
-		r.totals[msg.Host] += c
+	for _, kc := range msg.Counts {
+		r.shards[r.shardOf(kc.Key)][kc.Key] += kc.Count
+		r.totals[msg.Host] += kc.Count
 	}
 	return true
 }
@@ -103,7 +103,11 @@ func (r *refShardedAggregate) counts() map[oprofile.Key]uint64 {
 // checkAgainstRef compares everything the reference tracks.
 func checkAgainstRef(t *testing.T, label string, agg *Aggregate, ref *refShardedAggregate) {
 	t.Helper()
-	got, want := agg.Counts(), ref.counts()
+	run, want := agg.Counts(), ref.counts()
+	if !isRun(run) {
+		t.Fatalf("%s: Counts is not in the wire's key order with each key once", label)
+	}
+	got := countsOf(run)
 	if !sameCounts(got, want) {
 		t.Fatalf("%s: Counts has %d keys / %d samples, sharded reference %d / %d",
 			label, len(got), sumCounts(got), len(want), sumCounts(want))
@@ -144,7 +148,7 @@ func TestCountsMatchesShardedReferenceQuick(t *testing.T) {
 				case 1:
 					// Shared keys: a proc no host owns, so hosts fold into
 					// the same cells.
-					msg.Counts = map[oprofile.Key]uint64{{Image: "shared.so", Proc: "shared", Off: addr.Address(rng.Intn(4))}: uint64(rng.Intn(3))}
+					msg.Counts = []oprofile.KeyCount{{Key: oprofile.Key{Image: "shared.so", Proc: "shared", Off: addr.Address(rng.Intn(4))}, Count: uint64(rng.Intn(3))}}
 				default:
 					msg.Counts = randomCounts(rng, h, 1+rng.Intn(6))
 				}
@@ -208,7 +212,7 @@ func TestQueryWindowReusesItsResult(t *testing.T) {
 }
 
 // TestDeltaFrameKeyOrderTotal: keys that differ only in CPU encode in
-// one order whatever order their map was filled in.
+// one order whatever order their run was filled in before sortRun.
 func TestDeltaFrameKeyOrderTotal(t *testing.T) {
 	var keys []oprofile.Key
 	for cpu := 0; cpu < 6; cpu++ {
@@ -218,16 +222,16 @@ func TestDeltaFrameKeyOrderTotal(t *testing.T) {
 	var want []byte
 	for trial := 0; trial < 40; trial++ {
 		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-		counts := make(map[oprofile.Key]uint64)
+		var counts []oprofile.KeyCount
 		for _, k := range keys {
-			counts[k] = uint64(1 + k.CPU)
+			counts = append(counts, oprofile.KeyCount{Key: k, Count: uint64(1 + k.CPU)})
 		}
-		rec := &Record{Kind: KindDelta, Host: 1, Seq: 1, At: 100, Counts: counts}
+		rec := &Record{Kind: KindDelta, Host: 1, Seq: 1, At: 100, Counts: sortRun(counts)}
 		frame := rec.Encode()
 		if trial == 0 {
 			want = frame
 		} else if !bytes.Equal(frame, want) {
-			t.Fatalf("trial %d: frame bytes depend on map order:\n%q\nfirst:\n%q", trial, frame, want)
+			t.Fatalf("trial %d: frame bytes depend on fill order:\n%q\nfirst:\n%q", trial, frame, want)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"viprof/internal/core"
@@ -152,18 +154,32 @@ func MergeAggregates(parts ...*Aggregate) *Aggregate {
 	return out
 }
 
-// Counts folds every applied record into a fresh map: the same fold
-// QueryWindow(0, ^0) does, so the two agree by construction.
-func (a *Aggregate) Counts() map[oprofile.Key]uint64 {
-	out := make(map[oprofile.Key]uint64)
-	for _, recs := range a.byHost {
-		for _, rec := range recs {
-			for k, c := range rec.Counts {
-				out[k] += c
-			}
-		}
+// Counts folds every applied record into one fresh count run: the
+// sums QueryWindow(0, ^0) holds, in the wire's key order. It is the
+// body of the aggregate snapshot.
+func (a *Aggregate) Counts() []oprofile.KeyCount {
+	return foldRuns(a.index())
+}
+
+// snapshot returns the aggregate snapshot's frame: Counts as
+// sample-file lines (zero counts skipped) in one record.
+func (a *Aggregate) snapshot() []byte {
+	run := a.Counts()
+	return record.Frame(oprofile.AppendRun(make([]byte, 0, 64*len(run)), run))
+}
+
+// foldRuns folds the records' count runs into one: every pair appended
+// to one slice, then sorted and merged.
+func foldRuns(recs []*Record) []oprofile.KeyCount {
+	n := 0
+	for _, rec := range recs {
+		n += len(rec.Counts)
 	}
-	return out
+	run := make([]oprofile.KeyCount, 0, n)
+	for _, rec := range recs {
+		run = append(run, rec.Counts...)
+	}
+	return sortRun(run)
 }
 
 // index returns every applied record ordered by (At, Host, Seq),
@@ -180,15 +196,14 @@ func (a *Aggregate) index() []*Record {
 				idx = append(idx, rec)
 			}
 		}
-		sort.Slice(idx, func(i, j int) bool {
-			x, y := idx[i], idx[j]
-			if x.At != y.At {
-				return x.At < y.At
+		slices.SortFunc(idx, func(x, y *Record) int {
+			if c := cmp.Compare(x.At, y.At); c != 0 {
+				return c
 			}
-			if x.Host != y.Host {
-				return x.Host < y.Host
+			if c := cmp.Compare(x.Host, y.Host); c != 0 {
+				return c
 			}
-			return x.Seq < y.Seq
+			return cmp.Compare(x.Seq, y.Seq)
 		})
 		a.byAt = idx
 	}
@@ -208,8 +223,9 @@ func (a *Aggregate) Window(from, to uint64) []*Record {
 
 // QueryWindow folds only the sample deltas generated in [from, to) on
 // the sender-side cycle clock — the time-windowed query over the
-// compacted store. QueryWindow(0, ^0) == Counts(), and any boundary t
-// partitions: QueryWindow(0,t) + QueryWindow(t,^0) == Counts().
+// compacted store — walking each record's run. QueryWindow(0, ^0)
+// holds the pairs of Counts(), and any boundary t partitions:
+// QueryWindow(0,t) + QueryWindow(t,^0) == Counts().
 //
 // The result is a map the Aggregate owns: each call clears and refills
 // it, so it is valid only until the next QueryWindow on the same
@@ -217,8 +233,8 @@ func (a *Aggregate) Window(from, to uint64) []*Record {
 func (a *Aggregate) QueryWindow(from, to uint64) map[oprofile.Key]uint64 {
 	clear(a.window)
 	for _, rec := range a.Window(from, to) {
-		for k, c := range rec.Counts {
-			a.window[k] += c
+		for _, kc := range rec.Counts {
+			a.window[kc.Key] += kc.Count
 		}
 	}
 	return a.window

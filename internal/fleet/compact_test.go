@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -59,8 +60,8 @@ func windowOracle(agg *Aggregate, from, to uint64) map[oprofile.Key]uint64 {
 			if rec.Kind != KindDelta || rec.At < from || rec.At >= to {
 				continue
 			}
-			for k, c := range rec.Counts {
-				oracle[k] += c
+			for _, kc := range rec.Counts {
+				oracle[kc.Key] += kc.Count
 			}
 		}
 	}
@@ -197,9 +198,9 @@ func TestWindowedQueryOracle(t *testing.T) {
 
 		// An apply after a query must reach the next query and bounds.
 		late := &Record{Kind: KindDelta, Host: 99, Seq: 1, At: max + 10,
-			Counts: map[oprofile.Key]uint64{{Image: "late.so", Proc: "late"}: 3}}
+			Counts: []oprofile.KeyCount{{Key: oprofile.Key{Image: "late.so", Proc: "late"}, Count: 3}}}
 		early := &Record{Kind: KindDelta, Host: 99, Seq: 2, At: min - 1,
-			Counts: map[oprofile.Key]uint64{{Image: "early.so", Proc: "early"}: 5}}
+			Counts: []oprofile.KeyCount{{Key: oprofile.Key{Image: "early.so", Proc: "early"}, Count: 5}}}
 		for _, msg := range []*Record{late, early} {
 			if !after.Apply(msg) || !before.Apply(msg) {
 				t.Fatalf("seed %d: fresh record at %d not applied", seed, msg.At)
@@ -495,7 +496,7 @@ func TestCompactionFaultPointSweep(t *testing.T) {
 			if rep.Markers != orep.Markers {
 				t.Fatalf("fault at %d: %d restart markers, oracle %d", k, rep.Markers, orep.Markers)
 			}
-			if !sameCounts(agg.Counts(), oracle.Counts()) {
+			if !slices.Equal(agg.Counts(), oracle.Counts()) {
 				t.Fatalf("fault at %d changed the store: %d samples vs oracle %d",
 					k, agg.Total(), oracle.Total())
 			}
@@ -513,7 +514,7 @@ func TestCompactionFaultPointSweep(t *testing.T) {
 			if rep2.Journals != 0 || rep2.ManifestGen == 0 {
 				t.Fatalf("retry at %d left the store uncompacted: %+v", k, rep2)
 			}
-			if !sameCounts(agg2.Counts(), oracle.Counts()) {
+			if !slices.Equal(agg2.Counts(), oracle.Counts()) {
 				t.Fatalf("retry at %d changed the store: %d vs %d",
 					k, agg2.Total(), oracle.Total())
 			}

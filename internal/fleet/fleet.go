@@ -197,7 +197,7 @@ func (c *Conservation) Balanced() bool { return len(c.Mismatches) == 0 }
 // missing, duplicated, or attributed to the wrong host/image.
 func CheckConservation(senders []*Sender, agg *Aggregate) *Conservation {
 	c := &Conservation{}
-	expected := make(map[oprofile.Key]uint64)
+	var applied []*Record
 	for _, s := range senders {
 		host := s.cfg.Host
 		for _, d := range s.Deltas {
@@ -205,9 +205,7 @@ func CheckConservation(senders []*Sender, agg *Aggregate) *Conservation {
 			c.GeneratedSamples += total
 			if agg.Applied(host, d.Seq) {
 				c.AppliedSamples += total
-				for k, cnt := range d.Counts {
-					expected[k] += cnt
-				}
+				applied = append(applied, &d.Record)
 			} else {
 				c.HeldSamples += total
 			}
@@ -225,24 +223,31 @@ func CheckConservation(senders []*Sender, agg *Aggregate) *Conservation {
 			"aggregate total %d != applied oracle total %d",
 			c.AggregateSamples, c.AppliedSamples))
 	}
-	got := agg.Counts()
-	keys := make(map[oprofile.Key]bool, len(expected)+len(got))
-	for k := range expected {
-		keys[k] = true
-	}
-	for k := range got {
-		keys[k] = true
-	}
-	ordered := make([]oprofile.Key, 0, len(keys))
-	for k := range keys {
-		ordered = append(ordered, k)
-	}
-	slices.SortFunc(ordered, keyCompare)
-	for _, k := range ordered {
-		if expected[k] != got[k] {
+	// Walk the two runs in key order; a key one of them lacks counts 0
+	// there.
+	expected, got := foldRuns(applied), agg.Counts()
+	for i, j := 0, 0; i < len(expected) || j < len(got); {
+		order := -1 // which run holds the next key: <0 expected, >0 got, 0 both
+		switch {
+		case i == len(expected):
+			order = 1
+		case j < len(got):
+			order = keyCompare(expected[i].Key, got[j].Key)
+		}
+		var k oprofile.Key
+		var want, have uint64
+		if order <= 0 {
+			k, want = expected[i].Key, expected[i].Count
+			i++
+		}
+		if order >= 0 {
+			k, have = got[j].Key, got[j].Count
+			j++
+		}
+		if want != have {
 			c.Mismatches = append(c.Mismatches, fmt.Sprintf(
 				"key %s/%s ev=%d jit=%t epoch=%d cpu=%d off=%#x: oracle %d, aggregate %d",
-				k.Proc, k.Image, k.Event, k.JIT, k.Epoch, k.CPU, uint64(k.Off), expected[k], got[k]))
+				k.Proc, k.Image, k.Event, k.JIT, k.Epoch, k.CPU, uint64(k.Off), want, have))
 		}
 	}
 	return c

@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"viprof/internal/addr"
 	"viprof/internal/cache"
@@ -22,7 +24,8 @@ func newTestMachine(seed int64) *kernel.Machine {
 	return kernel.NewMachine(cpu.New(hpc.NewBank(), cache.DefaultHierarchy()), seed)
 }
 
-func randomCounts(rng *rand.Rand, host, n int) map[oprofile.Key]uint64 {
+// randomCounts draws a sender-shaped count run of up to n keys.
+func randomCounts(rng *rand.Rand, host, n int) []oprofile.KeyCount {
 	counts := make(map[oprofile.Key]uint64)
 	images := []string{"fleet.app", "libfleet.so", "vmlinux"}
 	for i := 0; i < n; i++ {
@@ -39,6 +42,25 @@ func randomCounts(rng *rand.Rand, host, n int) map[oprofile.Key]uint64 {
 		}
 		counts[k] += uint64(1 + rng.Intn(5))
 	}
+	return runOf(counts)
+}
+
+// runOf returns counts as a count run: one pair per key, in the order
+// the reference key sort (refSortedKeys) gives.
+func runOf(counts map[oprofile.Key]uint64) []oprofile.KeyCount {
+	run := make([]oprofile.KeyCount, 0, len(counts))
+	for _, k := range refSortedKeys(counts) {
+		run = append(run, oprofile.KeyCount{Key: k, Count: counts[k]})
+	}
+	return run
+}
+
+// countsOf folds a run into a map, summing duplicate keys.
+func countsOf(run []oprofile.KeyCount) map[oprofile.Key]uint64 {
+	counts := make(map[oprofile.Key]uint64, len(run))
+	for _, kc := range run {
+		counts[kc.Key] += kc.Count
+	}
 	return counts
 }
 
@@ -54,13 +76,8 @@ func TestWireRoundTrip(t *testing.T) {
 	if msg.Kind != KindDelta || msg.Host != 3 || msg.Seq != 41 || msg.At != 7500 {
 		t.Fatalf("header mismatch: %+v", msg)
 	}
-	if len(msg.Counts) != len(counts) {
-		t.Fatalf("counts: got %d keys, want %d", len(msg.Counts), len(counts))
-	}
-	for k, c := range counts {
-		if msg.Counts[k] != c {
-			t.Errorf("key %+v: got %d want %d", k, msg.Counts[k], c)
-		}
+	if !slices.Equal(msg.Counts, counts) {
+		t.Fatalf("counts: got %v, want %v", msg.Counts, counts)
 	}
 
 	ackRec := &Record{Kind: KindAck, Host: 3, Seq: 41}
@@ -95,7 +112,7 @@ func TestDecodePayloadAllocs(t *testing.T) {
 		}
 		counts[k] = uint64(1 + i)
 	}
-	rec := &Record{Kind: KindDelta, Host: 3, Seq: 41, At: 7500, Counts: counts}
+	rec := &Record{Kind: KindDelta, Host: 3, Seq: 41, At: 7500, Counts: runOf(counts)}
 	recs, _ := record.Scan(rec.Encode())
 	if len(recs) != 1 {
 		t.Fatalf("frame holds %d records", len(recs))
@@ -118,7 +135,7 @@ func TestDecodePayloadAllocs(t *testing.T) {
 }
 
 func TestWireRejectsDamage(t *testing.T) {
-	rec := &Record{Kind: KindDelta, Host: 1, Seq: 1, Counts: map[oprofile.Key]uint64{{Proc: "host01", Image: "x"}: 3}}
+	rec := &Record{Kind: KindDelta, Host: 1, Seq: 1, Counts: []oprofile.KeyCount{{Key: oprofile.Key{Proc: "host01", Image: "x"}, Count: 3}}}
 	frame := rec.Encode()
 	// Bit damage anywhere in the frame must fail the checksum.
 	for _, idx := range []int{0, 8, len(frame) / 2, len(frame) - 1} {
@@ -159,9 +176,9 @@ func TestAggregateIdempotentOrderInsensitive(t *testing.T) {
 			for seq := 1; seq <= deltas; seq++ {
 				counts := randomCounts(rng, h, 1+rng.Intn(5))
 				msgs = append(msgs, &Record{Kind: KindDelta, Host: h, Seq: uint64(seq), Counts: counts})
-				for k, c := range counts {
-					oracle[k] += c
-					oracleTotal += c
+				for _, kc := range counts {
+					oracle[kc.Key] += kc.Count
+					oracleTotal += kc.Count
 				}
 			}
 		}
@@ -187,7 +204,7 @@ func TestAggregateIdempotentOrderInsensitive(t *testing.T) {
 		if got := agg.Total(); got != oracleTotal {
 			t.Fatalf("iter %d: total %d, oracle %d", it, got, oracleTotal)
 		}
-		got := agg.Counts()
+		got := countsOf(agg.Counts())
 		if len(got) != len(oracle) {
 			t.Fatalf("iter %d: %d keys, oracle %d", it, len(got), len(oracle))
 		}
@@ -209,7 +226,7 @@ func TestAggregateIdempotentOrderInsensitive(t *testing.T) {
 
 func TestAggregateGapsPoison(t *testing.T) {
 	agg := NewAggregate()
-	counts := map[oprofile.Key]uint64{{Proc: "host01", Image: "x", Off: 8}: 2}
+	counts := []oprofile.KeyCount{{Key: oprofile.Key{Proc: "host01", Image: "x", Off: 8}, Count: 2}}
 	for _, seq := range []uint64{1, 2, 5} {
 		agg.Apply(&Record{Kind: KindDelta, Host: 1, Seq: seq, Counts: counts})
 	}
@@ -461,9 +478,9 @@ func TestConservationMismatchesInKeyOrder(t *testing.T) {
 			}
 		}
 	}
-	s := &Sender{cfg: SenderConfig{Host: 1}, Deltas: []*Delta{{Record: Record{Kind: KindDelta, Host: 1, Seq: 1, Counts: oracle}}}}
+	s := &Sender{cfg: SenderConfig{Host: 1}, Deltas: []*Delta{{Record: Record{Kind: KindDelta, Host: 1, Seq: 1, Counts: runOf(oracle)}}}}
 	agg := NewAggregate()
-	agg.Apply(&Record{Kind: KindDelta, Host: 1, Seq: 1, Counts: applied})
+	agg.Apply(&Record{Kind: KindDelta, Host: 1, Seq: 1, Counts: runOf(applied)})
 	first := CheckConservation([]*Sender{s}, agg).Mismatches
 	if want := 1 + len(oracle); len(first) != want {
 		t.Fatalf("%d mismatches, want %d: %v", len(first), want, first)
@@ -476,7 +493,7 @@ func TestConservationMismatchesInKeyOrder(t *testing.T) {
 		seen[msg] = true
 	}
 	want := first[1:]
-	for i, k := range sortedKeys(oracle) {
+	for i, k := range refSortedKeys(oracle) {
 		if !strings.Contains(want[i], fmt.Sprintf("ev=%d jit=%t epoch=%d cpu=%d", k.Event, k.JIT, k.Epoch, k.CPU)) {
 			t.Fatalf("message %d %q is not key %+v", i, want[i], k)
 		}
@@ -485,5 +502,127 @@ func TestConservationMismatchesInKeyOrder(t *testing.T) {
 		if got := CheckConservation([]*Sender{s}, agg).Mismatches; !reflect.DeepEqual(got, first) {
 			t.Fatalf("call %d: messages differ:\n%v\nfirst:\n%v", i, got, first)
 		}
+	}
+}
+
+// refCheckConservation is CheckConservation as it was while records
+// kept maps, kept verbatim as its reference (the per-record loops read
+// runs now): the applied deltas and the aggregate folded into two maps,
+// then compared over their sorted key union.
+func refCheckConservation(senders []*Sender, agg *Aggregate) *Conservation {
+	c := &Conservation{}
+	expected := make(map[oprofile.Key]uint64)
+	for _, s := range senders {
+		host := s.cfg.Host
+		for _, d := range s.Deltas {
+			total := d.Total()
+			c.GeneratedSamples += total
+			if agg.Applied(host, d.Seq) {
+				c.AppliedSamples += total
+				for _, kc := range d.Counts {
+					expected[kc.Key] += kc.Count
+				}
+			} else {
+				c.HeldSamples += total
+			}
+		}
+	}
+	c.AggregateSamples = agg.Total()
+
+	if c.GeneratedSamples != c.AppliedSamples+c.HeldSamples {
+		c.Mismatches = append(c.Mismatches, fmt.Sprintf(
+			"generated %d != applied %d + held %d",
+			c.GeneratedSamples, c.AppliedSamples, c.HeldSamples))
+	}
+	if c.AggregateSamples != c.AppliedSamples {
+		c.Mismatches = append(c.Mismatches, fmt.Sprintf(
+			"aggregate total %d != applied oracle total %d",
+			c.AggregateSamples, c.AppliedSamples))
+	}
+	got := make(map[oprofile.Key]uint64)
+	for _, recs := range agg.byHost {
+		for _, rec := range recs {
+			for _, kc := range rec.Counts {
+				got[kc.Key] += kc.Count
+			}
+		}
+	}
+	keys := make(map[oprofile.Key]bool, len(expected)+len(got))
+	for k := range expected {
+		keys[k] = true
+	}
+	for k := range got {
+		keys[k] = true
+	}
+	ordered := make([]oprofile.Key, 0, len(keys))
+	for k := range keys {
+		ordered = append(ordered, k)
+	}
+	slices.SortFunc(ordered, keyCompare)
+	for _, k := range ordered {
+		if expected[k] != got[k] {
+			c.Mismatches = append(c.Mismatches, fmt.Sprintf(
+				"key %s/%s ev=%d jit=%t epoch=%d cpu=%d off=%#x: oracle %d, aggregate %d",
+				k.Proc, k.Image, k.Event, k.JIT, k.Epoch, k.CPU, uint64(k.Off), expected[k], got[k]))
+		}
+	}
+	return c
+}
+
+// TestConservationMatchesReferenceQuick holds CheckConservation to the
+// map-based check it replaced (refCheckConservation): the four totals
+// and every mismatch, text and order, over random senders and
+// aggregates that apply some of their deltas as sent, some with a
+// count changed, a key dropped or a key added, some not at all, plus
+// records no sender sent and zero counts. `-args -quickchecks=N`
+// widens it.
+func TestConservationMatchesReferenceQuick(t *testing.T) {
+	var balanced, unbalanced int
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		agg := NewAggregate()
+		var senders []*Sender
+		for h, hosts := 1, 1+rng.Intn(3); h <= hosts; h++ {
+			s := &Sender{cfg: SenderConfig{Host: h}}
+			for seq, deltas := 1, rng.Intn(6); seq <= deltas; seq++ {
+				d := &Delta{Record: Record{Kind: KindDelta, Host: h, Seq: uint64(seq), Counts: randomCounts(rng, h, 1+rng.Intn(4))}}
+				s.Deltas = append(s.Deltas, d)
+				applied := d.Record
+				applied.Counts = slices.Clone(d.Counts)
+				switch rng.Intn(8) {
+				case 0:
+					continue // held
+				case 1:
+					applied.Counts[rng.Intn(len(applied.Counts))].Count += uint64(rng.Intn(3))
+				case 2:
+					i := rng.Intn(len(applied.Counts))
+					applied.Counts = slices.Delete(applied.Counts, i, i+1)
+				case 3:
+					applied.Counts = sortRun(append(applied.Counts, randomCounts(rng, h+rng.Intn(2), 1)...))
+				}
+				agg.Apply(&applied)
+			}
+			senders = append(senders, s)
+		}
+		if rng.Intn(4) == 0 {
+			agg.Apply(&Record{Kind: KindDelta, Host: 9, Seq: 1, Counts: randomCounts(rng, 9, 1+rng.Intn(3))})
+		}
+		got, want := CheckConservation(senders, agg), refCheckConservation(senders, agg)
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("seed %d: %+v\nreference %+v", seed, got, want)
+			return false
+		}
+		if got.Balanced() {
+			balanced++
+		} else {
+			unbalanced++
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if balanced == 0 || unbalanced == 0 {
+		t.Errorf("drew %d balanced and %d unbalanced cases: want some of each", balanced, unbalanced)
 	}
 }

@@ -185,7 +185,7 @@ func AssembleIntegrity(disk *kernel.Disk, agg *Aggregate, rep JournalReplay, hos
 	}
 	if disk.Exists(AggregateFile) {
 		if data, err := disk.Read(AggregateFile); err == nil {
-			_, sal, rerr := oprofile.ReadCountsSalvage(data)
+			sal, rerr := oprofile.CheckCountsSalvage(data)
 			fi.AggregateSnapshot = true
 			if rerr != nil || sal.Lossy() {
 				fi.SnapshotDamaged = true

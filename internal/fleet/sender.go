@@ -118,7 +118,10 @@ type SenderStats struct {
 // send with an ack timeout, retry under capped exponential backoff with
 // seeded jitter, and spill durably when the budget runs out.
 type Sender struct {
-	cfg   SenderConfig
+	cfg SenderConfig
+	// proc is cfg.ProcName(), formatted once: the Proc of every key
+	// the host generates.
+	proc  string
 	net   *Network
 	rng   *rand.Rand
 	now   func() uint64
@@ -139,6 +142,7 @@ func NewSender(m *kernel.Machine, net *Network, now func() uint64, route func(ho
 	cfg.fill()
 	s := &Sender{
 		cfg:   cfg,
+		proc:  cfg.ProcName(),
 		net:   net,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		now:   now,
@@ -148,7 +152,7 @@ func NewSender(m *kernel.Machine, net *Network, now func() uint64, route func(ho
 			LostByEvent:    make(map[string]uint64),
 		},
 	}
-	if _, err := m.Kern.NewProcess(cfg.ProcName(), s); err != nil {
+	if _, err := m.Kern.NewProcess(s.proc, s); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -196,12 +200,12 @@ func (s *Sender) generate(at uint64) *Delta {
 		}}
 	}
 	images := []string{"fleet.app", "libfleet.so", "vmlinux"}
-	counts := make(map[oprofile.Key]uint64, keysPerDelta)
+	counts := make([]oprofile.KeyCount, 0, keysPerDelta)
 	for i := 0; i < keysPerDelta; i++ {
 		k := oprofile.Key{
 			Event: hpc.Event(s.rng.Intn(2)),
 			Image: images[s.rng.Intn(len(images))],
-			Proc:  s.cfg.ProcName(),
+			Proc:  s.proc,
 			Off:   addr.Address(0x1000 + 8*s.rng.Intn(512)),
 		}
 		if s.rng.Intn(5) == 0 {
@@ -209,9 +213,9 @@ func (s *Sender) generate(at uint64) *Delta {
 			k.JIT = true
 			k.Epoch = 1 + s.rng.Intn(3)
 		}
-		counts[k] += uint64(1 + s.rng.Intn(4))
+		counts = append(counts, oprofile.KeyCount{Key: k, Count: uint64(1 + s.rng.Intn(4))})
 	}
-	return &Delta{Record: Record{Kind: KindDelta, Host: s.cfg.Host, Seq: seq, At: at, Counts: counts}}
+	return &Delta{Record: Record{Kind: KindDelta, Host: s.cfg.Host, Seq: seq, At: at, Counts: sortRun(counts)}}
 }
 
 // backoff sizes the wait before retry attempt n (1-based): base
@@ -273,9 +277,9 @@ func (s *Sender) unhold(d *Delta) {
 // an event once it reaches zero. Every delta count is at least 1, so a
 // zero entry can arise only here, and the maps hold none.
 func unholdEvents(byEvent map[string]uint64, d *Delta) {
-	for k, c := range d.Counts {
-		ev := k.Event.String()
-		byEvent[ev] -= c
+	for _, kc := range d.Counts {
+		ev := kc.Key.Event.String()
+		byEvent[ev] -= kc.Count
 		if byEvent[ev] == 0 {
 			delete(byEvent, ev)
 		}
@@ -296,16 +300,16 @@ func (s *Sender) spill(m *kernel.Machine, p *kernel.Process, d *Delta) {
 		s.stats.SpillErrors++
 		s.stats.Lost++
 		s.stats.LostSamples += d.Total()
-		for k, c := range d.Counts {
-			s.stats.LostByEvent[k.Event.String()] += c
+		for _, kc := range d.Counts {
+			s.stats.LostByEvent[kc.Key.Event.String()] += kc.Count
 		}
 		return
 	}
 	d.Hold = HoldSpilled
 	s.stats.Spilled++
 	s.stats.SpilledSamples += d.Total()
-	for k, c := range d.Counts {
-		s.stats.SpilledByEvent[k.Event.String()] += c
+	for _, kc := range d.Counts {
+		s.stats.SpilledByEvent[kc.Key.Event.String()] += kc.Count
 	}
 }
 

@@ -53,7 +53,9 @@ type Shard struct {
 	supervised
 	c   *Collector
 	idx int
-	agg *Aggregate
+	// journal is ShardJournalPath(idx), formatted once.
+	journal string
+	agg     *Aggregate
 	// handoff is the duplicate-suppression set: (host, seq) pairs some
 	// peer durably applied. A matching record is re-acked without
 	// journaling or applying.
@@ -137,7 +139,7 @@ func (sh *Shard) ingest(m *kernel.Machine, p *kernel.Process, data []byte) {
 	// above and re-verified by record.Scan on every replay), so the
 	// journal stays a salvageable concatenation of frames.
 	//viplint:allow record-frame payload is the sender's framed wire record, checksum-verified by DecodeWire and salvage-scanned on replay
-	if err := m.Kern.SysWrite(p, ShardJournalPath(sh.idx), data); err != nil {
+	if err := m.Kern.SysWrite(p, sh.journal, data); err != nil {
 		c.stats.JournalErrors++
 		return // no apply, no ack: the sender retries
 	}
@@ -166,7 +168,7 @@ func (sh *Shard) ack(msg *Record) {
 func (sh *Shard) restart(m *kernel.Machine) error {
 	c := sh.c
 	c.stats.DeadLetters += uint64(c.net.Flush(ShardEndpoint(sh.idx)))
-	own, err := scanStore(m.Kern.Disk(), []string{ShardJournalPath(sh.idx)})
+	own, err := scanStore(m.Kern.Disk(), []string{sh.journal})
 	if err != nil {
 		c.stats.ReplayErrors++
 		return err
@@ -197,7 +199,7 @@ func (sh *Shard) restart(m *kernel.Machine) error {
 	m.Kern.Pin(proc, sh.idx)
 	sh.proc = proc
 	marker := Record{Kind: KindRestart, Shard: sh.idx, Attempt: sh.restarts}
-	if werr := m.Kern.SysWrite(proc, ShardJournalPath(sh.idx), marker.Encode()); werr != nil {
+	if werr := m.Kern.SysWrite(proc, sh.journal, marker.Encode()); werr != nil {
 		// The marker is evidence, not state: a failed append is counted
 		// (and may itself have crashed the fresh process — the
 		// supervisor will see that and come around again).
@@ -235,6 +237,7 @@ func NewCollector(m *kernel.Machine, net *Network, cfg CollectorConfig, seed int
 	for i := 0; i < cfg.Procs; i++ {
 		sh := &Shard{
 			c: c, idx: i,
+			journal: ShardJournalPath(i),
 			agg:     NewAggregate(),
 			handoff: make(map[int]map[uint64]bool),
 			serving: true,
@@ -483,10 +486,8 @@ func (c *Collector) Finalize(m *kernel.Machine) {
 	if proc == nil {
 		return
 	}
-	counts := c.Aggregate().Counts()
-	frame := record.Frame(oprofile.AppendCounts(nil, counts, sortedKeys(counts)))
 	tmp := AggregateFile + ".tmp"
-	if err := m.Kern.SysWriteSync(proc, tmp, frame); err != nil {
+	if err := m.Kern.SysWriteSync(proc, tmp, c.Aggregate().snapshot()); err != nil {
 		c.stats.SnapshotErrors++
 	} else if err := m.Kern.SysRename(proc, tmp, AggregateFile); err != nil {
 		c.stats.SnapshotErrors++

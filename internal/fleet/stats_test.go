@@ -261,17 +261,19 @@ func randSenderStats(r *rand.Rand) *SenderStats {
 	}
 	var held []*Delta
 	for i := r.Intn(8); i > 0; i-- {
-		d := &Delta{Record: Record{Counts: make(map[oprofile.Key]uint64)}, Hold: HoldSpilled}
+		d := &Delta{Hold: HoldSpilled}
+		counts := make(map[oprofile.Key]uint64)
 		for j := 1 + r.Intn(4); j > 0; j-- {
 			k := oprofile.Key{Event: hpc.Event(r.Intn(6)), Image: "fleet.app", Off: addr.Address(8 * r.Intn(4))}
-			d.Counts[k] += uint64(1 + r.Intn(4))
+			counts[k] += uint64(1 + r.Intn(4))
 		}
+		d.Counts = runOf(counts)
 		byEvent := st.SpilledByEvent
 		if r.Intn(3) == 0 {
 			d.Hold, byEvent = HoldLost, st.LostByEvent
 		}
-		for k, c := range d.Counts {
-			byEvent[k.Event.String()] += c
+		for _, kc := range d.Counts {
+			byEvent[kc.Key.Event.String()] += kc.Count
 		}
 		if d.Hold == HoldSpilled {
 			st.Spilled++

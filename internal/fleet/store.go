@@ -105,9 +105,11 @@ func (sc *storeScan) scanFile(disk *kernel.Disk, path string) (int, error) {
 	sc.sal.DroppedRecords += sal.DroppedRecords
 	sc.sal.DroppedBytes += sal.DroppedBytes
 	sc.frames = slices.Grow(sc.frames, len(recs))
-	for _, payload := range recs {
-		msg, herr := parseHeader(payload)
-		switch {
+	// One allocation holds the file's headers.
+	heads := make([]Record, len(recs))
+	for i, payload := range recs {
+		msg := &heads[i]
+		switch herr := msg.parseHeader(payload); {
 		case herr != nil:
 			// Checksum-valid but unparseable: the torn tail of a map
 			// frame sheds its inner entry records as intact-looking

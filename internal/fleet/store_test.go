@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -287,7 +288,7 @@ func cloneDisk(t *testing.T, d *kernel.Disk) *kernel.Disk {
 
 // sameAggregate compares two aggregates record by record.
 func sameAggregate(a, b *Aggregate) error {
-	if !sameCounts(a.Counts(), b.Counts()) {
+	if !slices.Equal(a.Counts(), b.Counts()) {
 		return fmt.Errorf("counts differ: %d vs %d samples", a.Total(), b.Total())
 	}
 	if !reflect.DeepEqual(a.Hosts(), b.Hosts()) {
@@ -453,7 +454,7 @@ func checkStoreAgainstReference(t *testing.T, disk *kernel.Disk) (doubled bool) 
 	for i, rec := range recs {
 		want := ref.recs[i]
 		if rec.Host != want.Host || rec.Seq != want.Seq || rec.At != want.At ||
-			rec.Kind != want.Kind || rec.Total() != want.Total() || !sameCounts(rec.Counts, want.Counts) ||
+			rec.Kind != want.Kind || rec.Total() != want.Total() || !slices.Equal(rec.Counts, want.Counts) ||
 			rec.Epoch != want.Epoch || !reflect.DeepEqual(rec.Entries, want.Entries) {
 			t.Fatalf("compacted record %d (host %d seq %d) differs from the reference", i, want.Host, want.Seq)
 		}
@@ -575,7 +576,7 @@ func TestDamagedManifest(t *testing.T) {
 // the salvage layer drops a torn tail; ReingestSpills and
 // AssembleIntegrity both report what it read.
 func TestReadSpill(t *testing.T) {
-	counts := map[oprofile.Key]uint64{{Image: "a", Proc: "p"}: 5}
+	counts := []oprofile.KeyCount{{Key: oprofile.Key{Image: "a", Proc: "p"}, Count: 5}}
 	encode := func(r Record) []byte { return r.Encode() }
 	own1 := encode(Record{Kind: KindDelta, Host: 3, Seq: 1, At: 10, Counts: counts})
 	foreign := encode(Record{Kind: KindDelta, Host: 4, Seq: 2, At: 10, Counts: counts})

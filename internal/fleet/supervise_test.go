@@ -25,7 +25,7 @@ func advanceTo(m *kernel.Machine, at uint64) {
 func TestSuperviseShardFailurePaths(t *testing.T) {
 	m := newTestMachine(61)
 	disk := m.Kern.Disk()
-	counts := map[oprofile.Key]uint64{{Image: "a", Proc: "host01"}: 2}
+	counts := []oprofile.KeyCount{{Key: oprofile.Key{Image: "a", Proc: "host01"}, Count: 2}}
 	for i, host := range []int{1, 2} {
 		rec := &Record{Kind: KindDelta, Host: host, Seq: 1, At: 10, Counts: counts}
 		disk.Append(ShardJournalPath(i), rec.Encode())

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"viprof/internal/core"
 	"viprof/internal/oprofile"
@@ -72,8 +74,10 @@ type Record struct {
 	Host int
 	Seq  uint64
 	At   uint64
-	// Counts is the sample body (deltas only).
-	Counts map[oprofile.Key]uint64
+	// Counts is the sample body (deltas only) as a count run: one pair
+	// per key, in the wire's key order (keyCompare), as Encode writes
+	// it.
+	Counts []oprofile.KeyCount
 	// Epoch and Entries are the replicated code map (maps only).
 	Epoch   int
 	Entries []core.MapEntry
@@ -85,22 +89,41 @@ type Record struct {
 // Total returns the record's sample total (0 for all but deltas).
 func (r *Record) Total() uint64 {
 	var n uint64
-	for _, c := range r.Counts {
-		n += c
+	for _, kc := range r.Counts {
+		n += kc.Count
 	}
 	return n
 }
 
-// sortedKeys returns the counts' keys in a deterministic total order
-// over every Key field, so the same delta always serializes to the
-// same bytes.
-func sortedKeys(counts map[oprofile.Key]uint64) []oprofile.Key {
-	order := make([]oprofile.Key, 0, len(counts))
-	for k := range counts {
-		order = append(order, k)
+// sortRun makes run a count run: it sorts run in place into the wire's
+// key order and sums the counts of equal keys, so each key appears
+// once, and returns the result (a prefix of run). A run already in
+// that order is returned untouched.
+func sortRun(run []oprofile.KeyCount) []oprofile.KeyCount {
+	if isRun(run) {
+		return run
 	}
-	slices.SortFunc(order, keyCompare)
-	return order
+	slices.SortFunc(run, func(a, b oprofile.KeyCount) int { return keyCompare(a.Key, b.Key) })
+	out := run[:0]
+	for _, kc := range run {
+		if n := len(out); n > 0 && out[n-1].Key == kc.Key {
+			out[n-1].Count += kc.Count
+			continue
+		}
+		out = append(out, kc)
+	}
+	return out
+}
+
+// isRun reports whether run's keys are strictly increasing in the
+// wire's key order.
+func isRun(run []oprofile.KeyCount) bool {
+	for i := 1; i < len(run); i++ {
+		if keyCompare(run[i-1].Key, run[i].Key) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // keyCompare is the wire's total order on keys: event, proc, image, JIT
@@ -131,14 +154,14 @@ func keyCompare(a, b oprofile.Key) int {
 }
 
 // Encode returns the record framed for the wire, a journal or a
-// generation file. Deltas write their keys in the wire's total order,
-// so the same record always encodes to the same bytes.
+// generation file. A delta's run is already in the wire's total key
+// order, so the same record always encodes to the same bytes.
 func (r *Record) Encode() []byte {
 	b := make([]byte, 0, 64+64*(len(r.Counts)+len(r.Entries)))
 	switch r.Kind {
 	case KindDelta:
 		b = fmt.Appendf(b, "#%s host=%d seq=%d at=%d\n", r.Kind, r.Host, r.Seq, r.At)
-		b = oprofile.AppendCounts(b, r.Counts, sortedKeys(r.Counts))
+		b = oprofile.AppendRun(b, r.Counts)
 	case KindMap:
 		b = fmt.Appendf(b, "#%s host=%d seq=%d epoch=%d at=%d\n", r.Kind, r.Host, r.Seq, r.Epoch, r.At)
 		b = core.AppendMapFile(b, r.Entries)
@@ -166,8 +189,8 @@ func DecodeWire(data []byte) (*Record, error) {
 // record's bytes, e.g. one journal entry out of record.Scan): the one
 // decoder, for every kind.
 func DecodePayload(payload []byte) (*Record, error) {
-	msg, err := parseHeader(payload)
-	if err != nil {
+	msg := new(Record)
+	if err := msg.parseHeader(payload); err != nil {
 		return nil, err
 	}
 	if err := msg.decodeBody(payload); err != nil {
@@ -176,33 +199,37 @@ func DecodePayload(payload []byte) (*Record, error) {
 	return msg, nil
 }
 
-// parseHeader parses a payload's '#' header line into a record with
-// every header field set and no body. It makes every check
-// DecodePayload makes short of parsing the body, so a store scan can
-// classify, dedup and order frames by header alone.
-func parseHeader(payload []byte) (*Record, error) {
+// parseHeader parses a payload's '#' header line into msg, which must
+// be zero, setting every header field and no body. It makes every
+// check DecodePayload makes short of parsing the body, so a store scan
+// can classify, dedup and order frames by header alone. It walks the
+// line's fields in place, split at white space as bytes.Fields splits.
+func (msg *Record) parseHeader(payload []byte) error {
 	header, _, _ := bytes.Cut(payload, []byte("\n"))
-	fields := bytes.Fields(header)
-	if len(fields) == 0 || fields[0][0] != '#' {
-		return nil, fmt.Errorf("fleet: wire payload has no #header")
+	name, rest := nextField(header)
+	if len(name) == 0 || name[0] != '#' {
+		return fmt.Errorf("fleet: wire payload has no #header")
 	}
-	name := fields[0][1:]
-	msg := &Record{}
+	name = name[1:]
 	for k, n := range kindNames {
 		if n == string(name) {
 			msg.Kind = Kind(k) // a bare "#" matches slot 0: no kind
 		}
 	}
-	for _, f := range fields[1:] {
+	for {
+		var f []byte
+		if f, rest = nextField(rest); len(f) == 0 {
+			break
+		}
 		k, v, ok := bytes.Cut(f, []byte("="))
 		if !ok {
-			return nil, fmt.Errorf("fleet: malformed wire header field %q", f)
+			return fmt.Errorf("fleet: malformed wire header field %q", f)
 		}
 		// string(v) of a short numeric field stays on the stack:
 		// strconv copies whatever text it keeps in an error.
 		n, err := strconv.ParseUint(string(v), 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: wire header %s: %v", k, err)
+			return fmt.Errorf("fleet: wire header %s: %v", k, err)
 		}
 		switch string(k) {
 		case "host":
@@ -222,28 +249,68 @@ func parseHeader(payload []byte) (*Record, error) {
 	switch msg.Kind {
 	case KindDelta, KindMap, KindAck:
 		if msg.Seq == 0 {
-			return nil, fmt.Errorf("fleet: %s with seq 0", msg.Kind)
+			return fmt.Errorf("fleet: %s with seq 0", msg.Kind)
 		}
 		if msg.Kind == KindMap && msg.Epoch <= 0 {
-			return nil, fmt.Errorf("fleet: map with epoch %d", msg.Epoch)
+			return fmt.Errorf("fleet: map with epoch %d", msg.Epoch)
 		}
 	case KindRestart:
 	default:
-		return nil, fmt.Errorf("fleet: unknown wire kind %q", name)
+		return fmt.Errorf("fleet: unknown wire kind %q", name)
 	}
-	return msg, nil
+	return nil
+}
+
+// nextField returns the first field of s, split at white space as
+// bytes.Fields splits (unicode.IsSpace, invalid UTF-8 not space), and
+// what follows it; the field is empty when s holds no more fields.
+func nextField(s []byte) (field, rest []byte) {
+	i := 0
+	for i < len(s) {
+		n, space := spaceAt(s[i:])
+		if !space {
+			break
+		}
+		i += n
+	}
+	start := i
+	for i < len(s) {
+		n, space := spaceAt(s[i:])
+		if space {
+			break
+		}
+		i += n
+	}
+	return s[start:i], s[i:]
+}
+
+// spaceAt returns the width of the rune s opens with and whether it is
+// white space.
+func spaceAt(s []byte) (int, bool) {
+	if c := s[0]; c < utf8.RuneSelf {
+		return 1, c == ' ' || '\t' <= c && c <= '\r'
+	}
+	r, n := utf8.DecodeRune(s)
+	return n, unicode.IsSpace(r)
 }
 
 // decodeBody parses the body of payload, a delta's sample lines or a
-// map's entries, into the record parseHeader returned for it.
+// map's entries, into the record parseHeader filled from it.
 func (msg *Record) decodeBody(payload []byte) error {
 	_, body, _ := bytes.Cut(payload, []byte("\n"))
 	switch msg.Kind {
 	case KindDelta:
-		msg.Counts = make(map[oprofile.Key]uint64)
-		if err := oprofile.ParseCountsText(body, msg.Counts); err != nil {
+		// One pair per line: a body Encode wrote is already a run, so it
+		// is kept as parsed, in a slice sized by its line count.
+		lines := bytes.Count(body, []byte("\n"))
+		if len(body) > 0 && body[len(body)-1] != '\n' {
+			lines++
+		}
+		run, err := oprofile.ParseRun(make([]oprofile.KeyCount, 0, lines), body)
+		if err != nil {
 			return fmt.Errorf("fleet: delta body: %v", err)
 		}
+		msg.Counts = sortRun(run)
 	case KindMap:
 		// The outer CRC already passed, so a body that will not parse is
 		// a writer bug, not wire damage — strict read, loud error.

@@ -40,7 +40,7 @@ var MapOrder = &analysis.Analyzer{
 // become durable or user-visible output.
 var persistSinks = map[string]bool{
 	"SysWrite": true, "SysWriteSync": true, "SysRename": true,
-	"AppendMapFile": true, "AppendCounts": true, "Frame": true, "AppendFrame": true,
+	"AppendMapFile": true, "AppendCounts": true, "AppendRun": true, "Frame": true, "AppendFrame": true,
 	"Fprint": true, "Fprintf": true, "Fprintln": true, "WriteString": true,
 }
 

@@ -84,9 +84,10 @@ func refReadCountsText(data []byte, counts map[Key]uint64) error {
 	return sc.Err()
 }
 
-// checkReadMatchesRef parses data with both readers and fails on any
-// difference in the resulting counts (partial ones included, on error)
-// or in the error text.
+// checkReadMatchesRef parses data with the reference reader, the map
+// reader and the run reader and fails on any difference in the
+// resulting counts (partial ones included, on error; the run folded
+// into a map) or in the error text.
 func checkReadMatchesRef(t *testing.T, name string, data []byte) {
 	t.Helper()
 	want := make(map[Key]uint64)
@@ -98,6 +99,20 @@ func checkReadMatchesRef(t *testing.T, name string, data []byte) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("%s: counts differ from reference:\n got %v\nwant %v", name, got, want)
+	}
+	run, runErr := ParseRun(nil, data)
+	if fmt.Sprint(runErr) != fmt.Sprint(wantErr) {
+		t.Errorf("%s: run error %v, reference %v", name, runErr, wantErr)
+	}
+	folded := make(map[Key]uint64)
+	for _, kc := range run {
+		folded[kc.Key] += kc.Count
+	}
+	if !reflect.DeepEqual(folded, want) {
+		t.Errorf("%s: run counts differ from reference:\n got %v\nwant %v", name, folded, want)
+	}
+	if _, err := CheckCountsSalvage(record.Frame(data)); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Errorf("%s: check error %v, reference %v", name, err, wantErr)
 	}
 }
 
@@ -158,10 +173,11 @@ func randKeys(r *rand.Rand) (map[Key]uint64, []Key) {
 	return counts, order
 }
 
-// Property: on random key sets, AppendCounts emits exactly the
-// reference writer's bytes after whatever dst already holds, and
-// readCountsText parses them (and a CRLF-converted copy) exactly as the
-// reference reader does.
+// Property: on random key sets, AppendCounts (and AppendRun over the
+// same keys in the same order) emits exactly the reference writer's
+// bytes after whatever dst already holds, and readCountsText, ParseRun
+// and CheckCountsSalvage parse them (and a CRLF-converted copy) exactly
+// as the reference reader does.
 func TestCodecMatchesReferenceQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -176,6 +192,14 @@ func TestCodecMatchesReferenceQuick(t *testing.T) {
 		got := AppendCounts(prefix, counts, order)
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("seed %d: writer output differs:\n got %q\nwant %q", seed, got, want.Bytes())
+			return false
+		}
+		run := make([]KeyCount, 0, len(order))
+		for _, k := range order {
+			run = append(run, KeyCount{k, counts[k]})
+		}
+		if got := AppendRun(prefix, run); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("seed %d: run writer output differs:\n got %q\nwant %q", seed, got, want.Bytes())
 			return false
 		}
 		got = got[len(prefix):]
@@ -280,12 +304,17 @@ func TestAppendCountsMatchesReferenceFixed(t *testing.T) {
 	}
 }
 
-// TestReadCountsKeysDoNotAliasInput pins the interning contract:
-// clobbering the parsed buffer afterwards leaves the keys intact.
+// TestReadCountsKeysDoNotAliasInput pins the interning contract of
+// both readers: clobbering the parsed buffer afterwards leaves the keys
+// intact.
 func TestReadCountsKeysDoNotAliasInput(t *testing.T) {
 	data := []byte("0\t0\t0\t64\t5\t0\tapp\tlibc.so\n0\t0\t0\t65\t1\t0\tapp\tlibc.so\n")
 	counts := make(map[Key]uint64)
-	if err := ParseCountsText(data, counts); err != nil {
+	if err := readCountsText(data, counts); err != nil {
+		t.Fatal(err)
+	}
+	run, err := ParseRun(nil, data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
@@ -294,6 +323,11 @@ func TestReadCountsKeysDoNotAliasInput(t *testing.T) {
 	for k := range counts {
 		if k.Proc != "app" || k.Image != "libc.so" {
 			t.Fatalf("key aliases the input buffer: %+v", k)
+		}
+	}
+	for _, kc := range run {
+		if kc.Key.Proc != "app" || kc.Key.Image != "libc.so" {
+			t.Fatalf("run key aliases the input buffer: %+v", kc.Key)
 		}
 	}
 }

@@ -92,7 +92,16 @@ func KeyOf(s Sample) Key {
 // SampleFile is the on-disk path prefix for sample data.
 const SampleFile = "var/lib/oprofile/samples.log"
 
-// AppendCounts appends aggregated counts to dst as sample-file lines:
+// KeyCount is one key's sample count. A slice of them in one key
+// order, each key once, is a count run: the fleet's form of a sample
+// body, written by AppendRun and read by ParseRun.
+type KeyCount struct {
+	Key   Key
+	Count uint64
+}
+
+// AppendCounts appends aggregated counts to dst as sample-file lines,
+// the keys in the given order:
 //
 //	event<TAB>jit<TAB>epoch<TAB>offset<TAB>count<TAB>cpu<TAB>proc<TAB>image
 //
@@ -100,32 +109,46 @@ const SampleFile = "var/lib/oprofile/samples.log"
 // reject a line with fewer than eight fields. Keys with a zero count
 // are skipped.
 func AppendCounts(dst []byte, counts map[Key]uint64, order []Key) []byte {
-	b := dst
 	for _, k := range order {
-		c := counts[k]
-		if c == 0 {
-			continue
-		}
-		jit := byte('0')
-		if k.JIT {
-			jit = '1'
-		}
-		b = strconv.AppendUint(b, uint64(k.Event), 10)
-		b = append(b, '\t', jit, '\t')
-		b = strconv.AppendInt(b, int64(k.Epoch), 10)
-		b = append(b, '\t')
-		b = strconv.AppendUint(b, uint64(k.Off), 10)
-		b = append(b, '\t')
-		b = strconv.AppendUint(b, c, 10)
-		b = append(b, '\t')
-		b = strconv.AppendInt(b, int64(k.CPU), 10)
-		b = append(b, '\t')
-		b = append(b, k.Proc...)
-		b = append(b, '\t')
-		b = append(b, k.Image...)
-		b = append(b, '\n')
+		dst = appendLine(dst, k, counts[k])
 	}
-	return b
+	return dst
+}
+
+// AppendRun appends a count run to dst as sample-file lines (the
+// AppendCounts format), in run order. Keys with a zero count are
+// skipped.
+func AppendRun(dst []byte, run []KeyCount) []byte {
+	for _, kc := range run {
+		dst = appendLine(dst, kc.Key, kc.Count)
+	}
+	return dst
+}
+
+// appendLine is the one sample-line writer: it appends k's line with
+// count c, or nothing when c is zero.
+func appendLine(b []byte, k Key, c uint64) []byte {
+	if c == 0 {
+		return b
+	}
+	jit := byte('0')
+	if k.JIT {
+		jit = '1'
+	}
+	b = strconv.AppendUint(b, uint64(k.Event), 10)
+	b = append(b, '\t', jit, '\t')
+	b = strconv.AppendInt(b, int64(k.Epoch), 10)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(k.Off), 10)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, c, 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(k.CPU), 10)
+	b = append(b, '\t')
+	b = append(b, k.Proc...)
+	b = append(b, '\t')
+	b = append(b, k.Image...)
+	return append(b, '\n')
 }
 
 // ReadCounts parses a sample file, summing duplicate keys (the daemon
@@ -164,23 +187,52 @@ func ReadCountsSalvage(data []byte) (map[Key]uint64, record.Salvage, error) {
 	return counts, sal, nil
 }
 
-// ParseCountsText parses plain sample-file lines (the AppendCounts
-// format) into counts, summing duplicate keys. It is the payload parser
-// for contexts where framing is handled out of line — the fleet wire
-// protocol ships one AppendCounts body per framed delta record.
-func ParseCountsText(data []byte, counts map[Key]uint64) error {
-	return readCountsText(data, counts)
+// CheckCountsSalvage reads a sample file the way ReadCountsSalvage
+// does and keeps no counts: it returns the file's salvage accounting
+// and the first checksum-valid line that will not parse.
+func CheckCountsSalvage(data []byte) (record.Salvage, error) {
+	recs, sal := record.Scan(data)
+	for _, payload := range recs {
+		lines := sampleLines{data: payload}
+		for lines.next() {
+		}
+		if lines.err != nil {
+			return sal, lines.err
+		}
+	}
+	return sal, nil
+}
+
+// ParseRun appends the plain sample-file lines in data (an AppendRun
+// body: framing is handled out of line) to run, one pair per line in
+// line order. It neither sorts nor sums duplicate keys, and it keeps
+// zero counts. A line's proc and image reuse the previous line's
+// strings when they are equal, so a body written in key order copies
+// each name out once per change, and no key aliases data.
+func ParseRun(run []KeyCount, data []byte) ([]KeyCount, error) {
+	var proc, image string
+	lines := sampleLines{data: data}
+	for lines.next() {
+		if string(lines.proc) != proc {
+			proc = string(lines.proc)
+		}
+		if string(lines.image) != image {
+			image = string(lines.image)
+		}
+		k := lines.key
+		k.Proc, k.Image = proc, image
+		run = append(run, KeyCount{k, lines.count})
+	}
+	return run, lines.err
 }
 
 // maxLineBytes bounds a sample line (newline excluded): a line this
 // long or longer fails with bufio.ErrTooLong.
 const maxLineBytes = 1 << 20
 
-// readCountsText parses plain sample-file lines into counts. It walks
-// data in place: no line buffer, no string per line. Each distinct
-// proc and image is copied out once per call, so the keys it stores
-// never alias data. A trailing '\r' is dropped from every line, blank
-// lines are skipped, and extra tabs stay in the last field.
+// readCountsText parses plain sample-file lines into counts, summing
+// duplicate keys. Each distinct proc and image is copied out once per
+// call, so the keys it stores never alias data.
 func readCountsText(data []byte, counts map[Key]uint64) error {
 	names := make(map[string]string)
 	intern := func(b []byte) string {
@@ -191,16 +243,45 @@ func readCountsText(data []byte, counts map[Key]uint64) error {
 		names[s] = s
 		return s
 	}
+	lines := sampleLines{data: data}
+	for lines.next() {
+		k := lines.key
+		k.Image, k.Proc = intern(lines.image), intern(lines.proc)
+		counts[k] += lines.count
+	}
+	return lines.err
+}
+
+// sampleLines is the one sample-line parser. It walks data in place,
+// one line per next: no line buffer and no string per line. A trailing
+// '\r' is dropped from every line, blank lines are skipped, and extra
+// tabs stay in the last field.
+type sampleLines struct {
+	data []byte
+	line int
+	// key and count are the last line parsed; key's Proc and Image are
+	// left to the caller, from proc and image, which alias data.
+	key         Key
+	count       uint64
+	proc, image []byte
+	// err is the line that stopped next early (nil at the end of data).
+	err error
+}
+
+// next parses the next non-blank line. It reports false at the end of
+// data and at a line that will not parse, with err set.
+func (s *sampleLines) next() bool {
 	var f [8][]byte
-	for line := 1; len(data) > 0; line++ {
-		text := data
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			text, data = data[:i], data[i+1:]
+	for len(s.data) > 0 {
+		s.line++
+		text := s.data
+		if i := bytes.IndexByte(s.data, '\n'); i >= 0 {
+			text, s.data = s.data[:i], s.data[i+1:]
 		} else {
-			data = nil
+			s.data = nil
 		}
 		if len(text) >= maxLineBytes {
-			return bufio.ErrTooLong
+			return s.fail(bufio.ErrTooLong)
 		}
 		if n := len(text); n > 0 && text[n-1] == '\r' {
 			text = text[:n-1]
@@ -219,7 +300,7 @@ func readCountsText(data []byte, counts map[Key]uint64) error {
 		f[nf] = text
 		nf++
 		if nf < len(f) {
-			return fmt.Errorf("oprofile: sample line %d: %d fields", line, nf)
+			return s.fail(fmt.Errorf("oprofile: sample line %d: %d fields", s.line, nf))
 		}
 		// string(field) of a short numeric field stays on the stack:
 		// strconv copies whatever text it keeps in an error.
@@ -245,18 +326,18 @@ func readCountsText(data []byte, counts map[Key]uint64) error {
 			err = fmt.Errorf("event %d out of range [0, %d)", ev, hpc.NumEvents)
 		}
 		if err != nil {
-			return fmt.Errorf("oprofile: sample line %d: %v", line, err)
+			return s.fail(fmt.Errorf("oprofile: sample line %d: %v", s.line, err))
 		}
-		k := Key{
-			Event: hpc.Event(ev),
-			Image: intern(f[7]),
-			Proc:  intern(f[6]),
-			JIT:   jit != 0,
-			Epoch: epoch,
-			CPU:   cpu,
-			Off:   addr.Address(off),
-		}
-		counts[k] += cnt
+		s.key = Key{Event: hpc.Event(ev), JIT: jit != 0, Epoch: epoch, CPU: cpu, Off: addr.Address(off)}
+		s.count = cnt
+		s.proc, s.image = f[6], f[7]
+		return true
 	}
-	return nil
+	return false
+}
+
+// fail stops the walk at the current line with err.
+func (s *sampleLines) fail(err error) bool {
+	s.data, s.err = nil, err
+	return false
 }
