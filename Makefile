@@ -5,8 +5,7 @@
 # (seeded fault schedules against the persistence layer, conservation
 # invariants checked end to end), one iteration of the engine
 # microbenchmarks (which self-verify that the batched, fused-trace, and
-# per-op paths agree, and that the flattened epoch index matches the
-# backward scan), and the benchmark module's own vet and tests.
+# per-op paths agree), and the benchmark module's own vet and tests.
 
 GO ?= go
 GOFMT ?= gofmt
@@ -88,8 +87,9 @@ chaos-smoke:
 # zero-count, CRLF, blank and malformed lines), the aggregate snapshot
 # against the map fold and key sort (TestSnapshotMatchesReferenceQuick),
 # the in-place header walk against bytes.Fields
-# (TestParseHeaderMatchesReferenceQuick: ASCII and Unicode white space,
-# missing '=', bad and overflowing numbers, unknown kinds) and the
+# (TestParseHeaderMatchesReferenceQuick, 1000 cases because few random
+# headers parse: ASCII and Unicode white space, missing '=', bad and
+# overflowing numbers, unknown kinds) and the
 # conservation check against its map-based form
 # (TestConservationMatchesReferenceQuick). The store-scan leg also
 # holds the frame-copying pass to the decode-and-re-encode pass byte
@@ -129,9 +129,9 @@ fleet-smoke:
 # replaced (TestCountRunMatchesMapDecodeQuick: the run decoder against
 # the map decoder; TestSnapshotMatchesReferenceQuick: the aggregate
 # snapshot; TestParseHeaderMatchesReferenceQuick: the header walk
-# against bytes.Fields; TestConservationMatchesReferenceQuick: the
-# conservation check) over 20000 random cases each (`make check` runs
-# 100), and the multi-VM mode oracle
+# against bytes.Fields, ten times as many; TestConservationMatchesReferenceQuick:
+# the conservation check) over 20000 random cases each (`make check`
+# runs 100), and the multi-VM mode oracle
 # (TestMultiVMModesAgree: fused replay, DisableTrace and the per-op core
 # on 2-4 concurrent VMs over 2 or 4 cores must agree on every core's
 # cycles and instructions, the NMIs and the report bytes) over the
@@ -153,12 +153,11 @@ chaos-nightly:
 
 # One race-enabled iteration of each engine microbenchmark. Each fails
 # when its fast path and its reference path disagree: batched vs per-op
-# instruction and memory streams, fused trace replay vs per-op dispatch,
-# the flattened epoch index vs the backward scan. The SMP and fleet
-# workloads run under -race in `test` (TestSMPBenchScaling,
-# TestFleetBenchConserves), not here.
+# instruction and memory streams, fused trace replay vs per-op dispatch.
+# The SMP and fleet workloads run under -race in `test`
+# (TestSMPBenchScaling, TestFleetBenchConserves), not here.
 bench-smoke:
-	$(GO) test -race -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkExecMemBatch|BenchmarkTraceBatch|BenchmarkEpochResolveIndexed' -benchtime 1x .
+	$(GO) test -race -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkExecMemBatch|BenchmarkTraceBatch' -benchtime 1x .
 
 # bench/ is a module of its own, so neither `go test ./...` nor the
 # targets above reach it. This leg vets it and runs its short tests,

@@ -6,8 +6,8 @@ package viprof
 // `go test -bench=.` completes in minutes; paper-scale figures are
 // regenerated with `go run ./cmd/vipbench` (see EXPERIMENTS.md).
 // The engine microbenchmarks (BenchmarkExecBatch, BenchmarkExecMemBatch,
-// BenchmarkTraceBatch, BenchmarkEpochResolveIndexed) fail when their
-// fast and reference paths disagree; `make bench-smoke` runs each once.
+// BenchmarkTraceBatch) fail when their fast and reference paths
+// disagree; `make bench-smoke` runs each once.
 // End-to-end host time is measured by the benchmark program under
 // bench/ (`bash bench/run.sh`), not here.
 //
@@ -22,7 +22,6 @@ import (
 
 	"viprof/internal/addr"
 	"viprof/internal/cache"
-	"viprof/internal/core"
 	"viprof/internal/cpu"
 	"viprof/internal/harness"
 	"viprof/internal/hpc"
@@ -325,83 +324,6 @@ func BenchmarkTraceBatch(b *testing.B) {
 	if fused.Trace.Replays == 0 {
 		b.Fatalf("fused side never replayed a trace: %+v", fused.Trace)
 	}
-}
-
-// BenchmarkEpochResolveIndexed measures the flattened epoch index
-// against the paper's literal backward scan on a deep chain: a long run
-// whose agent wrote one big initial map and small partial maps for
-// hundreds of epochs after it, so most samples force the scan far back
-// through the chain. The query stream is page-local the way real sample
-// streams are. Both resolvers answer the identical queries; equality
-// (including the SearchDepths the ablation histogram records) is
-// asserted as part of the benchmark.
-func BenchmarkEpochResolveIndexed(b *testing.B) {
-	const (
-		epochs  = 200
-		queries = 30_000
-	)
-	r := rand.New(rand.NewSource(7))
-	perEpoch := make([][]core.MapEntry, epochs)
-	var starts []addr.Address
-	add := func(e int, start addr.Address, size uint32) {
-		perEpoch[e] = append(perEpoch[e], core.MapEntry{
-			Start: start, Size: size, Level: "base", Sig: "m",
-		})
-		starts = append(starts, start)
-	}
-	// Epoch 0: the startup burst of compilations.
-	for i := 0; i < 150; i++ {
-		add(0, addr.Address(0x6000_0000+i*0x400), uint32(128+r.Intn(512)))
-	}
-	// Later epochs: a few compiles/moves each (the paper's partial maps).
-	for e := 1; e < epochs; e++ {
-		for i := 0; i < 4; i++ {
-			add(e, addr.Address(0x6000_0000+r.Intn(1<<16)*0x40), uint32(128+r.Intn(512)))
-		}
-	}
-	chain := core.NewMapChain(perEpoch)
-	type query struct {
-		epoch int
-		pc    addr.Address
-	}
-	qs := make([]query, queries)
-	for i := range qs {
-		if i > 0 && r.Intn(4) != 0 {
-			// Page locality: most samples repeat the previous hot region.
-			qs[i] = qs[i-1]
-			qs[i].pc += addr.Address(r.Intn(64) * 4)
-		} else {
-			qs[i] = query{
-				epoch: epochs/2 + r.Intn(epochs/2),
-				pc:    starts[r.Intn(len(starts))] + addr.Address(r.Intn(256)),
-			}
-		}
-	}
-	// Equality including depth, and the histogram the resolver records.
-	var depthSum uint64
-	for _, q := range qs {
-		ge, gd, gok := chain.Resolve(q.epoch, q.pc)
-		we, wd, wok := chain.ResolveScan(q.epoch, q.pc)
-		if gok != wok || gd != wd || ge != we {
-			b.Fatalf("resolvers disagree at (%d, %s)", q.epoch, q.pc)
-		}
-		depthSum += uint64(gd)
-	}
-	b.Run("indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range qs {
-				chain.Resolve(q.epoch, q.pc)
-			}
-		}
-		b.ReportMetric(float64(depthSum)/float64(len(qs)), "avg-depth")
-	})
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range qs {
-				chain.ResolveScan(q.epoch, q.pc)
-			}
-		}
-	})
 }
 
 // BenchmarkXenOverhead measures the simulated hypervisor's cost (the

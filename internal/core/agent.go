@@ -133,20 +133,7 @@ func (a *VMAgent) exec(symbol string, n int) {
 		return
 	}
 	start := a.libBase + sym.Off
-	end := start + addr.Address(sym.Size)
-	pc := start
-	for n > 0 {
-		seg := int((end - pc + 3) / 4) // ops before the walk wraps
-		if seg > n {
-			seg = n
-		}
-		a.m.CPU().ExecBatch(pc, seg, 4, 1)
-		n -= seg
-		pc += 4 * addr.Address(seg)
-		if pc >= end {
-			pc = start
-		}
-	}
+	a.m.CPU().ExecSymbol(start, start, start+addr.Address(sym.Size), n, 1, 0, 0)
 }
 
 // OnCompile implements jvm.Agent: "we add instructions in the body of
@@ -360,12 +347,11 @@ func (ap *AgentPersisted) table() []oprofile.Stat {
 	}
 }
 
-// ReadAgentStats parses the framed agent.stats record; nil if the file
-// is torn, lossy, holds more than one record, or fails to decode.
+// ReadAgentStats parses an agent.stats file (oprofile.ReadStats); nil
+// if no intact record survives or the last one fails to decode.
 func ReadAgentStats(data []byte) *AgentPersisted {
-	recs, sal := record.Scan(data)
 	ap := &AgentPersisted{}
-	if sal.Lossy() || len(recs) != 1 || !oprofile.DecodeStats(recs[0], ap.table()) {
+	if !oprofile.ReadStats(data, ap.table()) {
 		return nil
 	}
 	return ap

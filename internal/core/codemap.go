@@ -264,12 +264,6 @@ type MapChain struct {
 	// epoch wrote no map.
 	maps [][]MapEntry
 
-	// idx is the flattened epoch index (built lazily on first Resolve);
-	// see flatindex.go. It answers queries in one O(log segments)
-	// search instead of the O(epochs × log entries) backward scan,
-	// with identical results including the reported search depth.
-	idx *flatIndex
-
 	// integ is what loading from disk found; poisonCeil is the highest
 	// epoch whose file was damaged (-1 = none). ResolveDurable refuses
 	// to attribute through damaged epochs rather than guess.
@@ -464,23 +458,22 @@ func (c *MapChain) Entries(e int) []MapEntry {
 
 // Resolve finds the method occupying pc as of the given epoch: the
 // most recent body at or before that epoch to occupy the address,
-// exactly as the paper's backward search defines it. searched reports
-// how many maps the backward search would have examined (the ablation
-// benchmarks measure its distribution). Resolution goes through the
-// flattened epoch index — O(log segments) once, fronted by a small
-// page-local cache — rather than the naive scan; ResolveScan retains
-// the scan and the two are proven equivalent by property test.
+// exactly as the paper's backward search defines it. It probes the
+// sample's epoch map, then each earlier map in descending order
+// (§3.2); searched reports how many maps it examined, which the
+// ablation benchmarks histogram. An epoch past the chain clamps to its
+// last map. Resolve reads the chain only, so concurrent calls are safe.
 func (c *MapChain) Resolve(epoch int, pc addr.Address) (entry MapEntry, searched int, ok bool) {
 	if epoch >= len(c.maps) {
 		epoch = len(c.maps) - 1
 	}
-	if epoch < 0 {
-		return MapEntry{}, 0, false
+	for e := epoch; e >= 0; e-- {
+		searched++
+		if entry, found := lookupEntry(c.maps[e], pc); found {
+			return entry, searched, true
+		}
 	}
-	if c.idx == nil {
-		c.idx = buildFlatIndex(c.maps)
-	}
-	return c.idx.resolve(epoch, pc)
+	return MapEntry{}, searched, false
 }
 
 // ResolveDurable is Resolve hardened against a damaged chain: it
@@ -510,24 +503,6 @@ func (c *MapChain) ResolveDurable(epoch int, pc addr.Address) (entry MapEntry, s
 		return MapEntry{}, searched, false
 	}
 	return entry, searched, ok
-}
-
-// ResolveScan is the paper's backward search, literally: probe the
-// sample's epoch map, then each earlier map in descending order (§3.2).
-// It is retained as the reference implementation — the ablation
-// benchmark measures the flattened index against it, and the property
-// tests assert Resolve matches it on arbitrary chains.
-func (c *MapChain) ResolveScan(epoch int, pc addr.Address) (entry MapEntry, searched int, ok bool) {
-	if epoch >= len(c.maps) {
-		epoch = len(c.maps) - 1
-	}
-	for e := epoch; e >= 0; e-- {
-		searched++
-		if entry, found := lookupEntry(c.maps[e], pc); found {
-			return entry, searched, true
-		}
-	}
-	return MapEntry{}, searched, false
 }
 
 // lookupEntry binary-searches one epoch's sorted entries.

@@ -98,8 +98,8 @@ func TestTwoConcurrentVMs(t *testing.T) {
 	}
 
 	// Sample conservation: both VMs produced JIT samples.
-	if agg, ok := rep.FindImage(oprofile.JITImageName); !ok || agg.Counts[0] == 0 {
-		t.Error("no JIT samples aggregated")
+	if agg, ok := rep.FindImage(oprofile.JITImageName); !ok || agg.Counts[0] == 0 || agg.Symbol != "*" {
+		t.Errorf("no JIT samples aggregated: %+v", agg)
 	}
 }
 

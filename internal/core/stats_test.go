@@ -19,11 +19,25 @@ import (
 // switch-statement reader before the table codec (oprofile/stats.go).
 // Both survive here as references: the table writer must emit their
 // bytes exactly, and the table reader must decode them as the reference
-// did. One difference is asserted explicitly: the reference parsed
+// did. Two differences are asserted explicitly. The reference parsed
 // values with strconv.Atoi, the table reader parses them as the other
 // five stats readers always did (unsigned decimal, converted to the
 // field's type), so it rejects signed values such as -1 and +5, which
-// no writer emits.
+// no writer emits. And the reference trusted only a file holding
+// exactly one intact record and nothing lost, where the table reader
+// takes the last intact record (oprofile.ReadStats), as every stats
+// reader does.
+
+// lastRecord reframes data's last intact record, nil if none survives:
+// the record oprofile.ReadStats selects. Handing it to the reference
+// applies the one record-selection rule to the reference's decoding.
+func lastRecord(data []byte) []byte {
+	recs, _ := record.Scan(data)
+	if len(recs) == 0 {
+		return nil
+	}
+	return record.Frame(recs[len(recs)-1])
+}
 
 // refAgentPersisted is the shape the reference reader returned.
 type refAgentPersisted struct {
@@ -127,7 +141,7 @@ func randAgentStats(r *rand.Rand) AgentStats {
 
 func checkAgentReader(t *testing.T, name string, data []byte) {
 	t.Helper()
-	if got, want := ReadAgentStats(data), refReadAgentStats(data).current(); !reflect.DeepEqual(got, want) {
+	if got, want := ReadAgentStats(data), refReadAgentStats(lastRecord(data)).current(); !reflect.DeepEqual(got, want) {
 		t.Errorf("%s: table reader %+v, reference %+v", name, got, want)
 	}
 }
@@ -154,9 +168,9 @@ func TestStatsRoundTrip(t *testing.T) {
 }
 
 // TestStatsRoundTripFixed pins the agent reader against the reference
-// on malformed and multi-record inputs (it trusts exactly one intact
-// record with no salvage loss), and pins the one difference: signed
-// values.
+// on malformed and multi-record inputs, and pins the two differences:
+// record selection (the last intact record wins; the reference read a
+// torn tail or two intact records as nil) and signed values.
 func TestStatsRoundTripFixed(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	p, q := agentPayload(randAgentStats(r)), agentPayload(randAgentStats(r))
@@ -176,12 +190,24 @@ func TestStatsRoundTripFixed(t *testing.T) {
 	for name, data := range cases {
 		checkAgentReader(t, name, data)
 	}
-	if ReadAgentStats(cases["intact"]) == nil {
+	first := ReadAgentStats(cases["intact"])
+	if first == nil {
 		t.Error("intact record rejected")
 	}
-	for _, name := range []string{"empty file", "no equals", "non-numeric", "crlf", "torn tail", "two intact"} {
+	for _, name := range []string{"empty file", "no equals", "non-numeric", "crlf"} {
 		if ap := ReadAgentStats(cases[name]); ap != nil {
 			t.Errorf("%s: decoded %+v, want nil", name, ap)
+		}
+	}
+	for name, want := range map[string]*AgentPersisted{
+		"torn tail":  first,
+		"two intact": ReadAgentStats(fq),
+	} {
+		if got := ReadAgentStats(cases[name]); got == nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: selected %+v, want %+v", name, got, want)
+		}
+		if ref := refReadAgentStats(cases[name]); ref != nil {
+			t.Errorf("%s: reference decoded %+v, want nil", name, ref)
 		}
 	}
 

@@ -525,3 +525,25 @@ func (c *Core) SliceLeft() uint64 { return c.slice }
 
 // Expired reports whether the current slice budget has run out.
 func (c *Core) Expired() bool { return c.slice == 0 }
+
+// ExecSymbol walks a symbol's code: n micro-ops of `cost` cycles at
+// PCs pc, pc+4, ... through [start, end), wrapping back to start at
+// end, each touching memory at mem, mem+memStride, ... (mem 0: no
+// memory operand). It retires one ExecMemBatch per segment up to the
+// symbol's end and returns the PC after the run, for callers that keep
+// walking the same symbol.
+func (c *Core) ExecSymbol(pc, start, end addr.Address, n int, cost uint32, mem addr.Address, memStride uint32) addr.Address {
+	for n > 0 {
+		seg := min(int((end-pc+3)/4), n) // ops before the walk wraps
+		c.ExecMemBatch(pc, seg, 4, cost, mem, memStride)
+		if mem != 0 {
+			mem += addr.Address(uint64(seg) * uint64(memStride))
+		}
+		n -= seg
+		pc += 4 * addr.Address(seg)
+		if pc >= end {
+			pc = start
+		}
+	}
+	return pc
+}

@@ -237,21 +237,32 @@ func compactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
 	if len(sc.journals) == 0 {
 		return res, nil // nothing new since the last pass
 	}
-	// Keep the first copy of each (host, seq), the one a replay applies.
+	// The new generation's frames in file order. Restart markers lead
+	// (they carry no timestamp and must survive every generation),
+	// sorted by (Shard, Attempt).
+	markers := sc.markers
+	slices.SortFunc(markers, func(x, y storeFrame) int {
+		a, b := x.rec, y.rec
+		if c := cmp.Compare(a.Shard, b.Shard); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Attempt, b.Attempt)
+	})
+	frames := make([]storeFrame, len(markers), len(markers)+len(sc.frames))
+	copy(frames, markers)
+	// Then the first copy of each (host, seq), the one a replay applies,
+	// sorted by (At, Host, Seq): the time axis first, so a windowed
+	// query over a generation is a contiguous run and
+	// ManifestFile.MinAt/MaxAt bounds are tight.
 	seen := make(map[[2]uint64]bool, len(sc.frames))
-	recs := make([]storeFrame, 0, len(sc.frames))
 	for _, f := range sc.frames {
 		key := [2]uint64{uint64(f.rec.Host), f.rec.Seq}
 		if !seen[key] {
 			seen[key] = true
-			recs = append(recs, f)
+			frames = append(frames, f)
 		}
 	}
-
-	// Sort by (At, Host, Seq): the time axis first, so a windowed query
-	// over a generation is a contiguous run and ManifestFile.MinAt/MaxAt
-	// bounds are tight.
-	slices.SortFunc(recs, func(x, y storeFrame) int {
+	slices.SortFunc(frames[len(markers):], func(x, y storeFrame) int {
 		a, b := x.rec, y.rec
 		if c := cmp.Compare(a.At, b.At); c != 0 {
 			return c
@@ -260,14 +271,6 @@ func compactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
 			return c
 		}
 		return cmp.Compare(a.Seq, b.Seq)
-	})
-	markers := sc.markers
-	slices.SortFunc(markers, func(x, y storeFrame) int {
-		a, b := x.rec, y.rec
-		if c := cmp.Compare(a.Shard, b.Shard); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Attempt, b.Attempt)
 	})
 
 	// The new manifest carries the scan's salvage loss and unparseable
@@ -283,57 +286,45 @@ func compactPass(disk *kernel.Disk, io compactIO) (CompactResult, error) {
 		man.LostBytes += sc.man.LostBytes
 	}
 
-	// Chunk into data files. Restart markers lead the first file (they
-	// carry no timestamp and must survive every generation).
-	type chunk struct {
-		buf    []byte
-		frames int
-		minAt  uint64
-		maxAt  uint64
-		any    bool
-	}
-	var chunks []*chunk
-	cur := &chunk{}
-	chunks = append(chunks, cur)
-	for _, mk := range markers {
-		cur.buf = record.AppendFrame(cur.buf, mk.payload)
-		cur.frames++
-		res.Markers++
-	}
-	for _, f := range recs {
-		if cur.frames >= compactFileFrames {
-			cur = &chunk{}
-			chunks = append(chunks, cur)
+	// Chunk into data files of compactFileFrames frames; the first
+	// holds every marker, however many, and an empty store writes none
+	// but still prunes its empty journals. A frame's size is known, so
+	// each file's buffer is allocated once at its final size.
+	res.Markers = len(markers)
+	for idx, lo := 0, 0; lo < len(frames); idx++ {
+		hi := min(lo+compactFileFrames, len(frames))
+		if idx == 0 {
+			hi = max(hi, len(markers))
 		}
-		at := f.rec.At
-		cur.buf = record.AppendFrame(cur.buf, f.payload)
-		cur.frames++
-		if !cur.any || at < cur.minAt {
-			cur.minAt = at
+		chunk := frames[lo:hi]
+		lo = hi
+		size := 0
+		for _, f := range chunk {
+			size += record.HeaderSize + len(f.payload)
 		}
-		if !cur.any || at > cur.maxAt {
-			cur.maxAt = at
+		buf := make([]byte, 0, size)
+		mf := ManifestFile{Path: GenFilePath(man.Gen, idx), Frames: len(chunk)}
+		timed := false
+		for _, f := range chunk {
+			buf = record.AppendFrame(buf, f.payload)
+			if f.rec.Kind == KindRestart {
+				continue // markers carry no timestamp
+			}
+			if !timed {
+				mf.MinAt, mf.MaxAt, timed = f.rec.At, f.rec.At, true
+			}
+			mf.MinAt, mf.MaxAt = min(mf.MinAt, f.rec.At), max(mf.MaxAt, f.rec.At)
 		}
-		cur.any = true
-	}
-
-	for idx, ch := range chunks {
-		if ch.frames == 0 {
-			continue // an empty store still prunes its empty journals
-		}
-		path := GenFilePath(man.Gen, idx)
-		tmp := path + ".tmp"
-		if err := io.WriteSync(tmp, ch.buf); err != nil {
+		tmp := mf.Path + ".tmp"
+		if err := io.WriteSync(tmp, buf); err != nil {
 			return res, err
 		}
-		if err := io.Rename(tmp, path); err != nil {
+		if err := io.Rename(tmp, mf.Path); err != nil {
 			return res, err
 		}
-		man.Files = append(man.Files, ManifestFile{
-			Path: path, Frames: ch.frames, MinAt: ch.minAt, MaxAt: ch.maxAt,
-		})
+		man.Files = append(man.Files, mf)
 		res.Files++
-		res.Frames += ch.frames
+		res.Frames += len(chunk)
 	}
 
 	// COMMIT POINT: the manifest rename atomically switches the current

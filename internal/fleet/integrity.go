@@ -36,9 +36,8 @@ func (s *CollectorStats) table() []oprofile.Stat {
 // last intact record wins). Nil means the collector never shut down
 // cleanly.
 func ReadCollectorStats(data []byte) *CollectorStats {
-	recs, _ := record.Scan(data)
 	s := &CollectorStats{}
-	if len(recs) == 0 || !oprofile.DecodeStats(recs[len(recs)-1], s.table()) {
+	if !oprofile.ReadStats(data, s.table()) {
 		return nil
 	}
 	return s
@@ -63,9 +62,8 @@ func (s *SenderStats) table() []oprofile.Stat {
 // ReadSenderStats parses a host's persisted stats record (last intact
 // record wins). Nil means the sender crashed before finishing.
 func ReadSenderStats(data []byte) *SenderStats {
-	recs, _ := record.Scan(data)
 	s := &SenderStats{}
-	if len(recs) == 0 || !oprofile.DecodeStats(recs[len(recs)-1], s.table()) {
+	if !oprofile.ReadStats(data, s.table()) {
 		return nil
 	}
 	return s

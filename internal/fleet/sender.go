@@ -78,7 +78,7 @@ const (
 type Delta struct {
 	Record
 
-	frame    []byte
+	frame    []byte // the encoded record; nil once acked
 	attempts int
 	deadline uint64 // ack deadline of the outstanding attempt
 	nextTry  uint64 // backoff gate for the next attempt
@@ -241,6 +241,8 @@ func (s *Sender) drainAcks() {
 			if d.Seq == msg.Seq && !d.Acked {
 				d.Acked = true
 				d.inflight = false
+				// Only an unacked delta is sent again or spilled.
+				d.frame = nil
 				if d.Kind == KindMap {
 					s.stats.MapsAcked++
 				}

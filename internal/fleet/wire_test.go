@@ -667,7 +667,9 @@ func randHeader(rng *rand.Rand) []byte {
 // TestParseHeaderMatchesReferenceQuick holds the in-place header walk
 // to the bytes.Fields parser it replaced (refParseHeader): the same
 // record or the same error text on random header lines. `-args
-// -quickchecks=N` widens it.
+// -quickchecks=N` widens it. It draws ten headers per check: about 3 %
+// of randHeader's lines parse, so 100 draws held none one run in 26
+// and failed the some-of-each check below; 1000 hold about 32.
 func TestParseHeaderMatchesReferenceQuick(t *testing.T) {
 	var ok, failed int
 	f := func(seed int64) bool {
@@ -690,7 +692,7 @@ func TestParseHeaderMatchesReferenceQuick(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 10}); err != nil {
 		t.Error(err)
 	}
 	if ok == 0 || failed == 0 {

@@ -31,7 +31,7 @@ func (vm *VM) execNative(symbol string, n int, memBase addr.Address, stride uint
 		// Pure data run (memset-style fill): every op touches memory at
 		// a uniform stride — the bulk cache-replay path, one PC-wrap
 		// segment at a time.
-		vm.memRun(pc, start, end, n, memBase, uint32(stride))
+		core.ExecSymbol(pc, start, end, n, 1, memBase, uint32(stride))
 		return
 	}
 	var memOff uint64
@@ -48,28 +48,6 @@ func (vm *VM) execNative(symbol string, n int, memBase addr.Address, stride uint
 			pc = start
 		}
 	}
-}
-
-// memRun retires n cost-1 micro-ops walking PCs through [start,end)
-// from pc (wrapping), each touching memory at mem, mem+memStride, ...
-// through the core's bulk cache-replay path. It returns the PC after
-// the run, for callers that keep walking the same symbol.
-func (vm *VM) memRun(pc, start, end addr.Address, n int, mem addr.Address, memStride uint32) addr.Address {
-	core := vm.m.CPU()
-	for n > 0 {
-		seg := int((end - pc + 3) / 4)
-		if seg > n {
-			seg = n
-		}
-		core.ExecMemBatch(pc, seg, 4, 1, mem, memStride)
-		mem += addr.Address(uint64(seg) * uint64(memStride))
-		n -= seg
-		pc += 4 * addr.Address(seg)
-		if pc >= end {
-			pc = start
-		}
-	}
-	return pc
 }
 
 const maxMemsetBytes = 64 << 10
@@ -143,7 +121,7 @@ func (vm *VM) intrinsic(f *frame, in bytecode.Instr) error {
 		// real memcpy kernels stream whole pages — so the per-run setup
 		// cost of the batched replay amortizes over many lines.
 		start, end := vm.libcRange("memcpy")
-		pc := start
+		pc, core := start, vm.m.CPU()
 		const copyBlock = 128
 		for base := 0; base < n; base += copyBlock {
 			bn := copyBlock
@@ -152,9 +130,9 @@ func (vm *VM) intrinsic(f *frame, in bytecode.Instr) error {
 			}
 			sn := (bn + 1) / 2 // ops that read src fields base, base+2, ...
 			dn := bn / 2       // ops that write dst fields base+1, base+3, ...
-			pc = vm.memRun(pc, start, end, sn, src.R.FieldAddr(base), 16)
+			pc = core.ExecSymbol(pc, start, end, sn, 1, src.R.FieldAddr(base), 16)
 			if dn > 0 {
-				pc = vm.memRun(pc, start, end, dn, dst.R.FieldAddr(base+1), 16)
+				pc = core.ExecSymbol(pc, start, end, dn, 1, dst.R.FieldAddr(base+1), 16)
 			}
 		}
 

@@ -114,58 +114,26 @@ func (k *Kernel) Processes() []*Process { return k.procs }
 // mode at the given per-op cost, walking PCs through the symbol's
 // range. It is how all simulated kernel work is accounted. The walk is
 // retired through the core's batched engine one wrap-around segment at
-// a time — the PC sequence, and hence every sample and cache event, is
-// identical to the per-op loop it replaces.
+// a time (cpu.Core.ExecSymbol) — the PC sequence, and hence every
+// sample and cache event, is identical to the per-op loop it replaces.
 func (k *Kernel) ExecKernel(symbol string, n int, cost uint32) {
-	v, ok := k.kernSyms[symbol]
-	if !ok {
-		panic("kernel: ExecKernel of unknown symbol " + symbol)
-	}
-	prev := k.core.Context()
-	k.core.SetContext(cpu.Context{PID: prev.PID, Kernel: true})
-	pc := v.Start
-	for n > 0 {
-		seg := int((v.End - pc + 3) / 4) // ops before the walk wraps
-		if seg > n {
-			seg = n
-		}
-		k.core.ExecBatch(pc, seg, 4, cost)
-		n -= seg
-		pc += 4 * addr.Address(seg)
-		if pc >= v.End {
-			pc = v.Start
-		}
-	}
-	k.core.SetContext(prev)
+	k.ExecKernelMem(symbol, n, cost, 0, 0)
 }
 
 // ExecKernelMem is ExecKernel for kernel routines that stream over a
 // buffer (copy_from_user and friends): every op carries a memory
-// operand walking memStride bytes from mem, retired through the
-// core's bulk cache-replay path one wrap-around PC segment at a time.
-// The miss sequence and every sample are identical to the per-op loop
-// it stands for.
+// operand walking memStride bytes from mem (mem 0: none), retired
+// through the core's bulk cache-replay path one wrap-around PC segment
+// at a time. The miss sequence and every sample are identical to the
+// per-op loop it stands for.
 func (k *Kernel) ExecKernelMem(symbol string, n int, cost uint32, mem addr.Address, memStride uint32) {
 	v, ok := k.kernSyms[symbol]
 	if !ok {
-		panic("kernel: ExecKernelMem of unknown symbol " + symbol)
+		panic("kernel: exec of unknown kernel symbol " + symbol)
 	}
 	prev := k.core.Context()
 	k.core.SetContext(cpu.Context{PID: prev.PID, Kernel: true})
-	pc := v.Start
-	for n > 0 {
-		seg := int((v.End - pc + 3) / 4)
-		if seg > n {
-			seg = n
-		}
-		k.core.ExecMemBatch(pc, seg, 4, cost, mem, memStride)
-		mem += addr.Address(uint64(seg) * uint64(memStride))
-		n -= seg
-		pc += 4 * addr.Address(seg)
-		if pc >= v.End {
-			pc = v.Start
-		}
-	}
+	k.core.ExecSymbol(v.Start, v.Start, v.End, n, cost, mem, memStride)
 	k.core.SetContext(prev)
 }
 

@@ -11,10 +11,10 @@ import (
 // EpochResolve enforces the attribution-soundness boundary: outside
 // internal/core, PC→method lookup must go through MapChain.Resolve or
 // MapChain.ResolveDurable. Direct indexing or scanning of code-map
-// entry slices — or calling the reference-only ResolveScan / the raw
-// Entries accessor — bypasses the poison-ceiling degradation semantics
-// that keep a damaged chain from misattributing samples (degrade, don't
-// lie). Core itself implements the chain and is exempt.
+// entry slices — or calling the raw Entries accessor — bypasses the
+// poison-ceiling degradation semantics that keep a damaged chain from
+// misattributing samples (degrade, don't lie). Core itself implements
+// the chain and is exempt.
 var EpochResolve = &analysis.Analyzer{
 	Name: "epoch-resolve",
 	Doc: "outside internal/core, code-map lookups must use MapChain.Resolve/ResolveDurable, " +
@@ -26,8 +26,7 @@ const corePkgPath = "viprof/internal/core"
 
 // forbiddenChainMethods bypass the durable resolution path.
 var forbiddenChainMethods = map[string]string{
-	"ResolveScan": "the reference backward scan has no poison-ceiling protection",
-	"Entries":     "raw entry access bypasses durable resolution entirely",
+	"Entries": "raw entry access bypasses durable resolution entirely",
 }
 
 func runEpochResolve(pass *analysis.Pass) (interface{}, error) {

@@ -8,11 +8,6 @@ import (
 	"viprof/internal/core"
 )
 
-func rawScan(c *core.MapChain, epoch int, pc addr.Address) (core.MapEntry, bool) {
-	e, _, ok := c.ResolveScan(epoch, pc) // want `MapChain.ResolveScan outside internal/core`
-	return e, ok
-}
-
 func rawEntries(c *core.MapChain, epoch int) []core.MapEntry {
 	return c.Entries(epoch) // want `MapChain.Entries outside internal/core`
 }

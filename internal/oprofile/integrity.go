@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-
-	"viprof/internal/record"
 )
 
 // Integrity is the report section that answers "can I trust these
@@ -78,13 +76,11 @@ func (ps *PersistedStats) payload(cpus []PersistedStats) []byte {
 	return AppendStats(buf, tab[last:])
 }
 
-// ReadDaemonStats parses the framed stats record; nil if the file is
-// torn, lossy, holds more than one record, or fails to decode (all
-// equivalent: not trustworthy).
+// ReadDaemonStats parses the daemon's stats file (ReadStats); nil if
+// no intact record survives or the last one fails to decode.
 func ReadDaemonStats(data []byte) *PersistedStats {
-	recs, sal := record.Scan(data)
 	ps := &PersistedStats{}
-	if sal.Lossy() || len(recs) != 1 || !DecodeStats(recs[0], ps.table()) {
+	if !ReadStats(data, ps.table()) {
 		return nil
 	}
 	return ps

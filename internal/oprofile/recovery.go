@@ -1,7 +1,5 @@
 package oprofile
 
-import "viprof/internal/record"
-
 // RecoveryStats is the persisted outcome of the startup recovery pass
 // (core.RunRecovery): every adopt/discard/quarantine decision over
 // orphan temp files, every spill frame merged or discarded, and how
@@ -77,9 +75,8 @@ func (rs *RecoveryStats) Payload() []byte { return AppendStats(nil, rs.table()) 
 // intact record wins; nil if no intact record survives (recovery never
 // completed, or its stats write was destroyed) or it fails to decode.
 func ReadRecoveryStats(data []byte) *RecoveryStats {
-	recs, _ := record.Scan(data)
 	rs := &RecoveryStats{}
-	if len(recs) == 0 || !DecodeStats(recs[len(recs)-1], rs.table()) {
+	if !ReadStats(data, rs.table()) {
 		return nil
 	}
 	return rs

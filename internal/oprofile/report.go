@@ -43,50 +43,6 @@ type Report struct {
 	// Integrity, when set, summarizes what was lost or damaged on the
 	// way to this report (nil for purely in-memory reports).
 	Integrity *Integrity
-
-	// Precomputed views, built once (BuildReport, or lazily on first
-	// use for hand-assembled reports) instead of re-scanning and
-	// re-sorting the row set per lookup/view:
-	symIdx  map[string]int // symbol -> index of its first row in Rows order
-	imgIdx  map[string]int // image -> index into imgRows
-	imgRows []Row          // per-image aggregates, primary-event order
-}
-
-// ensureIndex builds the precomputed views. Rows must not be mutated
-// after the first lookup/view call.
-func (r *Report) ensureIndex() {
-	if r.symIdx != nil {
-		return
-	}
-	r.symIdx = make(map[string]int, len(r.Rows))
-	r.imgIdx = make(map[string]int)
-	for i, row := range r.Rows {
-		if _, ok := r.symIdx[row.Symbol]; !ok {
-			r.symIdx[row.Symbol] = i
-		}
-		j, ok := r.imgIdx[row.Image]
-		if !ok {
-			j = len(r.imgRows)
-			r.imgIdx[row.Image] = j
-			r.imgRows = append(r.imgRows, Row{Image: row.Image, Symbol: "*"})
-		}
-		for ev := range row.Counts {
-			r.imgRows[j].Counts[ev] += row.Counts[ev]
-		}
-	}
-	primary := hpc.GlobalPowerEvents
-	if len(r.Events) > 0 {
-		primary = r.Events[0]
-	}
-	sort.Slice(r.imgRows, func(i, j int) bool {
-		if r.imgRows[i].Counts[primary] != r.imgRows[j].Counts[primary] {
-			return r.imgRows[i].Counts[primary] > r.imgRows[j].Counts[primary]
-		}
-		return r.imgRows[i].Image < r.imgRows[j].Image
-	})
-	for j, row := range r.imgRows {
-		r.imgIdx[row.Image] = j
-	}
 }
 
 // Percent returns the row's share of the report total for an event.
@@ -97,26 +53,33 @@ func (r *Report) Percent(row Row, ev hpc.Event) float64 {
 	return 100 * float64(row.Counts[ev]) / float64(r.Totals[ev])
 }
 
-// Find returns the first row whose symbol matches exactly (first in
-// the primary sort order, via the precomputed symbol index).
+// Find returns the first row, in the primary sort order, whose symbol
+// matches exactly.
 func (r *Report) Find(symbol string) (Row, bool) {
-	r.ensureIndex()
-	i, ok := r.symIdx[symbol]
-	if !ok {
-		return Row{}, false
+	for _, row := range r.Rows {
+		if row.Symbol == symbol {
+			return row, true
+		}
 	}
-	return r.Rows[i], true
+	return Row{}, false
 }
 
 // FindImage returns the total counts of all rows under an image name,
-// served from the per-image aggregates built once with the report.
+// as one row whose symbol is "*".
 func (r *Report) FindImage(img string) (Row, bool) {
-	r.ensureIndex()
-	i, ok := r.imgIdx[img]
-	if !ok {
+	sum, found := Row{Image: img, Symbol: "*"}, false
+	for _, row := range r.Rows {
+		if row.Image == img {
+			found = true
+			for ev := range row.Counts {
+				sum.Counts[ev] += row.Counts[ev]
+			}
+		}
+	}
+	if !found {
 		return Row{}, false
 	}
-	return r.imgRows[i], true
+	return sum, true
 }
 
 // NoSymbols is the placeholder opreport prints for images without
@@ -205,7 +168,6 @@ func BuildReport(counts map[Key]uint64, res Resolver, events []hpc.Event) *Repor
 		}
 		return a.Symbol < b.Symbol
 	})
-	rep.ensureIndex()
 	return rep
 }
 

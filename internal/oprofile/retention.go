@@ -1,7 +1,5 @@
 package oprofile
 
-import "viprof/internal/record"
-
 // RetentionStats is the persisted outcome of the retention pass
 // (core.RunRetention): every quarantined-evidence file it scanned, kept,
 // or pruned, and why. Written as one framed record per completed pass at
@@ -65,9 +63,8 @@ func (rs *RetentionStats) Payload() []byte { return AppendStats(nil, rs.table())
 // ReadRetentionStats parses the persisted retention record (last intact
 // record wins); nil if no intact record survives or it fails to decode.
 func ReadRetentionStats(data []byte) *RetentionStats {
-	recs, _ := record.Scan(data)
 	rs := &RetentionStats{}
-	if len(recs) == 0 || !DecodeStats(recs[len(recs)-1], rs.table()) {
+	if !ReadStats(data, rs.table()) {
 		return nil
 	}
 	return rs

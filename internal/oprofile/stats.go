@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"viprof/internal/record"
 )
 
 // Stats records. Six writers persist their self-counters as one framed
@@ -13,8 +15,9 @@ import (
 // record's schema is one []Stat table binding every key to the field
 // that holds it, so a key is named once for both directions:
 // AppendStats writes the table in order and DecodeStats fills the same
-// table back. Every table ends with clean, and a missing or damaged
-// record is the writer's crash signal.
+// table back. Every stats file is read by one rule, ReadStats: the last
+// intact record wins. Every table ends with clean, and a missing or
+// damaged record is the writer's crash signal.
 
 // Stat binds one key of a stats record to its field. Ptr is a *uint64
 // or *int (written in decimal), a *bool (written 0 or 1), or a
@@ -60,6 +63,15 @@ func appendFamily[V uint64 | int](buf []byte, prefix string, m map[string]V) []b
 		buf = fmt.Appendf(buf, "%s%s=%d\n", prefix, name, m[name])
 	}
 	return buf
+}
+
+// ReadStats fills tab from a stats file's last intact record and
+// reports whether one survived and decoded. Writers append a record
+// per write, so a later record supersedes earlier ones and a torn
+// tail, which salvage drops, leaves the last record that landed.
+func ReadStats(data []byte, tab []Stat) bool {
+	recs, _ := record.Scan(data)
+	return len(recs) > 0 && DecodeStats(recs[len(recs)-1], tab)
 }
 
 // DecodeStats fills tab from one record payload and reports whether the

@@ -22,8 +22,22 @@ import (
 // table writers must emit their bytes exactly (SysWrite bills simulated
 // copy cycles per payload byte), and the table readers must decode
 // those bytes as they did. The readers differ from the references in
-// one way each that this file asserts explicitly: a <name>.cpu<N> key
-// no longer lands in a family, and PersistedStats has no PerCPU map.
+// ways this file asserts explicitly: a <name>.cpu<N> key no longer
+// lands in a family, PersistedStats has no PerCPU map, and the daemon
+// reader takes the last intact record (ReadStats) where its reference
+// trusted only a file holding exactly one intact record and nothing
+// lost.
+
+// lastRecord reframes data's last intact record, nil if none survives:
+// the record ReadStats selects. Handing it to the daemon's reference
+// applies the one record-selection rule to the reference's decoding.
+func lastRecord(data []byte) []byte {
+	recs, _ := record.Scan(data)
+	if len(recs) == 0 {
+		return nil
+	}
+	return record.Frame(recs[len(recs)-1])
+}
 
 // refPersistedStats is what the reference daemon reader returned:
 // PersistedStats plus the PerCPU map it parsed and nothing read.
@@ -399,7 +413,7 @@ var statsReaders = []readerPair{
 	{"daemon",
 		func(b []byte) any { return ReadDaemonStats(b) },
 		func(b []byte) any {
-			ref := refReadDaemonStats(b)
+			ref := refReadDaemonStats(lastRecord(b)) // difference: the last intact record wins
 			if ref == nil {
 				return (*PersistedStats)(nil)
 			}
@@ -490,10 +504,9 @@ func statsEdgeCases(p, q []byte) map[string][]byte {
 }
 
 // TestStatsRoundTripFixed pins the table readers against the references
-// on malformed and multi-record inputs, and pins each reader's record
-// selection: the daemon reader trusts exactly one intact record with no
-// salvage loss, the recovery and retention readers take the last
-// intact record.
+// on malformed and multi-record inputs, and pins the one record
+// selection every reader shares: the last intact record wins. The
+// daemon's reference read the two multi-record cases as nil.
 func TestStatsRoundTripFixed(t *testing.T) {
 	r := statsRand{rand.New(rand.NewSource(7))}
 	ps, cpus := randPersistedStats(r)
@@ -515,11 +528,14 @@ func TestStatsRoundTripFixed(t *testing.T) {
 			"torn tail":  first,
 			"two intact": second,
 		} {
-			if pair.name == "daemon" {
-				want = (*PersistedStats)(nil)
-			}
-			if got := pair.got(cases[name]); !reflect.DeepEqual(got, want) {
+			if got := pair.got(cases[name]); reflect.ValueOf(got).IsNil() || !reflect.DeepEqual(got, want) {
 				t.Errorf("%s %s: selected %+v, want %+v", pair.name, name, got, want)
+			}
+			if pair.name != "daemon" {
+				continue
+			}
+			if ref := refReadDaemonStats(cases[name]); ref != nil {
+				t.Errorf("daemon %s: reference decoded %+v, want nil", name, ref)
 			}
 		}
 		for _, name := range []string{"empty file", "no equals", "non-numeric", "signed", "crlf"} {

@@ -16,13 +16,33 @@ import (
 //   - the details view (opreport -d): per-offset sample counts within
 //     one image, the finest granularity the sample files hold.
 
-// ImageSummary aggregates the report's rows by image. The aggregation
-// and primary-event ordering are computed once with the report (see
-// ensureIndex); each call returns a fresh copy of the cached rows.
+// ImageSummary aggregates the report's rows by image, one row per
+// image with symbol "*", sorted by the primary event's count (ties by
+// image name).
 func (r *Report) ImageSummary() []Row {
-	r.ensureIndex()
-	out := make([]Row, len(r.imgRows))
-	copy(out, r.imgRows)
+	var out []Row
+	at := make(map[string]int)
+	for _, row := range r.Rows {
+		j, ok := at[row.Image]
+		if !ok {
+			j = len(out)
+			at[row.Image] = j
+			out = append(out, Row{Image: row.Image, Symbol: "*"})
+		}
+		for ev := range row.Counts {
+			out[j].Counts[ev] += row.Counts[ev]
+		}
+	}
+	primary := hpc.GlobalPowerEvents
+	if len(r.Events) > 0 {
+		primary = r.Events[0]
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Counts[primary] != out[j].Counts[primary] {
+			return out[i].Counts[primary] > out[j].Counts[primary]
+		}
+		return out[i].Image < out[j].Image
+	})
 	return out
 }
 
